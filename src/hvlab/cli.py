@@ -158,6 +158,8 @@ def _parse_floats(text: str, count: int | None = None, flag: str = "") -> list[f
         raise CliError(f"could not parse {flag or 'list'}: {exc}") from None
     if count is not None and len(vals) != count:
         raise CliError(f"{flag or 'list'} needs {count} comma-separated values")
+    if not np.all(np.isfinite(vals)):
+        raise CliError(f"{flag or 'list'} values must be finite")
     return vals
 
 
@@ -176,6 +178,8 @@ def _parse_state(text: str) -> QuantumState:
         raise CliError(f"could not parse --state: {exc}") from None
     if amps.shape[0] not in (2, 3):
         raise CliError("--state needs 2 or 3 comma-separated amplitudes")
+    if not np.all(np.isfinite(amps)):
+        raise CliError("--state amplitudes must be finite")
     norm = np.linalg.norm(amps)
     if norm == 0.0:
         raise CliError("--state must be a nonzero vector")
@@ -359,14 +363,10 @@ def run_spin_half(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
         return rows, None
     stats = spin_half.hv_statistics(direction, bloch)
     est = mc_mean(lambda xs: spin_half.bell_outcome_modified(direction, bloch, xs), flat, cfg.samples, _row_seed(cfg, 1))
-    est_sq = mc_mean(
-        lambda xs: spin_half.bell_outcome_modified(direction, bloch, xs) ** 2, flat, cfg.samples, _row_seed(cfg, 2)
-    )
     params = f"beta={args.beta}"
     rows.append(ReportRow("spin-half-mean", params, stats.mean, est.mean, est.stderr, expectation(matrix, state)))
-    rows.append(
-        ReportRow("spin-half-second-moment", params, mag * mag, est_sq.mean, est_sq.stderr, expectation(matrix @ matrix, state))
-    )
+    second = expectation(matrix @ matrix, state)
+    rows.append(ReportRow("spin-half-second-moment", params, mag * mag, est.second_moment, est.second_stderr, second))
     rows.append(ReportRow("spin-half-variance", params, stats.variance, oracle=variance(matrix, state)))
     return rows, None
 
@@ -376,6 +376,8 @@ def run_homogeneity(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
     pauli = build_basis(PAULI)
     matrix = linear_observable(direction, pauli)
     offset = args.alpha
+    if not np.isfinite(offset):
+        raise CliError("--alpha must be finite")
     split = spin_half.homogeneity_split(offset, direction, bloch)
     rng = np.random.default_rng(cfg.seed & 0xFFFFFFFFFFFFFFFF)
     hidden = PowerLawDistribution(0).sample(cfg.samples, rng)
@@ -441,10 +443,9 @@ def run_spin_one(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
     stats = spin_one.hv_statistics(formula)
     d1, d2 = formula.hidden_distributions
     est = mc_mean_pair(formula.evaluate, d1, d2, cfg.samples, _row_seed(cfg, 3))
-    est_sq = mc_mean_pair(lambda x, y: formula.evaluate(x, y) ** 2, d1, d2, cfg.samples, _row_seed(cfg, 4))
     rows = [
         ReportRow("spin-one-mean", params, stats.mean, est.mean, est.stderr, oracle_mean),
-        ReportRow("spin-one-second-moment", params, stats.second_moment, est_sq.mean, est_sq.stderr, oracle_second),
+        ReportRow("spin-one-second-moment", params, stats.second_moment, est.second_moment, est.second_stderr, oracle_second),
         ReportRow("spin-one-variance", params, stats.variance, oracle=oracle_second - oracle_mean**2),
     ]
     return rows, None
@@ -469,16 +470,19 @@ def run_ks_dispersion(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None
         return sx2 + sy2 + sz2
 
     est = mc_mean(total, shared, cfg.samples, _row_seed(cfg, 5))
-    est_sq = mc_mean(lambda xs: total(xs) ** 2, shared, cfg.samples, _row_seed(cfg, 6))
     p1, p2, p3 = model.probabilities
     moment_route = 2.0 + 2.0 * (ks.ks_cross_term(p1, p2) + ks.ks_cross_term(p1, p3) + ks.ks_cross_term(p2, p3))
     rows.append(ReportRow("ks-average", params, ks.ks_average(model), est.mean, est.stderr, 2.0))
-    rows.append(ReportRow("ks-second-moment", params, ks.ks_second_moment(model), est_sq.mean, est_sq.stderr, moment_route))
+    rows.append(
+        ReportRow("ks-second-moment", params, ks.ks_second_moment(model), est.second_moment, est.second_stderr, moment_route)
+    )
     rows.append(ReportRow("ks-dispersion", params, ks.ks_dispersion(model), oracle=moment_route - 4.0))
     return rows, None
 
 
 def run_ks_epsilon(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
+    if not np.isfinite(args.eps):
+        raise CliError("--eps must be finite")
     probs = _parse_probs(args.probs)
     model = ks.DeformedKsModel(args.eps, probs)
     stats = ks.deformed_statistics(model)

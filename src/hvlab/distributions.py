@@ -3,7 +3,7 @@
 The building blocks used everywhere else in the package: a family of
 symmetric power-law densities on a bounded support, the +/-1 step
 functions whose threshold is tied to a bias parameter, closed-form
-averages of those step functions, a numerical quadrature fallback, an
+averages of those step functions, an exact Gauss-Legendre quadrature, an
 inverse-CDF sampler and a seeded, block-deterministic Monte Carlo
 estimator.
 
@@ -12,6 +12,7 @@ The sign convention is sign(0) = +1, applied uniformly by `sign_pm`.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -111,6 +112,8 @@ class SignFunctionSpec:
     include_sign_prefactor: bool = False
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.bias):
+            raise ValueError(f"bias must be finite, got {self.bias}")
         if abs(self.bias) > 1.0 + _BIAS_SLACK:
             raise ValueError(f"|bias| must not exceed 1, got {self.bias}")
 
@@ -149,35 +152,32 @@ def sign_product_mean_analytic(first: SignFunctionSpec, second: SignFunctionSpec
     return sign_pm(first.bias) * sign_pm(second.bias) * overlap
 
 
-def _panel_integral(dist: PowerLawDistribution, lo: float, hi: float, points: int) -> float:
+def _panel_integral(dist: PowerLawDistribution, lo: float, hi: float) -> float:
+    # (n+1)-node Gauss-Legendre is exact for the degree-2n density
     if hi <= lo:
         return 0.0
-    xs = np.linspace(lo, hi, max(points, 9))
-    return float(np.trapezoid(dist.density(xs), xs))
+    nodes, weights = np.polynomial.legendre.leggauss(dist.n + 1)
+    half = 0.5 * (hi - lo)
+    return float(half * (weights @ dist.density(lo + half * (nodes + 1.0))))
 
 
-def sign_mean_quadrature(spec: SignFunctionSpec, points: int = 400_001) -> float:
-    """Trapezoid-rule mean of the sign function, split at its threshold.
+def sign_mean_quadrature(spec: SignFunctionSpec) -> float:
+    """Gauss-Legendre mean of the sign function, split at its threshold.
 
-    Splitting at the known sign change keeps the integrand smooth on
-    each panel, so the composite rule converges at second order.
+    Splitting at the known sign change leaves a polynomial integrand on
+    each panel, which the rule integrates exactly.
     """
     dist = spec.distribution
     edge = dist.support_edge
     cut = min(spec.threshold, edge)
-    neg_frac = (edge - cut) / (2.0 * edge)
-    neg_pts = max(int(points * neg_frac), 9)
-    pos_pts = max(points - neg_pts, 9)
-    mean = _panel_integral(dist, -cut, edge, pos_pts) - _panel_integral(dist, -edge, -cut, neg_pts)
+    mean = _panel_integral(dist, -cut, edge) - _panel_integral(dist, -edge, -cut)
     if spec.include_sign_prefactor:
         mean *= sign_pm(spec.bias)
     return mean
 
 
-def sign_product_mean_quadrature(
-    first: SignFunctionSpec, second: SignFunctionSpec, points: int = 400_001
-) -> float:
-    """Trapezoid-rule mean of the product of two sign functions sharing
+def sign_product_mean_quadrature(first: SignFunctionSpec, second: SignFunctionSpec) -> float:
+    """Gauss-Legendre mean of the product of two sign functions sharing
     one variable, split at both thresholds."""
     if first.n != second.n or first.norm != second.norm:
         raise ValueError("both sign functions must share one distribution")
@@ -188,8 +188,7 @@ def sign_product_mean_quadrature(
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (lo + hi)
         piece = sign_pm(mid + first.threshold) * sign_pm(mid + second.threshold)
-        npts = max(int(points * (hi - lo) / (2.0 * edge)), 9)
-        total += piece * _panel_integral(dist, lo, hi, npts)
+        total += piece * _panel_integral(dist, lo, hi)
     if first.include_sign_prefactor:
         total *= sign_pm(first.bias)
     if second.include_sign_prefactor:
@@ -199,17 +198,15 @@ def sign_product_mean_quadrature(
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo mean with its standard error."""
+    """Monte Carlo mean of f with its standard error, and the mean of f**2
+    with its standard error, both from the same draws."""
 
     mean: float
     stderr: float
     samples: int
     seed: int
-
-
-def _blocks(samples: int, block_size: int):
-    for index, start in enumerate(range(0, samples, block_size)):
-        yield index, min(block_size, samples - start)
+    second_moment: float
+    second_stderr: float
 
 
 def _block_rng(seed: int, block_index: int, lane: int) -> np.random.Generator:
@@ -217,18 +214,50 @@ def _block_rng(seed: int, block_index: int, lane: int) -> np.random.Generator:
     return np.random.default_rng([key, lane, block_index])
 
 
-def _reduce(partials: list[tuple[float, float]], samples: int, seed: int) -> McEstimate:
-    total = 0.0
-    total_sq = 0.0
-    for part_sum, part_sq in partials:
-        total += part_sum
-        total_sq += part_sq
-    mean = total / samples
-    if samples > 1:
-        var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+def _summary(vals: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations from the mean)."""
+    mean = float(vals.mean())
+    return vals.size, mean, float(np.square(vals - mean).sum())
+
+
+def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
+    """Pairwise update of Chan, Golub & LeVeque (1979): centred, so a
+    large common offset cannot cancel the spread."""
+    (count_a, mean_a, m2_a), (count_b, mean_b, m2_b) = a, b
+    count = count_a + count_b
+    delta = mean_b - mean_a
+    return count, mean_a + delta * (count_b / count), m2_a + m2_b + delta * delta * (count_a * count_b / count)
+
+
+def _mc_moments(
+    f: Callable[..., np.ndarray], dists: tuple, lanes: tuple[int, ...], samples: int, seed: int, workers: int, block_size: int
+) -> McEstimate:
+    """Monte Carlo estimate of E[f] and E[f**2], f taking one independent
+    draw from each of ``dists``.
+
+    Each block of samples is drawn once, each variable from its own RNG
+    derived deterministically from (seed, lane, block index), and the
+    block summaries are merged in block order.  The estimate is
+    therefore bit-identical for any worker count.
+    """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+
+    def one_block(task):
+        index, count = task
+        xs = [dist.sample(count, _block_rng(seed, index, lane)) for dist, lane in zip(dists, lanes)]
+        ys = np.broadcast_to(np.asarray(f(*xs), dtype=float), (count,))
+        return _summary(ys), _summary(np.square(ys))
+
+    tasks = [(index, min(block_size, samples - start)) for index, start in enumerate(range(0, samples, block_size))]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(one_block, tasks))
     else:
-        var = 0.0
-    return McEstimate(mean=mean, stderr=float(np.sqrt(var / samples)), samples=samples, seed=seed)
+        partials = [one_block(task) for task in tasks]
+    (_, mean, m2), (_, second, second_m2) = (functools.reduce(_merge, parts) for parts in zip(*partials))
+    scale = 1.0 / ((samples - 1) * samples) if samples > 1 else 0.0
+    return McEstimate(mean, float(np.sqrt(m2 * scale)), samples, seed, second, float(np.sqrt(second_m2 * scale)))
 
 
 def mc_mean(
@@ -239,30 +268,8 @@ def mc_mean(
     workers: int = 1,
     block_size: int = MC_BLOCK_SIZE,
 ) -> McEstimate:
-    """Monte Carlo estimate of E[f(x)] under ``dist``.
-
-    Samples are generated in fixed-size blocks, each from an RNG derived
-    deterministically from (seed, block index), and partial sums are
-    merged in block order.  The estimate is therefore bit-identical for
-    any worker count.
-    """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-
-    def one_block(task):
-        index, count = task
-        xs = dist.sample(count, _block_rng(seed, index, 0))
-        ys = np.asarray(f(xs), dtype=float)
-        ys = np.broadcast_to(ys, xs.shape)
-        return float(ys.sum()), float(np.square(ys).sum())
-
-    tasks = list(_blocks(samples, block_size))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one_block, tasks))
-    else:
-        partials = [one_block(task) for task in tasks]
-    return _reduce(partials, samples, seed)
+    """Monte Carlo estimate of E[f(x)] and E[f(x)**2] under ``dist``."""
+    return _mc_moments(f, (dist,), (0,), samples, seed, workers, block_size)
 
 
 def mc_mean_pair(
@@ -274,22 +281,6 @@ def mc_mean_pair(
     workers: int = 1,
     block_size: int = MC_BLOCK_SIZE,
 ) -> McEstimate:
-    """Monte Carlo estimate of E[f(x1, x2)] for two independent draws."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-
-    def one_block(task):
-        index, count = task
-        xs = dist1.sample(count, _block_rng(seed, index, 1))
-        ys = dist2.sample(count, _block_rng(seed, index, 2))
-        vals = np.asarray(f(xs, ys), dtype=float)
-        vals = np.broadcast_to(vals, xs.shape)
-        return float(vals.sum()), float(np.square(vals).sum())
-
-    tasks = list(_blocks(samples, block_size))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one_block, tasks))
-    else:
-        partials = [one_block(task) for task in tasks]
-    return _reduce(partials, samples, seed)
+    """Monte Carlo estimate of E[f(x1, x2)] and E[f(x1, x2)**2] for two
+    independent draws."""
+    return _mc_moments(f, (dist1, dist2), (1, 2), samples, seed, workers, block_size)

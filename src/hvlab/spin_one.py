@@ -12,7 +12,7 @@ force a square root that can go imaginary and are then rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -179,6 +179,8 @@ def sign_targets(case_id: str, probabilities, swap: bool = False) -> tuple[float
 class OutcomeFormula:
     """A deterministic outcome rule a + b*s1 + c*s2 + d*s1*s2.
 
+    Construction checks that the coefficients give the assigned outcome
+    at each of the four sign patterns; evaluation reads that table.
     ``sign1``/``sign2`` carry the hidden-variable realisation of the two
     sign factors; they are None for bare coefficient structures that are
     only evaluated over explicit sign patterns.
@@ -190,15 +192,26 @@ class OutcomeFormula:
     sign1: SignFunctionSpec | None = None
     sign2: SignFunctionSpec | None = None
     probabilities: tuple[float, float, float] | None = None
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        table = np.array(self.assignment.outcomes(self.values))
+        a, b, c, d = self.coefficients
+        raw = np.array([a + b * s1 + c * s2 + d * s1 * s2 for s1, s2 in SIGN_PATTERNS])
+        drift = float(np.max(np.abs(raw - table)))
+        if drift > 1e-9:
+            raise RuntimeError(f"outcome drifted {drift:.3e} from the spectrum")
+        object.__setattr__(self, "_table", table)
 
     def evaluate_signs(self, s1, s2):
-        """Value of the rule at explicit +/-1 sign arguments, snapped to
-        the exact outcome set."""
-        a, b, c, d = self.coefficients
+        """Value of the rule at explicit +/-1 sign arguments, read from
+        its outcome table in ``SIGN_PATTERNS`` order."""
         s1 = np.asarray(s1, dtype=float)
         s2 = np.asarray(s2, dtype=float)
-        raw = a + b * s1 + c * s2 + d * s1 * s2
-        return _snap_outcomes(raw, self.values)
+        if not (np.all(np.abs(s1) == 1.0) and np.all(np.abs(s2) == 1.0)):
+            raise ValueError("sign arguments must be +1 or -1")
+        out = self._table[2 * (s1 < 0) + (s2 < 0)]
+        return float(out) if out.ndim == 0 else out
 
     def evaluate(self, hidden1, hidden2):
         """Outcome at a pair of hidden-variable values."""
@@ -213,17 +226,6 @@ class OutcomeFormula:
         if self.sign1 is None or self.sign2 is None:
             raise ValueError("formula has no sign-function realisation")
         return self.sign1.distribution, self.sign2.distribution
-
-
-def _snap_outcomes(raw, values):
-    vals = np.asarray(values, dtype=float)
-    arr = np.asarray(raw, dtype=float)
-    idx = np.abs(arr[..., None] - vals).argmin(axis=-1)
-    snapped = vals[idx]
-    drift = np.max(np.abs(arr - snapped)) if arr.size else 0.0
-    if drift > 1e-9:
-        raise RuntimeError(f"outcome drifted {drift:.3e} from the spectrum")
-    return float(snapped) if np.ndim(raw) == 0 else snapped
 
 
 def build_formula(

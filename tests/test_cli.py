@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import hvlab.cli
 from hvlab.cli import main
 
 FAST = ["--samples", "20000", "--seed", "42"]
@@ -131,6 +132,25 @@ class TestUsageErrors:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spin-one", "--lambdas", "0,1,-1", "--probs", "nan,0.5,0.5"],
+            ["spin-one", "--lambdas", "0,inf,-1", "--probs", "0.25,0.5,0.25"],
+            ["spin-one", "--beta", "0,0,1", "--state", "nan,0,1"],
+            ["spin-half", "--beta", "nan,0,1"],
+            ["spin-half", "--beta", "1,0,0", "--epsilon", "0,inf,0"],
+            ["homogeneity", "--alpha", "nan", "--beta", "0,0,1"],
+            ["ks-dispersion", "--probs", "0.2,nan,0.3"],
+            ["ks-epsilon", "--eps", "inf", "--probs", "0.25,0.5,0.25"],
+        ],
+    )
+    def test_non_finite_input_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, [*argv, *FAST])
+        assert code == 2
+        assert "finite" in err
+        assert out == ""
+
     def test_invalid_samples_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, ["oracle-check", "--samples", "0"])
         assert code == 2
@@ -218,3 +238,18 @@ class TestDeterminismAndFormats:
         assert len(scan_rows) == 67
         assert rows[-1]["experiment"] == "ks-scan-max"
         assert float(rows[-1]["analytic"]) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_spin_one_makes_one_monte_carlo_pass(capsys, monkeypatch):
+    calls = []
+    real = hvlab.cli.mc_mean_pair
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hvlab.cli, "mc_mean_pair", counted)
+    code, out, _ = run_cli(capsys, ["spin-one", *FAST, "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25"])
+    assert code == 0
+    assert "spin-one-second-moment" in out
+    assert len(calls) == 1

@@ -130,6 +130,11 @@ class TestSignFunction:
         with pytest.raises(ValueError):
             SignFunctionSpec(1.1)
 
+    @pytest.mark.parametrize("bias", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_bias_rejected(self, bias):
+        with pytest.raises(ValueError):
+            SignFunctionSpec(bias)
+
     def test_prefactor_flips_negative_bias(self):
         plain = SignFunctionSpec(-0.4)
         signed = SignFunctionSpec(-0.4, include_sign_prefactor=True)
@@ -167,9 +172,9 @@ class TestAnalyticMeans:
     @pytest.mark.parametrize("n", range(7))
     @pytest.mark.parametrize("xi", XI_GRID)
     def test_quadrature_oracle(self, n, xi):
-        # the 1e5-point budget already lands far inside the 1e-6 band
+        # Gauss-Legendre is exact here, so this lands far inside the 1e-6 band
         spec = SignFunctionSpec(xi, n=n)
-        assert sign_mean_quadrature(spec, points=100_001) == pytest.approx(abs(xi), abs=1e-6)
+        assert sign_mean_quadrature(spec) == pytest.approx(abs(xi), abs=1e-6)
 
     @pytest.mark.parametrize("norm", [0.5, 2.0])
     def test_quadrature_scale_independence(self, norm):
@@ -258,6 +263,37 @@ class TestMcMean:
         threaded = mc_mean(spec.evaluate, dist, 500_000, 5, workers=4)
         assert serial.mean == threaded.mean
         assert serial.stderr == threaded.stderr
+
+    def test_pair_worker_count_does_not_change_estimate(self):
+        a = SignFunctionSpec(0.4, n=1, include_sign_prefactor=True)
+        b = SignFunctionSpec(-0.7, n=1, include_sign_prefactor=True)
+        dist = PowerLawDistribution(1)
+
+        def f(x, y):
+            return a.evaluate(x) + 2.0 * b.evaluate(y) + x * y
+
+        serial = mc_mean_pair(f, dist, dist, 500_000, 8, workers=1)
+        threaded = mc_mean_pair(f, dist, dist, 500_000, 8, workers=2)
+        assert serial == threaded
+
+    def test_second_moment_is_the_squared_pass(self):
+        spec = SignFunctionSpec(0.3, n=1)
+        dist = PowerLawDistribution(1)
+
+        def f(xs):
+            return 2.0 * spec.evaluate(xs) + xs
+
+        est = mc_mean(f, dist, 300_000, 9)
+        squared = mc_mean(lambda xs: f(xs) ** 2, dist, 300_000, 9)
+        assert est.second_moment == squared.mean
+        assert est.second_stderr == squared.stderr
+
+    @pytest.mark.parametrize("offset", [1e5, 1e7])
+    def test_spread_survives_large_offset(self, offset):
+        # the sum-of-squares form cancels here: stderr 0 at 1e5, 256x too large at 1e7
+        est = mc_mean(lambda xs: offset + 1e-3 * sign_pm(xs), PowerLawDistribution(0), 10**6, 1)
+        assert est.stderr == pytest.approx(1e-6, rel=0.01)
+        assert est.mean == pytest.approx(offset, abs=1e-5)
 
     def test_pair_streams_are_independent(self):
         dist = PowerLawDistribution(0)

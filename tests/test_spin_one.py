@@ -21,6 +21,7 @@ from hvlab.spin_one import (
     SIGN_PATTERNS,
     CaseAssignment,
     InfeasibleCaseError,
+    OutcomeFormula,
     SpectralTriple,
     beable_from_operator,
     build_formula,
@@ -243,6 +244,21 @@ class TestBuildFormulaAndEvaluate:
             d1, d2 = formula.hidden_distributions
             outs = formula.evaluate(d1.sample(2000, rng), d2.sample(2000, rng))
             assert np.all(np.isin(outs, lam))
+
+    @pytest.mark.parametrize("bad", [0.5, 0.0, float("nan")])
+    def test_non_sign_arguments_rejected(self, bad):
+        formula = build_formula("III", SpectralTriple((0.0, 1.0, -1.0), (0.25, 0.5, 0.25)))
+        with pytest.raises(ValueError):
+            formula.evaluate_signs(bad, 1.0)
+        with pytest.raises(ValueError):
+            formula.evaluate_signs(np.array([1.0, -1.0]), np.array([-1.0, bad]))
+
+    def test_coefficients_missing_the_table_rejected(self):
+        assignment = CaseAssignment("III")
+        values = (0.0, 1.0, -1.0)
+        a, b, c, d = solve_coefficients(assignment, values)
+        with pytest.raises(RuntimeError):
+            OutcomeFormula(values=values, coefficients=(a, b, c, d + 1e-6), assignment=assignment)
 
     def test_infeasible_case_propagates(self):
         triple = SpectralTriple((0.0, 1.0, -1.0), (0.0, 0.5, 0.5))
