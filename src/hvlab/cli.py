@@ -20,6 +20,7 @@ import numpy as np
 
 from . import ks, spin_half, spin_one
 from .distributions import (
+    McEstimate,
     PowerLawDistribution,
     SignFunctionSpec,
     mc_mean,
@@ -34,6 +35,7 @@ from .oracle import (
     BASIS_KINDS,
     GELL_MANN,
     PAULI,
+    OperatorBasis,
     QuantumState,
     bloch_vector,
     born_distribution,
@@ -106,15 +108,7 @@ def emit_rows(rows: list[ReportRow], cfg: RunConfig, stream=None) -> None:
     tol = cfg.tolerance_sigma
     if cfg.output_format == "json":
         payload = [
-            {
-                "experiment": row.experiment,
-                "params": row.params,
-                "analytic": row.analytic,
-                "mc": row.mc,
-                "stderr": row.stderr,
-                "oracle": row.oracle,
-                "pass": row.passed(tol),
-            }
+            dict(zip(_CSV_COLUMNS, (row.experiment, row.params, row.analytic, row.mc, row.stderr, row.oracle, row.passed(tol))))
             for row in rows
         ]
         stream.write(json.dumps(payload, indent=2) + "\n")
@@ -122,17 +116,8 @@ def emit_rows(rows: list[ReportRow], cfg: RunConfig, stream=None) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [
-                    row.experiment,
-                    row.params,
-                    _fmt(row.analytic),
-                    _fmt(row.mc),
-                    _fmt(row.stderr),
-                    _fmt(row.oracle),
-                    "true" if row.passed(tol) else "false",
-                ]
-            )
+            numbers = [_fmt(value) for value in (row.analytic, row.mc, row.stderr, row.oracle)]
+            writer.writerow([row.experiment, row.params, *numbers, "true" if row.passed(tol) else "false"])
     else:
         cells = [_CSV_COLUMNS] + [
             (
@@ -188,6 +173,148 @@ def _parse_state(text: str) -> QuantumState:
 
 def _row_seed(cfg: RunConfig, index: int) -> int:
     return cfg.seed + 104_729 * (index + 1)
+
+
+# ---------------------------------------------------------------------------
+# row builders: every experiment's rows are built here and nowhere else.
+# The subcommands parse their flags into a builder's arguments; verify-all
+# calls the same builders with fixed inputs.  Builders whose seed is
+# optional make no Monte Carlo pass when it is None.
+
+
+def _cells(est: McEstimate | None, second: bool = False) -> tuple[float | None, float | None]:
+    """The mc and stderr cells of a row: the estimate's mean or second
+    moment, or empty cells when no pass was made."""
+    if est is None:
+        return None, None
+    return (est.second_moment, est.second_stderr) if second else (est.mean, est.stderr)
+
+
+def _sample_cells(draws: np.ndarray) -> tuple[float | None, float | None]:
+    """Mean and standard error of explicit draws, for the rows that sample directly."""
+    if not draws.size:
+        return None, None
+    return float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(draws.size)) if draws.size > 1 else 0.0
+
+
+def _select(rows: list[ReportRow], *names: str) -> list[ReportRow]:
+    return [row for row in rows if row.experiment in names]
+
+
+def _sgn_mean_row(n: int, xi: float, samples: int, seed: int) -> ReportRow:
+    spec = SignFunctionSpec(xi, n=n)
+    est = mc_mean(spec.evaluate, spec.distribution, samples, seed)
+    return ReportRow("sgn-mean", f"n={n};xi={xi}", sign_mean_analytic(spec), *_cells(est), sign_mean_quadrature(spec))
+
+
+def _spin_half_rows(
+    direction: np.ndarray, state: QuantumState, pauli: OperatorBasis, params: str, samples: int, seed: int
+) -> list[ReportRow]:
+    """Modified Bell model: mean and second moment from one pass, variance."""
+    bloch = bloch_vector(state, pauli)
+    matrix = linear_observable(direction, pauli)
+    mag = float(np.linalg.norm(direction))
+    stats = spin_half.hv_statistics(direction, bloch)
+    est = mc_mean(lambda xs: spin_half.bell_outcome_modified(direction, bloch, xs), PowerLawDistribution(0), samples, seed)
+    second = expectation(matrix @ matrix, state)
+    return [
+        ReportRow("spin-half-mean", params, stats.mean, *_cells(est), expectation(matrix, state)),
+        ReportRow("spin-half-second-moment", params, mag * mag, *_cells(est, second=True), second),
+        ReportRow("spin-half-variance", params, stats.variance, oracle=variance(matrix, state)),
+    ]
+
+
+def _spin_half_original_rows(
+    direction: np.ndarray, pauli: OperatorBasis, params: str, samples: int = 0, seed: int | None = None
+) -> list[ReportRow]:
+    """Bell's original model, whose quantum reference is the spin-up state."""
+    matrix = linear_observable(direction, pauli)
+    ground = QuantumState.from_pure([1.0, 0.0])
+    mean = spin_half.bell_original_mean_analytic(direction)
+    mag = float(np.linalg.norm(direction))
+    est = None
+    if seed is not None:
+        est = mc_mean(lambda xs: spin_half.bell_outcome_original(direction, xs), PowerLawDistribution(0), samples, seed)
+    return [
+        ReportRow("spin-half-original-mean", params, mean, *_cells(est), expectation(matrix, ground)),
+        ReportRow("spin-half-original-variance", params, mag * mag - mean * mean, oracle=variance(matrix, ground)),
+    ]
+
+
+def _homogeneity_recombined_row(split: spin_half.HomogeneitySplit, params: str) -> ReportRow:
+    recombined = split.weight_plus * split.mean_plus + split.weight_minus * split.mean_minus
+    return ReportRow("homogeneity-recombined", params, recombined, oracle=split.whole)
+
+
+def _spectrum_moments(values, probs) -> tuple[float, float, float]:
+    """Mean, second moment and variance of an explicit spectrum."""
+    mean = float(np.dot(values, probs))
+    second = float(np.dot(np.square(values), probs))
+    return mean, second, second - mean**2
+
+
+def _operator_moments(matrix: np.ndarray, state: QuantumState) -> tuple[float, float, float]:
+    """Mean, second moment and variance of an observable in a state."""
+    mean = expectation(matrix, state)
+    second = expectation(matrix @ matrix, state)
+    return mean, second, second - mean**2
+
+
+def _spin_one_rows(
+    formula: spin_one.OutcomeFormula, params: str, oracle: tuple[float, float, float], samples: int, seed: int
+) -> list[ReportRow]:
+    """Mean and second moment from one two-variable pass, variance; the
+    oracle triple is the quantum (mean, second moment, variance)."""
+    stats = spin_one.hv_statistics(formula)
+    est = mc_mean_pair(formula.evaluate, *formula.hidden_distributions, samples, seed)
+    mean, second, var = oracle
+    return [
+        ReportRow("spin-one-mean", params, stats.mean, *_cells(est), mean),
+        ReportRow("spin-one-second-moment", params, stats.second_moment, *_cells(est, second=True), second),
+        ReportRow("spin-one-variance", params, stats.variance, oracle=var),
+    ]
+
+
+def _ks_moment_route(model: ks.KsModel) -> float:
+    """Second moment of the constraint sum term by term: 2 from the
+    squared outcomes plus twice the three pairwise cross terms."""
+    p1, p2, p3 = model.probabilities
+    return 2.0 + 2.0 * (ks.ks_cross_term(p1, p2) + ks.ks_cross_term(p1, p3) + ks.ks_cross_term(p2, p3))
+
+
+def _ks_rows(model: ks.KsModel, params: str, samples: int = 0, seed: int | None = None) -> list[ReportRow]:
+    """Average, second moment (both from one pass) and dispersion of the
+    constraint sum."""
+    est = None
+    if seed is not None:
+        est = mc_mean(lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, samples, seed)
+    route = _ks_moment_route(model)
+    return [
+        ReportRow("ks-average", params, ks.ks_average(model), *_cells(est), 2.0),
+        ReportRow("ks-second-moment", params, ks.ks_second_moment(model), *_cells(est, second=True), route),
+        ReportRow("ks-dispersion", params, ks.ks_dispersion(model), oracle=route - 4.0),
+    ]
+
+
+def _deformed_moments(model: ks.DeformedKsModel) -> tuple[float, float, float]:
+    """The deformed constraint's moments, read directly off its outcome table."""
+    return _spectrum_moments(ks.deformed_outcomes(model), model.probabilities)
+
+
+def _ks_epsilon_rows(
+    model: ks.DeformedKsModel, params: str, samples: int = 0, seed: int | None = None
+) -> list[ReportRow]:
+    stats = ks.deformed_statistics(model)
+    mean, second, var = _deformed_moments(model)
+    draws = np.empty(0)
+    if seed is not None:
+        rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+        draws = rng.choice(np.array(ks.deformed_outcomes(model)), size=samples, p=np.array(model.probabilities))
+    return [
+        ReportRow("ks-epsilon-mean", params, stats.mean, *_sample_cells(draws), mean),
+        ReportRow("ks-epsilon-second-moment", params, stats.second_moment, oracle=second),
+        ReportRow("ks-epsilon-variance", params, stats.variance, oracle=var),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -286,41 +413,25 @@ def run_oracle_check(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]
 
 
 def run_sgn_averages(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
-    rows: list[ReportRow] = []
-    dist = PowerLawDistribution(cfg.n)
-    grid = [round(-1.0 + 0.1 * k, 10) for k in range(21)]
-    for idx, xi in enumerate(grid):
-        spec = SignFunctionSpec(xi, n=cfg.n)
-        est = mc_mean(spec.evaluate, dist, cfg.samples, _row_seed(cfg, idx))
-        rows.append(
-            ReportRow(
-                "sgn-mean",
-                f"n={cfg.n};xi={xi}",
-                sign_mean_analytic(spec),
-                mc=est.mean,
-                stderr=est.stderr,
-                oracle=sign_mean_quadrature(spec),
-            )
-        )
+    rows = [_sgn_mean_row(cfg.n, round(-1.0 + 0.1 * k, 10), cfg.samples, _row_seed(cfg, k)) for k in range(21)]
     pairs = ((0.8, 0.3), (0.8, -0.3), (0.5, 0.5), (-0.6, -0.9))
     for idx, (b1, b2) in enumerate(pairs):
         s1 = SignFunctionSpec(b1, n=cfg.n, include_sign_prefactor=True)
         s2 = SignFunctionSpec(b2, n=cfg.n, include_sign_prefactor=True)
-        est = mc_mean(lambda xs: s1.evaluate(xs) * s2.evaluate(xs), dist, cfg.samples, _row_seed(cfg, 100 + idx))
+        est = mc_mean(lambda xs: s1.evaluate(xs) * s2.evaluate(xs), s1.distribution, cfg.samples, _row_seed(cfg, 100 + idx))
         rows.append(
             ReportRow(
                 "sgn-product-mean",
                 f"n={cfg.n};xi1={b1};xi2={b2}",
                 sign_product_mean_analytic(s1, s2),
-                mc=est.mean,
-                stderr=est.stderr,
-                oracle=sign_product_mean_quadrature(s1, s2),
+                *_cells(est),
+                sign_product_mean_quadrature(s1, s2),
             )
         )
     return rows, None
 
 
-def _spin_half_inputs(cfg: RunConfig, args) -> tuple[np.ndarray, QuantumState, np.ndarray]:
+def _spin_half_inputs(args) -> tuple[np.ndarray, QuantumState, OperatorBasis]:
     direction = np.array(_parse_floats(args.beta, 3, "--beta"))
     pauli = build_basis(PAULI)
     if args.state is not None:
@@ -335,46 +446,20 @@ def _spin_half_inputs(cfg: RunConfig, args) -> tuple[np.ndarray, QuantumState, n
         state = QuantumState.from_density(rho)
     else:
         state = QuantumState.from_pure([1.0, 0.0])
-    return direction, state, bloch_vector(state, pauli)
+    return direction, state, pauli
 
 
 def run_spin_half(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
-    direction, state, bloch = _spin_half_inputs(cfg, args)
-    pauli = build_basis(PAULI)
-    matrix = linear_observable(direction, pauli)
-    mag = float(np.linalg.norm(direction))
-    flat = PowerLawDistribution(0)
-    rows: list[ReportRow] = []
-    if args.original:
-        ground = QuantumState.from_pure([1.0, 0.0])
-        mean = spin_half.bell_original_mean_analytic(direction)
-        est = mc_mean(lambda xs: spin_half.bell_outcome_original(direction, xs), flat, cfg.samples, _row_seed(cfg, 0))
-        rows.append(
-            ReportRow("spin-half-original-mean", f"beta={args.beta}", mean, est.mean, est.stderr, expectation(matrix, ground))
-        )
-        rows.append(
-            ReportRow(
-                "spin-half-original-variance",
-                f"beta={args.beta}",
-                mag * mag - mean * mean,
-                oracle=variance(matrix, ground),
-            )
-        )
-        return rows, None
-    stats = spin_half.hv_statistics(direction, bloch)
-    est = mc_mean(lambda xs: spin_half.bell_outcome_modified(direction, bloch, xs), flat, cfg.samples, _row_seed(cfg, 1))
+    direction, state, pauli = _spin_half_inputs(args)
     params = f"beta={args.beta}"
-    rows.append(ReportRow("spin-half-mean", params, stats.mean, est.mean, est.stderr, expectation(matrix, state)))
-    second = expectation(matrix @ matrix, state)
-    rows.append(ReportRow("spin-half-second-moment", params, mag * mag, est.second_moment, est.second_stderr, second))
-    rows.append(ReportRow("spin-half-variance", params, stats.variance, oracle=variance(matrix, state)))
-    return rows, None
+    if args.original:
+        return _spin_half_original_rows(direction, pauli, params, cfg.samples, _row_seed(cfg, 0)), None
+    return _spin_half_rows(direction, state, pauli, params, cfg.samples, _row_seed(cfg, 1)), None
 
 
 def run_homogeneity(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
-    direction, state, bloch = _spin_half_inputs(cfg, args)
-    pauli = build_basis(PAULI)
-    matrix = linear_observable(direction, pauli)
+    direction, state, pauli = _spin_half_inputs(args)
+    bloch = bloch_vector(state, pauli)
     offset = args.alpha
     if not np.isfinite(offset):
         raise CliError("--alpha must be finite")
@@ -383,33 +468,14 @@ def run_homogeneity(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
     hidden = PowerLawDistribution(0).sample(cfg.samples, rng)
     outcomes = offset + spin_half.bell_outcome_modified(direction, bloch, hidden)
     upper = hidden >= split.split_point
-    rows: list[ReportRow] = []
     params = f"alpha={offset};beta={args.beta}"
-    for name, analytic, mask in (
-        ("homogeneity-mean-plus", split.mean_plus, upper),
-        ("homogeneity-mean-minus", split.mean_minus, ~upper),
-    ):
-        part = outcomes[mask]
-        if part.size:
-            mc = float(part.mean())
-            err = float(part.std(ddof=1) / np.sqrt(part.size)) if part.size > 1 else 0.0
-            rows.append(ReportRow(name, params, analytic, mc, err))
-        else:
-            rows.append(ReportRow(name, params, analytic))
-    whole_mc = float(outcomes.mean())
-    whole_err = float(outcomes.std(ddof=1) / np.sqrt(outcomes.size))
-    rows.append(
-        ReportRow(
-            "homogeneity-whole",
-            params,
-            split.whole,
-            whole_mc,
-            whole_err,
-            offset + expectation(matrix, state),
-        )
-    )
-    recombined = split.weight_plus * split.mean_plus + split.weight_minus * split.mean_minus
-    rows.append(ReportRow("homogeneity-recombined", params, recombined, oracle=split.whole))
+    rows = [
+        ReportRow("homogeneity-mean-plus", params, split.mean_plus, *_sample_cells(outcomes[upper])),
+        ReportRow("homogeneity-mean-minus", params, split.mean_minus, *_sample_cells(outcomes[~upper])),
+    ]
+    whole_oracle = offset + expectation(linear_observable(direction, pauli), state)
+    rows.append(ReportRow("homogeneity-whole", params, split.whole, *_sample_cells(outcomes), whole_oracle))
+    rows.append(_homogeneity_recombined_row(split, params))
     return rows, None
 
 
@@ -423,8 +489,7 @@ def run_spin_one(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
             probs = _parse_probs(args.probs)
             triple = spin_one.SpectralTriple(values, probs)
             formula = spin_one.build_formula(case_id, triple, n=cfg.n, swap=args.swap)
-            oracle_mean = float(np.dot(values, probs))
-            oracle_second = float(np.dot(np.square(values), probs))
+            oracle = _spectrum_moments(values, probs)
             params = f"case={case_id};lambdas={args.lambdas};probs={args.probs}"
         else:
             if args.state is None:
@@ -433,51 +498,25 @@ def run_spin_one(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
             coeffs = np.array(_parse_floats(args.beta, None, "--beta"))
             state = _parse_state(args.state)
             formula = spin_one.beable_from_operator(coeffs, basis, state, case_id=case_id, n=cfg.n, swap=args.swap)
-            matrix = linear_observable(coeffs, basis)
-            oracle_mean = expectation(matrix, state)
-            oracle_second = expectation(matrix @ matrix, state)
+            oracle = _operator_moments(linear_observable(coeffs, basis), state)
             params = f"case={case_id};basis={args.basis};beta={args.beta}"
     except spin_one.InfeasibleCaseError as exc:
         return [], f"infeasible: {exc.reason}"
-
-    stats = spin_one.hv_statistics(formula)
-    d1, d2 = formula.hidden_distributions
-    est = mc_mean_pair(formula.evaluate, d1, d2, cfg.samples, _row_seed(cfg, 3))
-    rows = [
-        ReportRow("spin-one-mean", params, stats.mean, est.mean, est.stderr, oracle_mean),
-        ReportRow("spin-one-second-moment", params, stats.second_moment, est.second_moment, est.second_stderr, oracle_second),
-        ReportRow("spin-one-variance", params, stats.variance, oracle=oracle_second - oracle_mean**2),
-    ]
-    return rows, None
+    return _spin_one_rows(formula, params, oracle, cfg.samples, _row_seed(cfg, 3)), None
 
 
 def run_ks_dispersion(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
-    rows: list[ReportRow] = []
     if args.scan:
         table = ks.dispersion_scan(cfg.grid_step)
-        for p1, p2, p3, value in table:
-            rows.append(ReportRow("ks-scan", f"p1={p1:.6g};p2={p2:.6g};p3={p3:.6g}", float(value)))
+        rows = [ReportRow("ks-scan", f"p1={p1:.6g};p2={p2:.6g};p3={p3:.6g}", float(value)) for p1, p2, p3, value in table]
         values = table[:, 3]
         rows.append(ReportRow("ks-scan-min", f"step={cfg.grid_step}", float(values.min()), oracle=0.0))
         rows.append(ReportRow("ks-scan-max", f"step={cfg.grid_step}", float(values.max()), oracle=2.0))
         return rows, None
+    if args.probs is None:
+        raise CliError("ks-dispersion needs --probs or --scan")
     model = ks.KsModel(_parse_probs(args.probs))
-    params = f"probs={args.probs}"
-    shared = ks.SHARED_HIDDEN
-
-    def total(xs):
-        sx2, sy2, sz2 = ks.ks_square_outcomes(model, xs)
-        return sx2 + sy2 + sz2
-
-    est = mc_mean(total, shared, cfg.samples, _row_seed(cfg, 5))
-    p1, p2, p3 = model.probabilities
-    moment_route = 2.0 + 2.0 * (ks.ks_cross_term(p1, p2) + ks.ks_cross_term(p1, p3) + ks.ks_cross_term(p2, p3))
-    rows.append(ReportRow("ks-average", params, ks.ks_average(model), est.mean, est.stderr, 2.0))
-    rows.append(
-        ReportRow("ks-second-moment", params, ks.ks_second_moment(model), est.second_moment, est.second_stderr, moment_route)
-    )
-    rows.append(ReportRow("ks-dispersion", params, ks.ks_dispersion(model), oracle=moment_route - 4.0))
-    return rows, None
+    return _ks_rows(model, f"probs={args.probs}", cfg.samples, _row_seed(cfg, 5)), None
 
 
 def run_ks_epsilon(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
@@ -485,150 +524,59 @@ def run_ks_epsilon(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
         raise CliError("--eps must be finite")
     probs = _parse_probs(args.probs)
     model = ks.DeformedKsModel(args.eps, probs)
-    stats = ks.deformed_statistics(model)
-    outs = np.array(ks.deformed_outcomes(model))
-    weights = np.array(model.probabilities)
-    direct_mean = float(outs @ weights)
-    direct_second = float(np.square(outs) @ weights)
-    rng = np.random.default_rng(_row_seed(cfg, 7) & 0xFFFFFFFFFFFFFFFF)
-    draws = rng.choice(outs, size=cfg.samples, p=weights)
-    mc = float(draws.mean())
-    err = float(draws.std(ddof=1) / np.sqrt(draws.size))
-    params = f"eps={args.eps};probs={args.probs}"
-    rows = [
-        ReportRow("ks-epsilon-mean", params, stats.mean, mc, err, direct_mean),
-        ReportRow("ks-epsilon-second-moment", params, stats.second_moment, oracle=direct_second),
-        ReportRow("ks-epsilon-variance", params, stats.variance, oracle=direct_second - direct_mean**2),
-    ]
+    rows = _ks_epsilon_rows(model, f"eps={args.eps};probs={args.probs}", cfg.samples, _row_seed(cfg, 7))
     if args.sweep:
         eps_grid = np.logspace(-4, -1, 13)
         variances = []
         for eps in eps_grid:
-            swept = ks.deformed_statistics(ks.DeformedKsModel(float(eps), probs))
-            variances.append(swept.variance)
-            rows.append(
-                ReportRow(
-                    "ks-epsilon-sweep",
-                    f"eps={eps:.6g};probs={args.probs}",
-                    swept.variance,
-                    oracle=float(
-                        np.square(np.array([2 + eps, 2.0, 2 - eps])) @ weights
-                        - (np.array([2 + eps, 2.0, 2 - eps]) @ weights) ** 2
-                    ),
-                )
-            )
+            swept = ks.DeformedKsModel(float(eps), probs)
+            variances.append(ks.deformed_statistics(swept).variance)
+            params = f"eps={eps:.6g};probs={args.probs}"
+            rows.append(ReportRow("ks-epsilon-sweep", params, variances[-1], oracle=_deformed_moments(swept)[2]))
         slope = float(np.polyfit(np.log(eps_grid), np.log(variances), 1)[0])
         rows.append(ReportRow("ks-epsilon-slope", f"probs={args.probs}", slope, oracle=2.0))
     return rows, None
 
 
 def run_verify_all(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
-    rows: list[ReportRow] = []
-    rows += run_oracle_check(cfg, args)[0]
-
+    rows = run_oracle_check(cfg, args)[0]
     for n in (0, 3):
-        dist = PowerLawDistribution(n)
         for idx, xi in enumerate((-0.7, 0.0, 0.7)):
-            spec = SignFunctionSpec(xi, n=n)
-            est = mc_mean(spec.evaluate, dist, cfg.samples, _row_seed(cfg, 200 + 10 * n + idx))
-            rows.append(
-                ReportRow(
-                    "sgn-mean",
-                    f"n={n};xi={xi}",
-                    sign_mean_analytic(spec),
-                    est.mean,
-                    est.stderr,
-                    sign_mean_quadrature(spec),
-                )
-            )
+            rows.append(_sgn_mean_row(n, xi, cfg.samples, _row_seed(cfg, 200 + 10 * n + idx)))
 
     rng = np.random.default_rng(cfg.seed)
     pauli = build_basis(PAULI)
     state2 = random_pure_state(2, rng)
-    bloch = bloch_vector(state2, pauli)
     direction = np.array([0.3, -0.4, 0.8])
-    matrix = linear_observable(direction, pauli)
-    stats = spin_half.hv_statistics(direction, bloch)
-    est = mc_mean(
-        lambda xs: spin_half.bell_outcome_modified(direction, bloch, xs),
-        PowerLawDistribution(0),
-        cfg.samples,
-        _row_seed(cfg, 300),
-    )
-    rows.append(ReportRow("spin-half-mean", "beta=0.3,-0.4,0.8", stats.mean, est.mean, est.stderr, expectation(matrix, state2)))
-    rows.append(ReportRow("spin-half-variance", "beta=0.3,-0.4,0.8", stats.variance, oracle=variance(matrix, state2)))
-    rows.append(
-        ReportRow(
-            "spin-half-original-mean",
-            "beta=0.3,-0.4,0.8",
-            spin_half.bell_original_mean_analytic(direction),
-            oracle=expectation(matrix, QuantumState.from_pure([1.0, 0.0])),
-        )
-    )
+    params = "beta=0.3,-0.4,0.8"
+    half = _spin_half_rows(direction, state2, pauli, params, cfg.samples, _row_seed(cfg, 300))
+    rows += _select(half, "spin-half-mean", "spin-half-variance")
+    rows += _select(_spin_half_original_rows(direction, pauli, params), "spin-half-original-mean")
+    split = spin_half.homogeneity_split(1.5, direction, bloch_vector(state2, pauli))
+    rows.append(_homogeneity_recombined_row(split, f"alpha=1.5;{params}"))
 
-    split = spin_half.homogeneity_split(1.5, direction, bloch)
-    rows.append(
-        ReportRow(
-            "homogeneity-recombined",
-            "alpha=1.5;beta=0.3,-0.4,0.8",
-            split.weight_plus * split.mean_plus + split.weight_minus * split.mean_minus,
-            oracle=split.whole,
-        )
-    )
-
-    triple = spin_one.SpectralTriple((0.0, 1.0, -1.0), (0.25, 0.5, 0.25), traceless=True)
-    formula = spin_one.build_formula("III", triple)
-    f_stats = spin_one.hv_statistics(formula)
-    d1, d2 = formula.hidden_distributions
-    est = mc_mean_pair(formula.evaluate, d1, d2, cfg.samples, _row_seed(cfg, 301))
-    rows.append(
-        ReportRow("spin-one-mean", "case=III;lambdas=0,1,-1;probs=0.25,0.5,0.25", f_stats.mean, est.mean, est.stderr, 0.25)
-    )
-    rows.append(
-        ReportRow("spin-one-second-moment", "case=III;lambdas=0,1,-1;probs=0.25,0.5,0.25", f_stats.second_moment, oracle=0.75)
-    )
+    values, probs = (0.0, 1.0, -1.0), (0.25, 0.5, 0.25)
+    formula = spin_one.build_formula("III", spin_one.SpectralTriple(values, probs, traceless=True))
+    params = "case=III;lambdas=0,1,-1;probs=0.25,0.5,0.25"
+    one = _spin_one_rows(formula, params, _spectrum_moments(values, probs), cfg.samples, _row_seed(cfg, 301))
+    rows += _select(one, "spin-one-mean", "spin-one-second-moment")
 
     gm = build_basis(GELL_MANN)
     state3 = random_pure_state(3, rng)
     coeffs = rng.normal(size=8)
-    op_formula = spin_one.beable_from_operator(coeffs, gm, state3, case_id="III")
-    op_stats = spin_one.hv_statistics(op_formula)
+    op_stats = spin_one.hv_statistics(spin_one.beable_from_operator(coeffs, gm, state3, case_id="III"))
     op_matrix = linear_observable(coeffs, gm)
     rows.append(ReportRow("spin-one-operator-mean", "basis=gell-mann", op_stats.mean, oracle=expectation(op_matrix, state3)))
     rows.append(
         ReportRow("spin-one-operator-variance", "basis=gell-mann", op_stats.variance, oracle=variance(op_matrix, state3))
     )
 
-    ks_state_model = ks.ks_model_from_state(state3)
-    rows.append(ReportRow("ks-average", "probs=from-state", ks.ks_average(ks_state_model), oracle=2.0))
+    rows += _select(_ks_rows(ks.ks_model_from_state(state3), "probs=from-state"), "ks-average")
     for probs in ((0.2, 0.5, 0.3), (0.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3)):
-        model = ks.KsModel(probs)
-        p1, p2, p3 = model.probabilities
-        moment_route = 2.0 + 2.0 * (
-            ks.ks_cross_term(p1, p2) + ks.ks_cross_term(p1, p3) + ks.ks_cross_term(p2, p3)
-        )
-        rows.append(
-            ReportRow(
-                "ks-second-moment",
-                f"probs={probs[0]:.6g},{probs[1]:.6g},{probs[2]:.6g}",
-                ks.ks_second_moment(model),
-                oracle=moment_route,
-            )
-        )
-
-    model = ks.DeformedKsModel(0.05, (0.25, 0.5, 0.25))
-    stats_eps = ks.deformed_statistics(model)
-    outs = np.array(ks.deformed_outcomes(model))
-    weights = np.array(model.probabilities)
-    rows.append(ReportRow("ks-epsilon-mean", "eps=0.05", stats_eps.mean, oracle=float(outs @ weights)))
-    rows.append(
-        ReportRow(
-            "ks-epsilon-variance",
-            "eps=0.05",
-            stats_eps.variance,
-            oracle=float(np.square(outs) @ weights - (outs @ weights) ** 2),
-        )
-    )
+        params = f"probs={probs[0]:.6g},{probs[1]:.6g},{probs[2]:.6g}"
+        rows += _select(_ks_rows(ks.KsModel(probs), params), "ks-second-moment")
+    deformed = ks.DeformedKsModel(0.05, (0.25, 0.5, 0.25))
+    rows += _select(_ks_epsilon_rows(deformed, "eps=0.05"), "ks-epsilon-mean", "ks-epsilon-variance")
     return rows, None
 
 
@@ -664,9 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--state", help="pure-state amplitudes, complex allowed")
         p.add_argument("--epsilon", help="Bloch vector, three comma-separated reals")
         if name == "spin-half":
-            mode = p.add_mutually_exclusive_group()
-            mode.add_argument("--original", action="store_true")
-            mode.add_argument("--modified", action="store_true")
+            p.add_argument("--original", action="store_true")
         else:
             p.add_argument("--alpha", type=float, default=0.0)
 
@@ -705,8 +651,6 @@ def main(argv=None) -> int:
             grid_step=args.grid_step,
             tolerance_sigma=args.tolerance_sigma,
         )
-        if args.command == "ks-dispersion" and not args.scan and args.probs is None:
-            raise CliError("ks-dispersion needs --probs or --scan")
         rows, note = _DISPATCH[args.command](cfg, args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
