@@ -96,7 +96,7 @@ class ReportRow:
             # the roundoff floor covers deterministic estimates (stderr 0)
             band = tolerance_sigma * (self.stderr or 0.0) + 1e-12 * max(1.0, abs(self.analytic))
             ok = ok and abs(self.mc - self.analytic) <= band
-        return ok
+        return bool(ok)
 
 
 def _fmt(value: float | None) -> str:
@@ -216,11 +216,11 @@ def _spin_half_rows(
     mag = float(np.linalg.norm(direction))
     stats = spin_half.hv_statistics(direction, bloch)
     est = mc_mean(lambda xs: spin_half.bell_outcome_modified(direction, bloch, xs), PowerLawDistribution(0), samples, seed)
-    second = expectation(matrix @ matrix, state)
+    mean, second, var = _operator_moments(matrix, state)
     return [
-        ReportRow("spin-half-mean", params, stats.mean, *_cells(est), expectation(matrix, state)),
+        ReportRow("spin-half-mean", params, stats.mean, *_cells(est), mean),
         ReportRow("spin-half-second-moment", params, mag * mag, *_cells(est, second=True), second),
-        ReportRow("spin-half-variance", params, stats.variance, oracle=variance(matrix, state)),
+        ReportRow("spin-half-variance", params, stats.variance, oracle=var),
     ]
 
 
@@ -228,16 +228,15 @@ def _spin_half_original_rows(
     direction: np.ndarray, pauli: OperatorBasis, params: str, samples: int = 0, seed: int | None = None
 ) -> list[ReportRow]:
     """Bell's original model, whose quantum reference is the spin-up state."""
-    matrix = linear_observable(direction, pauli)
-    ground = QuantumState.from_pure([1.0, 0.0])
+    oracle_mean, _, oracle_var = _operator_moments(linear_observable(direction, pauli), QuantumState.from_pure([1.0, 0.0]))
     mean = spin_half.bell_original_mean_analytic(direction)
     mag = float(np.linalg.norm(direction))
     est = None
     if seed is not None:
         est = mc_mean(lambda xs: spin_half.bell_outcome_original(direction, xs), PowerLawDistribution(0), samples, seed)
     return [
-        ReportRow("spin-half-original-mean", params, mean, *_cells(est), expectation(matrix, ground)),
-        ReportRow("spin-half-original-variance", params, mag * mag - mean * mean, oracle=variance(matrix, ground)),
+        ReportRow("spin-half-original-mean", params, mean, *_cells(est), oracle_mean),
+        ReportRow("spin-half-original-variance", params, mag * mag - mean * mean, oracle=oracle_var),
     ]
 
 
@@ -247,17 +246,14 @@ def _homogeneity_recombined_row(split: spin_half.HomogeneitySplit, params: str) 
 
 
 def _spectrum_moments(values, probs) -> tuple[float, float, float]:
-    """Mean, second moment and variance of an explicit spectrum."""
+    """Mean, second moment and centred variance of an explicit spectrum."""
     mean = float(np.dot(values, probs))
-    second = float(np.dot(np.square(values), probs))
-    return mean, second, second - mean**2
+    return mean, float(np.dot(np.square(values), probs)), float(np.dot(np.square(np.subtract(values, mean)), probs))
 
 
 def _operator_moments(matrix: np.ndarray, state: QuantumState) -> tuple[float, float, float]:
-    """Mean, second moment and variance of an observable in a state."""
-    mean = expectation(matrix, state)
-    second = expectation(matrix @ matrix, state)
-    return mean, second, second - mean**2
+    """Mean, second moment and centred variance of an observable in a state."""
+    return expectation(matrix, state), expectation(matrix @ matrix, state), variance(matrix, state)
 
 
 def _spin_one_rows(
@@ -336,23 +332,19 @@ def run_oracle_check(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]
         dev = float(np.max(np.abs(np.trace(basis.operators, axis1=1, axis2=2))))
         rows.append(ReportRow("basis-traceless", f"kind={kind}", dev, oracle=0.0))
 
-    gm = bases[GELL_MANN]
-    rows.append(ReportRow("structure-f", "kind=gell-mann;i=1;j=2;k=3", float(gm.f[0, 1, 2]), oracle=1.0))
-    rows.append(
-        ReportRow("structure-f", "kind=gell-mann;i=4;j=5;k=8", float(gm.f[3, 4, 7]), oracle=float(np.sqrt(3) / 2))
-    )
-    rows.append(
-        ReportRow("structure-d", "kind=gell-mann;i=1;j=1;k=8", float(gm.d[0, 0, 7]), oracle=float(1 / np.sqrt(3)))
-    )
+    gm, ang = bases[GELL_MANN], bases[ANGULAR_MOMENTUM]
     levi = np.zeros((3, 3, 3))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         levi[i, j, k] = 1.0
         levi[j, i, k] = -1.0
-    rows.append(
-        ReportRow("structure-f", "kind=pauli;test=levi-civita", float(np.max(np.abs(bases[PAULI].f - levi))), oracle=0.0)
-    )
+    for name, params, value, exact in (
+        ("structure-f", "kind=gell-mann;i=1;j=2;k=3", gm.f[0, 1, 2], 1.0),
+        ("structure-f", "kind=gell-mann;i=4;j=5;k=8", gm.f[3, 4, 7], np.sqrt(3) / 2),
+        ("structure-d", "kind=gell-mann;i=1;j=1;k=8", gm.d[0, 0, 7], 1 / np.sqrt(3)),
+        ("structure-f", "kind=pauli;test=levi-civita", np.max(np.abs(bases[PAULI].f - levi)), 0.0),
+    ):
+        rows.append(ReportRow(name, params, float(value), oracle=float(exact)))
 
-    ang = bases[ANGULAR_MOMENTUM]
     s2, s3 = np.sqrt(2.0), np.sqrt(3.0)
     combos = np.stack(
         [
@@ -366,16 +358,10 @@ def run_oracle_check(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]
             gm.operators[4],
         ]
     )
-    rows.append(
-        ReportRow("basis-combination", "angular-from-gell-mann", float(np.max(np.abs(combos - ang.operators))), oracle=0.0)
-    )
-
-    rows.append(
-        ReportRow("squares-identity", "kind=angular-momentum", verify_ks_identity(ang).residual, oracle=0.0)
-    )
-    rows.append(
-        ReportRow("squares-identity", "kind=gell-mann", verify_ks_identity(gm).residual, oracle=float(np.sqrt(6.0)))
-    )
+    combo_dev = float(np.max(np.abs(combos - ang.operators)))
+    rows.append(ReportRow("basis-combination", "angular-from-gell-mann", combo_dev, oracle=0.0))
+    for kind, exact in ((ANGULAR_MOMENTUM, 0.0), (GELL_MANN, float(np.sqrt(6.0)))):
+        rows.append(ReportRow("squares-identity", f"kind={kind}", verify_ks_identity(bases[kind]).residual, oracle=exact))
 
     worst = 0.0
     for row in simultaneous_eigenbasis():
@@ -385,8 +371,7 @@ def run_oracle_check(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]
     rows.append(ReportRow("simultaneous-eigenbasis", "rows=3", worst, oracle=0.0))
 
     recon = 0.0
-    for dim in (2, 3):
-        basis = bases[PAULI] if dim == 2 else bases[GELL_MANN]
+    for basis in (bases[PAULI], gm):
         for _ in range(20):
             h = linear_observable(rng.normal(size=basis.size), basis)
             vals, vecs = spectral_decompose(h)
@@ -565,11 +550,9 @@ def run_verify_all(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
     state3 = random_pure_state(3, rng)
     coeffs = rng.normal(size=8)
     op_stats = spin_one.hv_statistics(spin_one.beable_from_operator(coeffs, gm, state3, case_id="III"))
-    op_matrix = linear_observable(coeffs, gm)
-    rows.append(ReportRow("spin-one-operator-mean", "basis=gell-mann", op_stats.mean, oracle=expectation(op_matrix, state3)))
-    rows.append(
-        ReportRow("spin-one-operator-variance", "basis=gell-mann", op_stats.variance, oracle=variance(op_matrix, state3))
-    )
+    op_mean, _, op_var = _operator_moments(linear_observable(coeffs, gm), state3)
+    rows.append(ReportRow("spin-one-operator-mean", "basis=gell-mann", op_stats.mean, oracle=op_mean))
+    rows.append(ReportRow("spin-one-operator-variance", "basis=gell-mann", op_stats.variance, oracle=op_var))
 
     rows += _select(_ks_rows(ks.ks_model_from_state(state3), "probs=from-state"), "ks-average")
     for probs in ((0.2, 0.5, 0.3), (0.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3)):

@@ -87,11 +87,21 @@ def ks_average(model: KsModel) -> float:
     return (1.0 - p1) + (1.0 - p2) + (1.0 - p3)
 
 
+def _sign_product(bi, bj):
+    # mean of the product of two prefactored sign functions of one shared
+    # hidden variable: sign(bi) sign(bj) (1 - ||bi| - |bj||), elementwise
+    return (1.0 - np.abs(np.abs(bi) - np.abs(bj))) * sign_pm(bi) * sign_pm(bj)
+
+
+def _pair_sum(b):
+    # sum of the three pairwise sign-product means, over the last axis of b
+    first, second, third = b[..., 0], b[..., 1], b[..., 2]
+    return _sign_product(first, second) + _sign_product(first, third) + _sign_product(second, third)
+
+
 def _cross_term(bi, bj):
-    # E[(1-s_i)(1-s_j)]/4 with a shared hidden variable; the product of
-    # the two sign functions averages to sign(bi) sign(bj) (1 - ||bi|-|bj||).
-    product = (1.0 - np.abs(np.abs(bi) - np.abs(bj))) * sign_pm(bi) * sign_pm(bj)
-    return 0.25 * (1.0 - bi - bj + product)
+    # E[(1-s_i)(1-s_j)]/4 with a shared hidden variable
+    return 0.25 * (1.0 - bi - bj + _sign_product(bi, bj))
 
 
 def ks_cross_term(p_i: float, p_j: float) -> float:
@@ -107,13 +117,8 @@ def ks_second_moment(model: KsModel) -> float:
     second ones (outcomes are 0/1), contributing sum(1 - p_i) = 2, plus
     twice the three cross terms.
     """
-    b = [2.0 * p - 1.0 for p in model.probabilities]
-    pair_sum = sum(
-        (1.0 - abs(abs(b[i]) - abs(b[j]))) * sign_pm(b[i]) * sign_pm(b[j])
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
-    return 4.0 + 0.5 * (1.0 + pair_sum)
+    b = 2.0 * np.array(model.probabilities) - 1.0
+    return float(4.0 + 0.5 * (1.0 + _pair_sum(b)))
 
 
 def ks_dispersion(model: KsModel) -> float:
@@ -135,11 +140,11 @@ def ks_model_from_state(state: QuantumState) -> KsModel:
     return KsModel((slots["p1"] / total, slots["p2"] / total, slots["p3"] / total))
 
 
-def dispersion_scan(step: float = 0.01, include_extremes: bool = True) -> np.ndarray:
+def dispersion_scan(step: float = 0.01) -> np.ndarray:
     """Dispersion over a regular simplex grid, as rows (p1, p2, p3, value).
 
-    ``include_extremes`` appends the centroid, the only point where the
-    maximum 2 is attained; no regular decimal grid contains it.
+    The centroid is appended: it is the only point where the maximum 2
+    is attained, and no regular decimal grid contains it.
     """
     if not 0.0 < step <= 0.5:
         raise ValueError("step must lie in (0, 0.5]")
@@ -150,17 +155,9 @@ def dispersion_scan(step: float = 0.01, include_extremes: bool = True) -> np.nda
             p1 = i * step
             p2 = j * step
             points.append((p1, p2, 1.0 - p1 - p2))
-    if include_extremes:
-        points.append((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
+    points.append((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
     grid = np.asarray(points)
-    b = 2.0 * grid - 1.0
-    pair_sum = np.zeros(len(grid))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            prod = (1.0 - np.abs(np.abs(b[:, i]) - np.abs(b[:, j]))) * sign_pm(b[:, i]) * sign_pm(b[:, j])
-            pair_sum += prod
-    dispersion = 0.5 * (1.0 + pair_sum)
-    return np.column_stack([grid, dispersion])
+    return np.column_stack([grid, 0.5 * (1.0 + _pair_sum(2.0 * grid - 1.0))])
 
 
 @dataclass(frozen=True)

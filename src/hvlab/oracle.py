@@ -349,12 +349,12 @@ def expectation(matrix, state: QuantumState) -> float:
 
 
 def variance(matrix, state: QuantumState) -> float:
-    """Second moment minus squared mean, both computed as traces."""
+    """Spread about the mean, Tr rho (H - <H>)^2, centred so that an
+    offset of the spectrum does not cancel it."""
     h = require_hermitian(matrix)
     _check_dims(h, state)
-    mean = float(np.trace(state.rho @ h).real)
-    second = float(np.trace(state.rho @ h @ h).real)
-    return second - mean * mean
+    centred = h - float(np.trace(state.rho @ h).real) * np.eye(h.shape[0])
+    return float(np.trace(state.rho @ centred @ centred).real)
 
 
 def bloch_vector(state: QuantumState, basis: OperatorBasis) -> np.ndarray:

@@ -198,8 +198,10 @@ class OutcomeFormula:
         table = np.array(self.assignment.outcomes(self.values))
         a, b, c, d = self.coefficients
         raw = np.array([a + b * s1 + c * s2 + d * s1 * s2 for s1, s2 in SIGN_PATTERNS])
+        # the quarter sums of solve_coefficients round in proportion to the
+        # outcome magnitude, so the bound scales with it above 1
         drift = float(np.max(np.abs(raw - table)))
-        if drift > 1e-9:
+        if drift > 1e-9 * max(1.0, float(np.max(np.abs(table)))):
             raise RuntimeError(f"outcome drifted {drift:.3e} from the spectrum")
         object.__setattr__(self, "_table", table)
 
@@ -262,25 +264,23 @@ class FormulaMoments:
 
 
 def hv_statistics(formula: OutcomeFormula) -> FormulaMoments:
-    """Exact ensemble moments of an outcome rule from the sign-function
-    moment identities (means are the targets, squares are 1, the cross
-    moment factorises by independence)."""
+    """Exact ensemble moments of an outcome rule.
+
+    The two sign factors are independent with means t1, t2 (their
+    targets), so the pattern (s1, s2) has weight ((1 + s1*t1)/2) *
+    ((1 + s2*t2)/2); the moments are weighted sums over the outcome
+    table, and the variance is taken about the mean.
+    """
     if formula.sign1 is None or formula.sign2 is None:
         raise ValueError("formula has no sign-function realisation")
-    a, b, c, d = formula.coefficients
     t1 = sign_mean_analytic(formula.sign1)
     t2 = sign_mean_analytic(formula.sign2)
-    mean = a + b * t1 + c * t2 + d * t1 * t2
-    second = (
-        a * a
-        + b * b
-        + c * c
-        + d * d
-        + 2.0 * (a * b + c * d) * t1
-        + 2.0 * (a * c + b * d) * t2
-        + 2.0 * (a * d + b * c) * t1 * t2
+    weights = np.array([(1.0 + s1 * t1) / 2.0 * ((1.0 + s2 * t2) / 2.0) for s1, s2 in SIGN_PATTERNS])
+    table = formula._table
+    mean = float(weights @ table)
+    return FormulaMoments(
+        mean=mean, second_moment=float(weights @ np.square(table)), variance=float(weights @ np.square(table - mean))
     )
-    return FormulaMoments(mean=mean, second_moment=second, variance=second - mean * mean)
 
 
 def beable_from_operator(

@@ -253,3 +253,87 @@ def test_spin_one_makes_one_monte_carlo_pass(capsys, monkeypatch):
     assert code == 0
     assert "spin-one-second-moment" in out
     assert len(calls) == 1
+
+
+VERIFY_ALL_NAMES = [
+    "basis-orthogonality",
+    "basis-orthogonality",
+    "basis-traceless",
+    "basis-traceless",
+    "basis-traceless",
+    "structure-f",
+    "structure-f",
+    "structure-d",
+    "structure-f",
+    "basis-combination",
+    "squares-identity",
+    "squares-identity",
+    "simultaneous-eigenbasis",
+    "eigen-reconstruction",
+    "born-vs-trace",
+    "direction-spectrum",
+    *["sgn-mean"] * 6,
+    "spin-half-mean",
+    "spin-half-variance",
+    "spin-half-original-mean",
+    "homogeneity-recombined",
+    "spin-one-mean",
+    "spin-one-second-moment",
+    "spin-one-operator-mean",
+    "spin-one-operator-variance",
+    "ks-average",
+    *["ks-second-moment"] * 3,
+    "ks-epsilon-mean",
+    "ks-epsilon-variance",
+]
+
+
+def run_json(capsys, argv):
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    return code, json.loads(out)
+
+
+class TestVerifyAllComposition:
+    def test_row_sequence(self, capsys):
+        _, rows = run_json(capsys, ["verify-all", *FAST])
+        assert len(VERIFY_ALL_NAMES) == 36
+        assert [row["experiment"] for row in rows] == VERIFY_ALL_NAMES
+
+    def test_monte_carlo_passes(self, capsys, monkeypatch):
+        calls = {"mc_mean": 0, "mc_mean_pair": 0}
+        for name in calls:
+            real = getattr(hvlab.cli, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(hvlab.cli, name, counted)
+        code, _, _ = run_cli(capsys, ["verify-all", *FAST])
+        assert code == 0
+        assert calls == {"mc_mean": 7, "mc_mean_pair": 1}
+
+    def test_spin_one_rows_match_the_subcommand(self, capsys):
+        _, battery = run_json(capsys, ["verify-all", *FAST])
+        _, single = run_json(
+            capsys, ["spin-one", *FAST, "--case", "III", "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25"]
+        )
+        for name in ("spin-one-mean", "spin-one-second-moment"):
+            (left,) = [row for row in battery if row["experiment"] == name]
+            (right,) = [row for row in single if row["experiment"] == name]
+            assert (left["analytic"], left["oracle"]) == (right["analytic"], right["oracle"])
+
+
+class TestLargeOffsets:
+    def test_spin_one_variance_is_centred(self, capsys):
+        _, rows = run_json(capsys, ["spin-one", *FAST, "--lambdas", "1e8,100000001,99999999", "--probs", "0.25,0.5,0.25"])
+        (row,) = [row for row in rows if row["experiment"] == "spin-one-variance"]
+        assert row["analytic"] == pytest.approx(0.6875, abs=1e-9)
+        assert row["oracle"] == pytest.approx(0.6875, abs=1e-9)
+
+    def test_large_outcomes_report_rows(self, capsys):
+        code, rows = run_json(
+            capsys, ["spin-one", *FAST, "--lambdas", "1e8,100000001.3,99999999.7", "--probs", "0.25,0.5,0.25"]
+        )
+        assert code in (0, 1)
+        assert [row["experiment"] for row in rows] == ["spin-one-mean", "spin-one-second-moment", "spin-one-variance"]

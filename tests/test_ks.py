@@ -220,7 +220,7 @@ class TestDispersion:
         assert values.max() == pytest.approx(2.0, abs=1e-4)
 
     def test_scan_matches_pointwise_dispersion(self):
-        table = dispersion_scan(0.1, include_extremes=False)
+        table = dispersion_scan(0.1)
         for p1, p2, p3, value in table:
             assert value == pytest.approx(ks_dispersion(KsModel((p1, p2, max(p3, 0.0)))), abs=1e-12)
 

@@ -301,6 +301,14 @@ class TestMoments:
         state = random_pure_state(3, rng)
         assert variance(h, state) >= -1e-12
 
+    def test_variance_survives_a_large_offset(self, bases):
+        # Tr rho H^2 - (Tr rho H)^2 loses the spread to cancellation here
+        rng = np.random.default_rng(12)
+        h = linear_observable(rng.normal(size=8), bases[GELL_MANN])
+        state = random_pure_state(3, rng)
+        shifted = h + 1e8 * np.eye(3)
+        assert variance(shifted, state) == pytest.approx(variance(h, state), abs=1e-6)
+
 
 class TestBlochVector:
     def test_up_state_pauli(self, bases):

@@ -260,6 +260,12 @@ class TestBuildFormulaAndEvaluate:
         with pytest.raises(RuntimeError):
             OutcomeFormula(values=values, coefficients=(a, b, c, d + 1e-6), assignment=assignment)
 
+    def test_large_outcomes_build(self):
+        # the quarter sums round at about 1e-16 of the outcome magnitude
+        triple = SpectralTriple((1e8, 100000001.3, 99999999.7), (0.25, 0.5, 0.25))
+        formula = build_formula("III", triple)
+        assert formula.evaluate_signs(1.0, -1.0) == 100000001.3
+
     def test_infeasible_case_propagates(self):
         triple = SpectralTriple((0.0, 1.0, -1.0), (0.0, 0.5, 0.5))
         with pytest.raises(InfeasibleCaseError):
@@ -304,6 +310,11 @@ class TestHvStatistics:
             assert stats.second_moment == pytest.approx(
                 float(np.dot(probs, np.square(lam))), abs=1e-12
             )
+
+    def test_variance_is_centred_at_a_large_offset(self):
+        lam = (1e8, 100000001.0, 99999999.0)
+        stats = hv_statistics(build_formula("III", SpectralTriple(lam, (0.25, 0.5, 0.25))))
+        assert stats.variance == pytest.approx(0.6875, abs=1e-9)
 
     def test_deterministic_probability_vector(self):
         stats = hv_statistics(build_formula("III", SpectralTriple((2.0, 1.0, -3.0), (1.0, 0.0, 0.0))))
