@@ -228,7 +228,8 @@ def _spin_half_original_rows(
     direction: np.ndarray, pauli: OperatorBasis, params: str, samples: int = 0, seed: int | None = None
 ) -> list[ReportRow]:
     """Bell's original model, whose quantum reference is the spin-up state."""
-    oracle_mean, _, oracle_var = _operator_moments(linear_observable(direction, pauli), QuantumState.from_pure([1.0, 0.0]))
+    ground = QuantumState.from_pure([1.0, 0.0])
+    oracle_mean, _, oracle_var = _operator_moments(linear_observable(direction, pauli), ground)
     mean = spin_half.bell_original_mean_analytic(direction)
     mag = float(np.linalg.norm(direction))
     est = None

@@ -278,9 +278,8 @@ def hv_statistics(formula: OutcomeFormula) -> FormulaMoments:
     weights = np.array([(1.0 + s1 * t1) / 2.0 * ((1.0 + s2 * t2) / 2.0) for s1, s2 in SIGN_PATTERNS])
     table = formula._table
     mean = float(weights @ table)
-    return FormulaMoments(
-        mean=mean, second_moment=float(weights @ np.square(table)), variance=float(weights @ np.square(table - mean))
-    )
+    second = float(weights @ np.square(table))
+    return FormulaMoments(mean=mean, second_moment=second, variance=float(weights @ np.square(table - mean)))
 
 
 def beable_from_operator(
