@@ -8,6 +8,7 @@ the dispersion analysis of the Kochen-Specker constraint.
 from . import distributions, ks, oracle, spin_half, spin_one
 from .distributions import (
     McEstimate,
+    Moments,
     PowerLawDistribution,
     SignFunctionSpec,
     mc_mean,
@@ -51,6 +52,7 @@ __all__ = [
     "spin_one",
     "ks",
     "McEstimate",
+    "Moments",
     "PowerLawDistribution",
     "SignFunctionSpec",
     "mc_mean",

@@ -21,6 +21,7 @@ import numpy as np
 from . import ks, spin_half, spin_one
 from .distributions import (
     McEstimate,
+    Moments,
     PowerLawDistribution,
     SignFunctionSpec,
     mc_mean,
@@ -207,37 +208,47 @@ def _sgn_mean_row(n: int, xi: float, samples: int, seed: int) -> ReportRow:
     return ReportRow("sgn-mean", f"n={n};xi={xi}", sign_mean_analytic(spec), *_cells(est), sign_mean_quadrature(spec))
 
 
+def _moment_rows(
+    kind: str, params: str, stats: Moments, oracle: Moments, mean_cells=(None, None), second_cells=(None, None)
+) -> list[ReportRow]:
+    """The mean, second-moment and variance rows of a model's moments
+    against their reference, with the mc and stderr cells of the first two."""
+    return [
+        ReportRow(f"{kind}-mean", params, stats.mean, *mean_cells, oracle.mean),
+        ReportRow(f"{kind}-second-moment", params, stats.second_moment, *second_cells, oracle.second_moment),
+        ReportRow(f"{kind}-variance", params, stats.variance, oracle=oracle.variance),
+    ]
+
+
+def _operator_moments(matrix: np.ndarray, state: QuantumState) -> Moments:
+    """Moments of an observable in a state, the variance centred."""
+    return Moments(expectation(matrix, state), expectation(matrix @ matrix, state), variance(matrix, state))
+
+
 def _spin_half_rows(
     direction: np.ndarray, state: QuantumState, pauli: OperatorBasis, params: str, samples: int, seed: int
 ) -> list[ReportRow]:
     """Modified Bell model: mean and second moment from one pass, variance."""
     bloch = bloch_vector(state, pauli)
-    matrix = linear_observable(direction, pauli)
-    mag = float(np.linalg.norm(direction))
     stats = spin_half.hv_statistics(direction, bloch)
     est = mc_mean(lambda xs: spin_half.bell_outcome_modified(direction, bloch, xs), PowerLawDistribution(0), samples, seed)
-    mean, second, var = _operator_moments(matrix, state)
-    return [
-        ReportRow("spin-half-mean", params, stats.mean, *_cells(est), mean),
-        ReportRow("spin-half-second-moment", params, mag * mag, *_cells(est, second=True), second),
-        ReportRow("spin-half-variance", params, stats.variance, oracle=var),
-    ]
+    oracle = _operator_moments(linear_observable(direction, pauli), state)
+    return _moment_rows("spin-half", params, stats, oracle, _cells(est), _cells(est, second=True))
 
 
 def _spin_half_original_rows(
     direction: np.ndarray, pauli: OperatorBasis, params: str, samples: int = 0, seed: int | None = None
 ) -> list[ReportRow]:
     """Bell's original model, whose quantum reference is the spin-up state."""
-    ground = QuantumState.from_pure([1.0, 0.0])
-    oracle_mean, _, oracle_var = _operator_moments(linear_observable(direction, pauli), ground)
+    oracle = _operator_moments(linear_observable(direction, pauli), QuantumState.from_pure([1.0, 0.0]))
     mean = spin_half.bell_original_mean_analytic(direction)
     mag = float(np.linalg.norm(direction))
     est = None
     if seed is not None:
         est = mc_mean(lambda xs: spin_half.bell_outcome_original(direction, xs), PowerLawDistribution(0), samples, seed)
     return [
-        ReportRow("spin-half-original-mean", params, mean, *_cells(est), oracle_mean),
-        ReportRow("spin-half-original-variance", params, mag * mag - mean * mean, oracle=oracle_var),
+        ReportRow("spin-half-original-mean", params, mean, *_cells(est), oracle.mean),
+        ReportRow("spin-half-original-variance", params, mag * mag - mean * mean, oracle=oracle.variance),
     ]
 
 
@@ -246,30 +257,13 @@ def _homogeneity_recombined_row(split: spin_half.HomogeneitySplit, params: str) 
     return ReportRow("homogeneity-recombined", params, recombined, oracle=split.whole)
 
 
-def _spectrum_moments(values, probs) -> tuple[float, float, float]:
-    """Mean, second moment and centred variance of an explicit spectrum."""
-    mean = float(np.dot(values, probs))
-    return mean, float(np.dot(np.square(values), probs)), float(np.dot(np.square(np.subtract(values, mean)), probs))
-
-
-def _operator_moments(matrix: np.ndarray, state: QuantumState) -> tuple[float, float, float]:
-    """Mean, second moment and centred variance of an observable in a state."""
-    return expectation(matrix, state), expectation(matrix @ matrix, state), variance(matrix, state)
-
-
 def _spin_one_rows(
-    formula: spin_one.OutcomeFormula, params: str, oracle: tuple[float, float, float], samples: int, seed: int
+    formula: spin_one.OutcomeFormula, params: str, oracle: Moments, samples: int, seed: int
 ) -> list[ReportRow]:
-    """Mean and second moment from one two-variable pass, variance; the
-    oracle triple is the quantum (mean, second moment, variance)."""
+    """Mean and second moment from one two-variable pass, variance."""
     stats = spin_one.hv_statistics(formula)
     est = mc_mean_pair(formula.evaluate, *formula.hidden_distributions, samples, seed)
-    mean, second, var = oracle
-    return [
-        ReportRow("spin-one-mean", params, stats.mean, *_cells(est), mean),
-        ReportRow("spin-one-second-moment", params, stats.second_moment, *_cells(est, second=True), second),
-        ReportRow("spin-one-variance", params, stats.variance, oracle=var),
-    ]
+    return _moment_rows("spin-one", params, stats, oracle, _cells(est), _cells(est, second=True))
 
 
 def _ks_moment_route(model: ks.KsModel) -> float:
@@ -293,25 +287,18 @@ def _ks_rows(model: ks.KsModel, params: str, samples: int = 0, seed: int | None 
     ]
 
 
-def _deformed_moments(model: ks.DeformedKsModel) -> tuple[float, float, float]:
-    """The deformed constraint's moments, read directly off its outcome table."""
-    return _spectrum_moments(ks.deformed_outcomes(model), model.probabilities)
-
-
 def _ks_epsilon_rows(
     model: ks.DeformedKsModel, params: str, samples: int = 0, seed: int | None = None
 ) -> list[ReportRow]:
-    stats = ks.deformed_statistics(model)
-    mean, second, var = _deformed_moments(model)
+    """Closed-form moments of the deformed constraint against its outcome
+    table, the mean also against explicit draws."""
+    outcomes = ks.deformed_outcomes(model)
     draws = np.empty(0)
     if seed is not None:
         rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-        draws = rng.choice(np.array(ks.deformed_outcomes(model)), size=samples, p=np.array(model.probabilities))
-    return [
-        ReportRow("ks-epsilon-mean", params, stats.mean, *_sample_cells(draws), mean),
-        ReportRow("ks-epsilon-second-moment", params, stats.second_moment, oracle=second),
-        ReportRow("ks-epsilon-variance", params, stats.variance, oracle=var),
-    ]
+        draws = rng.choice(np.array(outcomes), size=samples, p=np.array(model.probabilities))
+    oracle = Moments.of(outcomes, model.probabilities)
+    return _moment_rows("ks-epsilon", params, ks.deformed_statistics(model), oracle, _sample_cells(draws))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +462,7 @@ def run_spin_one(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
             probs = _parse_probs(args.probs)
             triple = spin_one.SpectralTriple(values, probs)
             formula = spin_one.build_formula(case_id, triple, n=cfg.n, swap=args.swap)
-            oracle = _spectrum_moments(values, probs)
+            oracle = Moments.of(values, probs)
             params = f"case={case_id};lambdas={args.lambdas};probs={args.probs}"
         else:
             if args.state is None:
@@ -517,8 +504,8 @@ def run_ks_epsilon(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
         for eps in eps_grid:
             swept = ks.DeformedKsModel(float(eps), probs)
             variances.append(ks.deformed_statistics(swept).variance)
-            params = f"eps={eps:.6g};probs={args.probs}"
-            rows.append(ReportRow("ks-epsilon-sweep", params, variances[-1], oracle=_deformed_moments(swept)[2]))
+            oracle = Moments.of(ks.deformed_outcomes(swept), probs).variance
+            rows.append(ReportRow("ks-epsilon-sweep", f"eps={eps:.6g};probs={args.probs}", variances[-1], oracle=oracle))
         slope = float(np.polyfit(np.log(eps_grid), np.log(variances), 1)[0])
         rows.append(ReportRow("ks-epsilon-slope", f"probs={args.probs}", slope, oracle=2.0))
     return rows, None
@@ -544,16 +531,16 @@ def run_verify_all(cfg: RunConfig, args) -> tuple[list[ReportRow], str | None]:
     values, probs = (0.0, 1.0, -1.0), (0.25, 0.5, 0.25)
     formula = spin_one.build_formula("III", spin_one.SpectralTriple(values, probs, traceless=True))
     params = "case=III;lambdas=0,1,-1;probs=0.25,0.5,0.25"
-    one = _spin_one_rows(formula, params, _spectrum_moments(values, probs), cfg.samples, _row_seed(cfg, 301))
+    one = _spin_one_rows(formula, params, Moments.of(values, probs), cfg.samples, _row_seed(cfg, 301))
     rows += _select(one, "spin-one-mean", "spin-one-second-moment")
 
     gm = build_basis(GELL_MANN)
     state3 = random_pure_state(3, rng)
     coeffs = rng.normal(size=8)
     op_stats = spin_one.hv_statistics(spin_one.beable_from_operator(coeffs, gm, state3, case_id="III"))
-    op_mean, _, op_var = _operator_moments(linear_observable(coeffs, gm), state3)
-    rows.append(ReportRow("spin-one-operator-mean", "basis=gell-mann", op_stats.mean, oracle=op_mean))
-    rows.append(ReportRow("spin-one-operator-variance", "basis=gell-mann", op_stats.variance, oracle=op_var))
+    op_oracle = _operator_moments(linear_observable(coeffs, gm), state3)
+    rows.append(ReportRow("spin-one-operator-mean", "basis=gell-mann", op_stats.mean, oracle=op_oracle.mean))
+    rows.append(ReportRow("spin-one-operator-variance", "basis=gell-mann", op_stats.variance, oracle=op_oracle.variance))
 
     rows += _select(_ks_rows(ks.ks_model_from_state(state3), "probs=from-state"), "ks-average")
     for probs in ((0.2, 0.5, 0.3), (0.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3)):

@@ -3,9 +3,9 @@
 The building blocks used everywhere else in the package: a family of
 symmetric power-law densities on a bounded support, the +/-1 step
 functions whose threshold is tied to a bias parameter, closed-form
-averages of those step functions, an exact Gauss-Legendre quadrature, an
-inverse-CDF sampler and a seeded, block-deterministic Monte Carlo
-estimator.
+averages of those step functions, the moments of a discrete outcome
+distribution, an exact Gauss-Legendre quadrature, an inverse-CDF sampler
+and a seeded, block-deterministic Monte Carlo estimator.
 
 The sign convention is sign(0) = +1, applied uniformly by `sign_pm`.
 """
@@ -23,6 +23,7 @@ __all__ = [
     "sign_pm",
     "PowerLawDistribution",
     "SignFunctionSpec",
+    "Moments",
     "McEstimate",
     "sign_mean_analytic",
     "sign_product_mean_analytic",
@@ -152,6 +153,26 @@ def sign_product_mean_analytic(first: SignFunctionSpec, second: SignFunctionSpec
     return sign_pm(first.bias) * sign_pm(second.bias) * overlap
 
 
+@dataclass(frozen=True)
+class Moments:
+    """Mean, second moment and variance of an outcome: the analytic,
+    quantum or hidden-variable side of a moment report."""
+
+    mean: float
+    second_moment: float
+    variance: float
+
+    @classmethod
+    def of(cls, values, weights) -> "Moments":
+        """Moments of the outcomes ``values`` taken with probabilities
+        ``weights``; the variance is summed about the mean, so a common
+        offset of the values does not cancel it."""
+        values = np.asarray(values, dtype=float)
+        weights = np.asarray(weights, dtype=float)
+        mean = float(weights @ values)
+        return cls(mean, float(weights @ np.square(values)), float(weights @ np.square(values - mean)))
+
+
 def _panel_integral(dist: PowerLawDistribution, lo: float, hi: float) -> float:
     # (n+1)-node Gauss-Legendre is exact for the degree-2n density
     if hi <= lo:
@@ -230,7 +251,7 @@ def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[in
 
 
 def _mc_moments(
-    f: Callable[..., np.ndarray], dists: tuple, lanes: tuple[int, ...], samples: int, seed: int, workers: int, block_size: int
+    f: Callable[..., np.ndarray], dists: tuple, lanes: tuple[int, ...], samples: int, seed: int, workers: int
 ) -> McEstimate:
     """Monte Carlo estimate of E[f] and E[f**2], f taking one independent
     draw from each of ``dists``.
@@ -249,7 +270,7 @@ def _mc_moments(
         ys = np.broadcast_to(np.asarray(f(*xs), dtype=float), (count,))
         return _summary(ys), _summary(np.square(ys))
 
-    tasks = [(index, min(block_size, samples - start)) for index, start in enumerate(range(0, samples, block_size))]
+    tasks = [(index, min(MC_BLOCK_SIZE, samples - start)) for index, start in enumerate(range(0, samples, MC_BLOCK_SIZE))]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(one_block, tasks))
@@ -266,10 +287,9 @@ def mc_mean(
     samples: int,
     seed: int,
     workers: int = 1,
-    block_size: int = MC_BLOCK_SIZE,
 ) -> McEstimate:
     """Monte Carlo estimate of E[f(x)] and E[f(x)**2] under ``dist``."""
-    return _mc_moments(f, (dist,), (0,), samples, seed, workers, block_size)
+    return _mc_moments(f, (dist,), (0,), samples, seed, workers)
 
 
 def mc_mean_pair(
@@ -279,8 +299,7 @@ def mc_mean_pair(
     samples: int,
     seed: int,
     workers: int = 1,
-    block_size: int = MC_BLOCK_SIZE,
 ) -> McEstimate:
     """Monte Carlo estimate of E[f(x1, x2)] and E[f(x1, x2)**2] for two
     independent draws."""
-    return _mc_moments(f, (dist1, dist2), (1, 2), samples, seed, workers, block_size)
+    return _mc_moments(f, (dist1, dist2), (1, 2), samples, seed, workers)

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import PowerLawDistribution, SignFunctionSpec, sign_pm
+from .distributions import Moments, PowerLawDistribution, SignFunctionSpec, sign_pm
 from .oracle import QuantumState, simultaneous_eigenbasis
-from .spin_one import CaseAssignment, OutcomeFormula, solve_coefficients
+from .spin_one import CaseAssignment, OutcomeFormula, probability_triple, solve_coefficients
 
 __all__ = [
     "KsModel",
     "DeformedKsModel",
-    "DeformedMoments",
     "ks_sign_specs",
     "ks_square_outcomes",
     "ks_average",
@@ -43,17 +42,6 @@ __all__ = [
 SHARED_HIDDEN = PowerLawDistribution(0, 1.0)
 
 
-def _simplex(probabilities) -> tuple[float, float, float]:
-    probs = tuple(float(p) for p in probabilities)
-    if len(probs) != 3:
-        raise ValueError("expected three probabilities")
-    if any(p < -1e-10 or p > 1.0 + 1e-10 for p in probs):
-        raise ValueError("probabilities must lie in [0, 1]")
-    if abs(sum(probs) - 1.0) > 1e-10:
-        raise ValueError("probabilities must sum to 1")
-    return probs
-
-
 @dataclass(frozen=True)
 class KsModel:
     """Slot probabilities (p1, p2, p3) of the zero outcome for the three
@@ -62,7 +50,7 @@ class KsModel:
     probabilities: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probabilities", _simplex(self.probabilities))
+        object.__setattr__(self, "probabilities", probability_triple(self.probabilities))
 
 
 def ks_sign_specs(model: KsModel) -> tuple[SignFunctionSpec, ...]:
@@ -171,7 +159,7 @@ class DeformedKsModel:
     def __post_init__(self) -> None:
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
-        object.__setattr__(self, "probabilities", _simplex(self.probabilities))
+        object.__setattr__(self, "probabilities", probability_triple(self.probabilities))
 
 
 def deformed_outcomes(model: DeformedKsModel) -> tuple[float, float, float]:
@@ -179,14 +167,7 @@ def deformed_outcomes(model: DeformedKsModel) -> tuple[float, float, float]:
     return (2.0 + model.eps, 2.0, 2.0 - model.eps)
 
 
-@dataclass(frozen=True)
-class DeformedMoments:
-    mean: float
-    second_moment: float
-    variance: float
-
-
-def deformed_statistics(model: DeformedKsModel) -> DeformedMoments:
+def deformed_statistics(model: DeformedKsModel) -> Moments:
     """Closed-form moments of the deformed constraint.
 
     With d = p_plus - p_minus and s = p_plus + p_minus: mean 2 + eps*d,
@@ -197,7 +178,7 @@ def deformed_statistics(model: DeformedKsModel) -> DeformedMoments:
     diff = p_plus - p_minus
     both = p_plus + p_minus
     eps = model.eps
-    return DeformedMoments(
+    return Moments(
         mean=2.0 + eps * diff,
         second_moment=4.0 + 4.0 * eps * diff + eps * eps * both,
         variance=eps * eps * (both - diff * diff),

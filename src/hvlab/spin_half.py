@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import sign_pm
+from .distributions import Moments, SignFunctionSpec, sign_mean_analytic, sign_pm
 
 __all__ = [
-    "HvMoments",
     "HomogeneitySplit",
     "bell_outcome_original",
     "bell_original_mean_analytic",
@@ -39,27 +38,33 @@ def _direction(vec) -> tuple[np.ndarray, float]:
     return b, mag
 
 
-def _bloch(vec) -> np.ndarray:
-    e = np.asarray(vec, dtype=float).reshape(-1)
+def _original_rule(direction) -> tuple[float, SignFunctionSpec, float]:
+    """|b|, the plain sign function of bias |b_z| / |b| and the sign of
+    the tie-breaking component: b_z, falling back to b_x then b_y when
+    earlier ones vanish."""
+    b, mag = _direction(direction)
+    bx, by, bz = b
+    pick = bz if bz != 0.0 else (bx if bx != 0.0 else by)
+    return mag, SignFunctionSpec(abs(bz) / mag), sign_pm(pick)
+
+
+def _modified_rule(direction, bloch) -> tuple[float, float, SignFunctionSpec]:
+    """|b|, b.e and the prefactored sign function of bias b.e / |b|."""
+    b, mag = _direction(direction)
+    e = np.asarray(bloch, dtype=float).reshape(-1)
     if e.shape != (3,):
         raise ValueError("Bloch vector must have three components")
     if np.linalg.norm(e) > 1.0 + 1e-10:
         raise ValueError("Bloch vector must have length at most 1")
-    return e
+    overlap = float(np.dot(b, e))
+    return mag, overlap, SignFunctionSpec(overlap / mag, include_sign_prefactor=True)
 
 
 def bell_outcome_original(direction, hidden):
-    """Original deterministic rule for the outcome of b . S.
-
-    The tie-breaking component is b_z, falling back to b_x then b_y when
-    earlier ones vanish; the result is always +|b| or -|b| and averages
-    to b_z over the flat hidden variable.
-    """
-    b, mag = _direction(direction)
-    bx, by, bz = b
-    pick = bz if bz != 0.0 else (bx if bx != 0.0 else by)
-    hs = np.asarray(hidden, dtype=float)
-    out = mag * sign_pm(hs * mag + 0.5 * abs(bz)) * sign_pm(pick)
+    """Original deterministic rule for the outcome of b . S: always +|b|
+    or -|b|, averaging to b_z over the flat hidden variable."""
+    mag, spec, side = _original_rule(direction)
+    out = mag * spec.evaluate(hidden) * side
     return float(out) if np.ndim(hidden) == 0 else out
 
 
@@ -69,46 +74,31 @@ def bell_original_mean_analytic(direction) -> float:
     The thresholded sign factor averages to |b_z| / |b|, so the mean is
     |b_z| times the sign of the tie-breaking component.
     """
-    b, mag = _direction(direction)
-    bx, by, bz = b
-    pick = bz if bz != 0.0 else (bx if bx != 0.0 else by)
-    return mag * (abs(bz) / mag) * sign_pm(pick)
+    mag, spec, side = _original_rule(direction)
+    return mag * sign_mean_analytic(spec) * side
 
 
 def bell_outcome_modified(direction, bloch, hidden):
     """Bloch-vector outcome rule: +|b| sign(b.e) above the threshold
     hidden value -|b.e| / (2|b|) and the negative below it."""
-    b, mag = _direction(direction)
-    e = _bloch(bloch)
-    overlap = float(np.dot(b, e))
-    hs = np.asarray(hidden, dtype=float)
-    out = mag * sign_pm(overlap) * sign_pm(hs + abs(overlap) / (2.0 * mag))
+    mag, _, spec = _modified_rule(direction, bloch)
+    out = mag * spec.evaluate(hidden)
     return float(out) if np.ndim(hidden) == 0 else out
 
 
-@dataclass(frozen=True)
-class HvMoments:
-    mean: float
-    variance: float
-
-
-def hv_statistics(direction, bloch) -> HvMoments:
-    """Exact flat-ensemble mean and variance of the modified rule:
-    mean b.e and variance |b|^2 - (b.e)^2, matching the quantum values
-    for any state with that Bloch vector."""
-    b, mag = _direction(direction)
-    e = _bloch(bloch)
-    overlap = float(np.dot(b, e))
-    return HvMoments(mean=overlap, variance=mag * mag - overlap * overlap)
+def hv_statistics(direction, bloch) -> Moments:
+    """Exact flat-ensemble moments of the modified rule: mean b.e,
+    second moment |b|^2 and variance |b|^2 - (b.e)^2, matching the
+    quantum values for any state with that Bloch vector."""
+    mag, overlap, _ = _modified_rule(direction, bloch)
+    return Moments(mean=overlap, second_moment=mag * mag, variance=mag * mag - overlap * overlap)
 
 
 def outcome_probabilities(direction, bloch) -> tuple[float, float]:
     """Probabilities of the outcomes +|b| and -|b| under the modified
-    rule; their difference is b.e / |b|."""
-    b, mag = _direction(direction)
-    e = _bloch(bloch)
-    overlap = float(np.dot(b, e))
-    p_plus = 0.5 + overlap / (2.0 * mag)
+    rule; their difference is the sign function's mean b.e / |b|."""
+    _, _, spec = _modified_rule(direction, bloch)
+    p_plus = 0.5 + sign_mean_analytic(spec) / 2.0
     return p_plus, 1.0 - p_plus
 
 
@@ -134,11 +124,9 @@ def homogeneity_split(offset, direction, bloch) -> HomogeneitySplit:
     ensemble reproduces offset + b.e.  The boundary point joins the
     upper part.
     """
-    b, mag = _direction(direction)
-    e = _bloch(bloch)
-    overlap = float(np.dot(b, e))
-    split = -abs(overlap) / (2.0 * mag)
-    side = sign_pm(overlap)
+    mag, overlap, spec = _modified_rule(direction, bloch)
+    split = -spec.threshold
+    side = sign_pm(spec.bias)
     return HomogeneitySplit(
         mean_plus=float(offset + mag * side),
         mean_minus=float(offset - mag * side),

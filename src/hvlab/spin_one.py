@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import PowerLawDistribution, SignFunctionSpec, sign_mean_analytic
+from .distributions import Moments, PowerLawDistribution, SignFunctionSpec, sign_mean_analytic
 from .oracle import OperatorBasis, QuantumState, linear_observable, spectral_decompose
 
 __all__ = [
@@ -26,7 +26,7 @@ __all__ = [
     "CaseAssignment",
     "SpectralTriple",
     "OutcomeFormula",
-    "FormulaMoments",
+    "probability_triple",
     "solve_coefficients",
     "sign_targets",
     "build_formula",
@@ -87,6 +87,19 @@ class CaseAssignment:
         return tuple(vals[k] for k in self.pattern)
 
 
+def probability_triple(probabilities) -> tuple[float, float, float]:
+    """Three outcome probabilities as floats, checked to lie in [0, 1]
+    and to sum to 1, each within 1e-10."""
+    probs = tuple(float(p) for p in probabilities)
+    if len(probs) != 3:
+        raise ValueError("expected three probabilities")
+    if any(p < -1e-10 or p > 1.0 + 1e-10 for p in probs):
+        raise ValueError("probabilities must lie in [0, 1]")
+    if abs(sum(probs) - 1.0) > 1e-10:
+        raise ValueError("probabilities must sum to 1")
+    return probs
+
+
 @dataclass(frozen=True)
 class SpectralTriple:
     """Three outcome values with their probabilities; values[0] is the
@@ -98,13 +111,9 @@ class SpectralTriple:
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
-        probs = tuple(float(p) for p in self.probabilities)
-        if len(vals) != 3 or len(probs) != 3:
-            raise ValueError("a spectral triple needs three values and three probabilities")
-        if any(p < -1e-10 or p > 1.0 + 1e-10 for p in probs):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(sum(probs) - 1.0) > 1e-10:
-            raise ValueError("probabilities must sum to 1")
+        if len(vals) != 3:
+            raise ValueError("a spectral triple needs three values")
+        probs = probability_triple(self.probabilities)
         if self.traceless:
             span = max(1.0, max(abs(v) for v in vals))
             if abs(sum(vals)) > 1e-10 * span:
@@ -256,14 +265,7 @@ def build_formula(
     )
 
 
-@dataclass(frozen=True)
-class FormulaMoments:
-    mean: float
-    second_moment: float
-    variance: float
-
-
-def hv_statistics(formula: OutcomeFormula) -> FormulaMoments:
+def hv_statistics(formula: OutcomeFormula) -> Moments:
     """Exact ensemble moments of an outcome rule.
 
     The two sign factors are independent with means t1, t2 (their
@@ -275,11 +277,8 @@ def hv_statistics(formula: OutcomeFormula) -> FormulaMoments:
         raise ValueError("formula has no sign-function realisation")
     t1 = sign_mean_analytic(formula.sign1)
     t2 = sign_mean_analytic(formula.sign2)
-    weights = np.array([(1.0 + s1 * t1) / 2.0 * ((1.0 + s2 * t2) / 2.0) for s1, s2 in SIGN_PATTERNS])
-    table = formula._table
-    mean = float(weights @ table)
-    second = float(weights @ np.square(table))
-    return FormulaMoments(mean=mean, second_moment=second, variance=float(weights @ np.square(table - mean)))
+    weights = [(1.0 + s1 * t1) / 2.0 * ((1.0 + s2 * t2) / 2.0) for s1, s2 in SIGN_PATTERNS]
+    return Moments.of(formula._table, weights)
 
 
 def beable_from_operator(
