@@ -46,6 +46,7 @@ ANGULAR_MOMENTUM = "angular-momentum"
 BASIS_KINDS = (PAULI, GELL_MANN, ANGULAR_MOMENTUM)
 
 HERMITIAN_TOL = 1e-12
+#: Eigenvalues closer than this, relative to the operator norm, are one outcome.
 DEGENERACY_TOL = 1e-8
 
 
@@ -216,10 +217,12 @@ def spectral_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
     Returns (values, vectors) with vectors[:, k] the unit eigenvector of
     values[k].  Eigenvector phases are fixed so the largest-magnitude
     component is real and nonnegative, keeping output deterministic.
+    The stopping and residual tests are relative to the Frobenius norm,
+    so a tiny observable keeps its relative accuracy.
     """
     h = require_hermitian(matrix)
     dim = h.shape[0]
-    scale = max(float(np.linalg.norm(h)), 1.0)
+    scale = float(np.linalg.norm(h))
     work = h.copy()
     vecs = np.eye(dim, dtype=complex)
     for _ in range(100):
@@ -317,11 +320,12 @@ def born_distribution(
     matrix, state: QuantumState, merge_tol: float = DEGENERACY_TOL
 ) -> BornDistribution:
     """Born rule: outcome probabilities are traces of the state against
-    the eigenprojectors, with eigenvalues within ``merge_tol`` merged
-    into a single outcome."""
+    the eigenprojectors, with eigenvalues within ``merge_tol`` times the
+    Frobenius norm of the observable merged into a single outcome."""
     h = require_hermitian(matrix)
     _check_dims(h, state)
     values, vecs = spectral_decompose(h)
+    merge_gap = merge_tol * float(np.linalg.norm(h))
     slot_probs = np.einsum("ik,ij,jk->k", vecs.conj(), state.rho, vecs).real
     slot_probs = np.where(np.abs(slot_probs) < 1e-14, 0.0, slot_probs)
 
@@ -329,7 +333,7 @@ def born_distribution(
     probs: list[float] = []
     start = 0
     for k in range(1, len(values) + 1):
-        if k == len(values) or values[start] - values[k] > merge_tol:
+        if k == len(values) or values[start] - values[k] > merge_gap:
             group = slice(start, k)
             outcomes.append(float(np.mean(values[group])))
             probs.append(float(np.sum(slot_probs[group])))

@@ -4,10 +4,11 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 import hvlab.cli
-from hvlab.cli import main
+from hvlab.cli import ReportRow, main
 
 FAST = ["--samples", "20000", "--seed", "42"]
 
@@ -158,6 +159,13 @@ class TestUsageErrors:
     def test_bloch_vector_too_long_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, ["spin-half", *FAST, "--beta", "0,0,1", "--epsilon", "1,1,1"])
         assert code == 2
+
+    @pytest.mark.parametrize("state", [["--state", "0,1"], ["--epsilon", "0,0,-1"]])
+    def test_original_rule_takes_no_state_exit_2(self, capsys, state):
+        code, out, err = run_cli(capsys, ["spin-half", *FAST, "--beta", "0,0,1", "--original", *state])
+        assert code == 2
+        assert "--original" in err
+        assert out == ""
 
 
 class TestFailureExitCode:
@@ -335,5 +343,17 @@ class TestLargeOffsets:
         code, rows = run_json(
             capsys, ["spin-one", *FAST, "--lambdas", "1e8,100000001.3,99999999.7", "--probs", "0.25,0.5,0.25"]
         )
-        assert code in (0, 1)
+        assert code == 0
         assert [row["experiment"] for row in rows] == ["spin-one-mean", "spin-one-second-moment", "spin-one-variance"]
+
+
+class TestOracleBound:
+    def test_absolute_at_unit_scale(self):
+        assert ReportRow("x", "", 0.5, oracle=0.5 + 0.9e-9).passed(4.0)
+        assert not ReportRow("x", "", 0.5, oracle=0.5 + 1.1e-9).passed(4.0)
+        assert not ReportRow("x", "", -1.0, oracle=-1.0 - 1.1e-9).passed(4.0)
+
+    def test_relative_above_unit_scale(self):
+        # one ulp of 1e8 is 1.49e-8, above the absolute 1e-9
+        assert ReportRow("x", "", 1e8, oracle=np.nextafter(1e8, 2e8)).passed(4.0)
+        assert not ReportRow("x", "", 1e8, oracle=1e8 + 0.2).passed(4.0)

@@ -199,6 +199,20 @@ class TestSpectralDecompose:
             vals, _ = spectral_decompose(h)
             np.testing.assert_allclose(vals, np.linalg.eigvalsh(h)[::-1], atol=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e-9, 1e-12, 1e-14])
+    def test_tiny_observables_keep_relative_accuracy(self, bases, scale):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            h = scale * linear_observable(rng.normal(size=8), bases[GELL_MANN])
+            vals, _ = spectral_decompose(h)
+            exact = np.linalg.eigvalsh(h)[::-1]
+            assert np.max(np.abs(vals - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    def test_zero_matrix(self):
+        vals, vecs = spectral_decompose(np.zeros((3, 3)))
+        np.testing.assert_array_equal(vals, np.zeros(3))
+        np.testing.assert_array_equal(vecs, np.eye(3))
+
 
 class TestQuantumState:
     def test_pure_state_requires_normalisation(self):
@@ -242,6 +256,11 @@ class TestBornDistribution:
         dist = born_distribution(SIGMA_Z_SQ, QuantumState.from_pure([1, 0, 0]))
         np.testing.assert_allclose(dist.outcomes, [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(dist.probabilities, [1.0, 0.0], atol=1e-12)
+
+    def test_tiny_distinct_outcomes_stay_apart(self):
+        dist = born_distribution(1e-9 * np.diag([1.0, 2.0, 3.0]), QuantumState.maximally_mixed(3))
+        np.testing.assert_allclose(dist.outcomes, [3e-9, 2e-9, 1e-9], rtol=1e-12)
+        np.testing.assert_allclose(dist.probabilities, [1 / 3, 1 / 3, 1 / 3], rtol=1e-12)
 
     def test_mean_matches_trace(self, bases):
         rng = np.random.default_rng(5)
