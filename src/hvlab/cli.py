@@ -190,7 +190,7 @@ def _sgn_mean_row(n: int, xi: float, samples: int, seed: int) -> ReportRow:
 
 
 def _moment_rows(
-    kind: str, params: str, stats: Moments, oracle: Moments, mean_cells=(None, None), second_cells=(None, None)
+    kind: str, params: str, stats: Moments, oracle: Moments, mean_cells: tuple, second_cells: tuple = (None, None)
 ) -> list[ReportRow]:
     """The mean, second-moment and variance rows of a model's moments
     against their reference, with the mc and stderr cells of the first two."""

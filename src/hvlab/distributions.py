@@ -155,8 +155,8 @@ def sign_product_mean_analytic(first: SignFunctionSpec, second: SignFunctionSpec
 
 @dataclass(frozen=True)
 class Moments:
-    """Mean, second moment and variance of an outcome: the analytic,
-    quantum or hidden-variable side of a moment report."""
+    """Mean, second moment and variance of an outcome, as a model
+    predicts them or as the quantum reference gives them."""
 
     mean: float
     second_moment: float
