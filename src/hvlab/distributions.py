@@ -173,6 +173,19 @@ class Moments:
         return cls(mean, float(weights @ np.square(values)), float(weights @ np.square(values - mean)))
 
 
+def _probability_triple(probabilities) -> tuple[float, float, float]:
+    """Three outcome probabilities as floats, checked to lie in [0, 1]
+    and to sum to 1, each within 1e-10."""
+    probs = tuple(float(p) for p in probabilities)
+    if len(probs) != 3:
+        raise ValueError("expected three probabilities")
+    if any(p < -1e-10 or p > 1.0 + 1e-10 for p in probs):
+        raise ValueError("probabilities must lie in [0, 1]")
+    if abs(sum(probs) - 1.0) > 1e-10:
+        raise ValueError("probabilities must sum to 1")
+    return probs
+
+
 def _panel_integral(dist: PowerLawDistribution, lo: float, hi: float) -> float:
     # (n+1)-node Gauss-Legendre is exact for the degree-2n density
     if hi <= lo:

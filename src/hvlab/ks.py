@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Moments, PowerLawDistribution, SignFunctionSpec, sign_pm
+from .distributions import Moments, PowerLawDistribution, SignFunctionSpec, _probability_triple, sign_pm
 from .oracle import QuantumState, simultaneous_eigenbasis
-from .spin_one import CaseAssignment, OutcomeFormula, probability_triple, solve_coefficients
+from .spin_one import CaseAssignment, OutcomeFormula, solve_coefficients
 
 __all__ = [
     "KsModel",
@@ -50,7 +50,7 @@ class KsModel:
     probabilities: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probabilities", probability_triple(self.probabilities))
+        object.__setattr__(self, "probabilities", _probability_triple(self.probabilities))
 
 
 def ks_sign_specs(model: KsModel) -> tuple[SignFunctionSpec, ...]:
@@ -159,7 +159,7 @@ class DeformedKsModel:
     def __post_init__(self) -> None:
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
-        object.__setattr__(self, "probabilities", probability_triple(self.probabilities))
+        object.__setattr__(self, "probabilities", _probability_triple(self.probabilities))
 
 
 def deformed_outcomes(model: DeformedKsModel) -> tuple[float, float, float]:

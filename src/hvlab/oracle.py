@@ -46,8 +46,12 @@ ANGULAR_MOMENTUM = "angular-momentum"
 BASIS_KINDS = (PAULI, GELL_MANN, ANGULAR_MOMENTUM)
 
 HERMITIAN_TOL = 1e-12
-#: Eigenvalues closer than this, relative to the operator norm, are one outcome.
+#: Eigenvalues closer than this, relative to the width of the spectrum,
+#: are one outcome.
 DEGENERACY_TOL = 1e-8
+#: Floor of the merge gap relative to the Frobenius norm: eigenvalues this
+#: close are roundoff apart, however narrow the spectrum.
+_ROUNDOFF_TOL = 1e-13
 
 
 def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -321,11 +325,13 @@ def born_distribution(
 ) -> BornDistribution:
     """Born rule: outcome probabilities are traces of the state against
     the eigenprojectors, with eigenvalues within ``merge_tol`` times the
-    Frobenius norm of the observable merged into a single outcome."""
+    spectrum width (at least roundoff of the Frobenius norm) merged into
+    a single outcome.  The gap ignores a constant offset of the
+    observable, so distinct eigenvalues of H + c*I stay distinct."""
     h = require_hermitian(matrix)
     _check_dims(h, state)
     values, vecs = spectral_decompose(h)
-    merge_gap = merge_tol * float(np.linalg.norm(h))
+    merge_gap = max(merge_tol * float(values[0] - values[-1]), _ROUNDOFF_TOL * float(np.linalg.norm(h)))
     slot_probs = np.einsum("ik,ij,jk->k", vecs.conj(), state.rho, vecs).real
     slot_probs = np.where(np.abs(slot_probs) < 1e-14, 0.0, slot_probs)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Moments, PowerLawDistribution, SignFunctionSpec, sign_mean_analytic
+from .distributions import Moments, PowerLawDistribution, SignFunctionSpec, _probability_triple, sign_mean_analytic
 from .oracle import OperatorBasis, QuantumState, linear_observable, spectral_decompose
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "CaseAssignment",
     "SpectralTriple",
     "OutcomeFormula",
-    "probability_triple",
     "solve_coefficients",
     "sign_targets",
     "build_formula",
@@ -87,19 +86,6 @@ class CaseAssignment:
         return tuple(vals[k] for k in self.pattern)
 
 
-def probability_triple(probabilities) -> tuple[float, float, float]:
-    """Three outcome probabilities as floats, checked to lie in [0, 1]
-    and to sum to 1, each within 1e-10."""
-    probs = tuple(float(p) for p in probabilities)
-    if len(probs) != 3:
-        raise ValueError("expected three probabilities")
-    if any(p < -1e-10 or p > 1.0 + 1e-10 for p in probs):
-        raise ValueError("probabilities must lie in [0, 1]")
-    if abs(sum(probs) - 1.0) > 1e-10:
-        raise ValueError("probabilities must sum to 1")
-    return probs
-
-
 @dataclass(frozen=True)
 class SpectralTriple:
     """Three outcome values with their probabilities; values[0] is the
@@ -113,7 +99,7 @@ class SpectralTriple:
         vals = tuple(float(v) for v in self.values)
         if len(vals) != 3:
             raise ValueError("a spectral triple needs three values")
-        probs = probability_triple(self.probabilities)
+        probs = _probability_triple(self.probabilities)
         if self.traceless:
             span = max(1.0, max(abs(v) for v in vals))
             if abs(sum(vals)) > 1e-10 * span:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hvlab.distributions import Moments
 from hvlab.oracle import (
     ANGULAR_MOMENTUM,
     BASIS_KINDS,
@@ -261,6 +262,20 @@ class TestBornDistribution:
         dist = born_distribution(1e-9 * np.diag([1.0, 2.0, 3.0]), QuantumState.maximally_mixed(3))
         np.testing.assert_allclose(dist.outcomes, [3e-9, 2e-9, 1e-9], rtol=1e-12)
         np.testing.assert_allclose(dist.probabilities, [1 / 3, 1 / 3, 1 / 3], rtol=1e-12)
+
+    def test_offset_distinct_outcomes_stay_apart(self):
+        dist = born_distribution(np.diag([1e8 + 1, 1e8, 1e8 - 1]), QuantumState.maximally_mixed(3))
+        np.testing.assert_array_equal(dist.outcomes, [1e8 + 1, 1e8, 1e8 - 1])
+        assert Moments.of(dist.outcomes, dist.probabilities).variance == pytest.approx(2 / 3, rel=1e-9)
+
+    def test_offset_degenerate_outcomes_merged(self, bases):
+        rng = np.random.default_rng(11)
+        _, vecs = np.linalg.eigh(linear_observable(rng.normal(size=8), bases[GELL_MANN]))
+        h = vecs @ np.diag([1e8 + 1, 1e8 + 1, 1e8 - 1]) @ vecs.conj().T
+        h = 0.5 * (h + h.conj().T)
+        dist = born_distribution(h, QuantumState.maximally_mixed(3))
+        np.testing.assert_allclose(dist.outcomes, [1e8 + 1, 1e8 - 1], rtol=1e-14)
+        np.testing.assert_allclose(dist.probabilities, [2 / 3, 1 / 3], rtol=1e-9)
 
     def test_mean_matches_trace(self, bases):
         rng = np.random.default_rng(5)
