@@ -388,6 +388,8 @@ def run_sgn_averages(args: argparse.Namespace) -> tuple[list[ReportRow], str | N
 def _spin_half_inputs(args) -> tuple[np.ndarray, QuantumState, OperatorBasis]:
     direction = np.array(_parse_floats(args.beta, 3, "--beta"))
     pauli = build_basis(PAULI)
+    if args.state is not None and args.epsilon is not None:
+        raise CliError("--state and --epsilon each give the state; pass one of them")
     if args.state is not None:
         state = _parse_state(args.state)
         if state.dim != 2:

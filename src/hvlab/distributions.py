@@ -90,10 +90,24 @@ class PowerLawDistribution:
         return float(out) if np.ndim(x) == 0 else out
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Inverse-CDF draws: sign(2u-1) * (|2u-1| * scale)^(1/(2n+1))."""
+        """Inverse-CDF draws: sign(t) * (|t| * scale)^(1/(2n+1)), t = 2u-1.
+
+        At n = 0 the inverse CDF is linear, (u - 1/2) * 2 scale, which
+        equals the general form bit for bit: u - 1/2, 2u - 1 and 2 scale
+        are exact for the 53-bit uniforms, so both round the one product
+        t * scale, and x^1 = x.
+        """
         u = rng.random(size)
-        t = 2.0 * u - 1.0
-        return np.sign(t) * (np.abs(t) * self.scale) ** (1.0 / (2 * self.n + 1))
+        if self.n == 0:
+            u -= 0.5
+            u *= 2.0 * self.scale
+            return u
+        u *= 2.0
+        u -= 1.0
+        out = np.abs(u)
+        out *= self.scale
+        np.power(out, 1.0 / (2 * self.n + 1), out=out)
+        return np.copysign(out, u, out=out)
 
 
 @dataclass(frozen=True)
@@ -128,10 +142,16 @@ class SignFunctionSpec:
         return level ** (1.0 / (2 * self.n + 1))
 
     def evaluate(self, x):
-        """The +/-1 value at x (vectorised over arrays)."""
-        out = sign_pm(np.asarray(x, dtype=float) + self.threshold)
-        if self.include_sign_prefactor:
-            out = out * sign_pm(self.bias)
+        """The +/-1 value at x (vectorised over arrays).
+
+        x + threshold >= 0 exactly when x >= -threshold (a sum of two
+        floats rounds to zero only when it is zero), so one comparison
+        builds the values; NaN maps to -1 times the prefactor.
+        """
+        up = sign_pm(self.bias) if self.include_sign_prefactor else 1.0
+        out = (np.asarray(x, dtype=float) >= -self.threshold).astype(float)
+        out *= 2.0 * up
+        out -= up
         return float(out) if np.ndim(x) == 0 else out
 
 
@@ -248,10 +268,13 @@ def _block_rng(seed: int, block_index: int, lane: int) -> np.random.Generator:
     return np.random.default_rng([key, lane, block_index])
 
 
-def _summary(vals: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, sum of squared deviations from the mean)."""
+def _summary(vals: np.ndarray, work: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations from the mean); the
+    squared deviations are written to ``work``, which may be ``vals``."""
     mean = float(vals.mean())
-    return vals.size, mean, float(np.square(vals - mean).sum())
+    np.subtract(vals, mean, out=work)
+    np.square(work, out=work)
+    return vals.size, mean, float(work.sum())
 
 
 def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
@@ -281,7 +304,9 @@ def _mc_moments(
         index, count = task
         xs = [dist.sample(count, _block_rng(seed, index, lane)) for dist, lane in zip(dists, lanes)]
         ys = np.broadcast_to(np.asarray(f(*xs), dtype=float), (count,))
-        return _summary(ys), _summary(np.square(ys))
+        work = np.empty(count)
+        first = _summary(ys, work)
+        return first, _summary(np.square(ys, out=work), work)
 
     tasks = [(index, min(MC_BLOCK_SIZE, samples - start)) for index, start in enumerate(range(0, samples, MC_BLOCK_SIZE))]
     if workers > 1:

@@ -55,11 +55,16 @@ _ROUNDOFF_TOL = 1e-13
 
 
 def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Return the matrix as a complex array, raising if it is not Hermitian."""
+    """Return the matrix as a complex array, raising if it is not Hermitian.
+
+    The bound is ``tol * max(1, ||H||_F)``: floating-point products round
+    in proportion to the entries, and the floor keeps it absolute for
+    density matrices.
+    """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("operator must be a square matrix")
-    if np.max(np.abs(m - m.conj().T)) > tol:
+    if np.max(np.abs(m - m.conj().T)) > tol * max(1.0, float(np.linalg.norm(m))):
         raise ValueError("operator is not Hermitian")
     return m
 

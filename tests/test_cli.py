@@ -168,6 +168,14 @@ class TestUsageErrors:
         assert out == ""
 
 
+    @pytest.mark.parametrize("command", [["spin-half"], ["homogeneity", "--alpha", "1.5"]])
+    def test_state_and_epsilon_together_exit_2(self, capsys, command):
+        code, out, err = run_cli(capsys, [*command, *FAST, "--beta", "0,0,1", "--state", "0,1", "--epsilon", "0,0,1"])
+        assert code == 2
+        assert "--state and --epsilon" in err
+        assert out == ""
+
+
 class TestFailureExitCode:
     def test_impossible_tolerance_fails_with_1(self, capsys):
         code, out, _ = run_cli(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvlab.distributions import (
+    MC_BLOCK_SIZE,
     PowerLawDistribution,
     SignFunctionSpec,
     mc_mean,
@@ -309,3 +310,86 @@ class TestMcMean:
         spec = SignFunctionSpec(-0.6, n=n, include_sign_prefactor=True)
         est = mc_mean(spec.evaluate, PowerLawDistribution(n), 400_000, 21 + n)
         assert abs(est.mean - (-0.6)) < 5 * est.stderr
+
+
+# Reference forms of the Monte Carlo block arithmetic, one temporary per
+# step: the sampler, the sign function and the block summaries must
+# reproduce them bit for bit.
+
+
+def _reference_sample(dist, size, rng):
+    t = 2.0 * rng.random(size) - 1.0
+    return np.sign(t) * (np.abs(t) * dist.scale) ** (1.0 / (2 * dist.n + 1))
+
+
+def _reference_sign(spec, x):
+    out = sign_pm(np.asarray(x, dtype=float) + spec.threshold)
+    if spec.include_sign_prefactor:
+        out = out * sign_pm(spec.bias)
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def _reference_mc_pair(f, dist1, dist2, samples, seed):
+    """(mean, stderr, second moment, its stderr) from per-block centred
+    summaries merged in block order."""
+    parts = []
+    for index, start in enumerate(range(0, samples, MC_BLOCK_SIZE)):
+        count = min(MC_BLOCK_SIZE, samples - start)
+        xs = [_reference_sample(d, count, np.random.default_rng([seed, lane, index])) for d, lane in ((dist1, 1), (dist2, 2))]
+        ys = np.broadcast_to(np.asarray(f(*xs), dtype=float), (count,))
+        parts.append([(count, v.mean(), np.square(v - v.mean()).sum()) for v in (ys, np.square(ys))])
+    merged = []
+    for summaries in zip(*parts):
+        count, mean, m2 = summaries[0]
+        for count_b, mean_b, m2_b in summaries[1:]:
+            total = count + count_b
+            delta = mean_b - mean
+            mean, m2 = mean + delta * (count_b / total), m2 + m2_b + delta * delta * (count * count_b / total)
+            count = total
+        merged.append((float(mean), float(m2)))
+    scale = 1.0 / ((samples - 1) * samples) if samples > 1 else 0.0
+    (mean, m2), (second, second_m2) = merged
+    return mean, float(np.sqrt(m2 * scale)), second, float(np.sqrt(second_m2 * scale))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestBlockArithmeticIsUnchanged:
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    @pytest.mark.parametrize("norm", [1.0, 0.37, 5.0])
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_sample_matches_reference(self, n, norm, seed):
+        dist = PowerLawDistribution(n, norm)
+        drawn = dist.sample(50_000, np.random.default_rng(seed))
+        np.testing.assert_array_equal(_bits(drawn), _bits(_reference_sample(dist, 50_000, np.random.default_rng(seed))))
+
+    @pytest.mark.parametrize("bias", [0.0, -0.0, 0.3, -0.3, 1.0, -1.0])
+    @pytest.mark.parametrize("prefactor", [False, True])
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_sign_matches_reference(self, bias, prefactor, n):
+        spec = SignFunctionSpec(bias, n=n, include_sign_prefactor=prefactor)
+        edge = -spec.threshold
+        xs = np.array(
+            [edge, np.nextafter(edge, 1.0), np.nextafter(edge, -1.0), 0.0, -0.0, np.nan, np.inf, -np.inf, -0.7, 0.2]
+        )
+        np.testing.assert_array_equal(_bits(spec.evaluate(xs)), _bits(_reference_sign(spec, xs)))
+        for x in xs:
+            value = spec.evaluate(float(x))
+            assert type(value) is float
+            assert _bits(value) == _bits(_reference_sign(spec, float(x)))
+
+    @pytest.mark.parametrize("samples", [1, MC_BLOCK_SIZE, MC_BLOCK_SIZE + 1, 1_000_000])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mc_pair_matches_reference(self, samples, workers):
+        a = SignFunctionSpec(0.4, include_sign_prefactor=True)
+        b = SignFunctionSpec(-0.7, n=1, include_sign_prefactor=True)
+        dist1, dist2 = PowerLawDistribution(0), PowerLawDistribution(1)
+
+        def outcome(sign):
+            return lambda x, y: 1e3 + sign(a, x) - 2.0 * sign(b, y) * sign(a, x) + y
+
+        est = mc_mean_pair(outcome(SignFunctionSpec.evaluate), dist1, dist2, samples, 31, workers=workers)
+        expected = _reference_mc_pair(outcome(_reference_sign), dist1, dist2, samples, 31)
+        assert (est.mean, est.stderr, est.second_moment, est.second_stderr) == expected

@@ -129,6 +129,23 @@ class TestBases:
                 np.testing.assert_allclose(anti, rebuilt, atol=1e-12)
 
 
+class TestRequireHermitian:
+    def test_large_non_hermitian_rejected(self):
+        h = np.diag([1e8 + 1, 1e8, 1e8 - 1]).astype(complex)
+        h[0, 1] = 1.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(h)
+
+    def test_unit_scale_bound_is_absolute(self):
+        # a density matrix has ||rho||_F <= 1, so the bound stays 1e-12
+        rho = np.eye(3, dtype=complex) / 3.0
+        rho[0, 1] = 0.9e-12
+        require_hermitian(rho)
+        rho[0, 1] = 1.1e-12
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(rho)
+
+
 class TestLinearObservable:
     def test_single_term_selects_operator(self, bases):
         ang = bases[ANGULAR_MOMENTUM]
@@ -275,6 +292,16 @@ class TestBornDistribution:
         h = 0.5 * (h + h.conj().T)
         dist = born_distribution(h, QuantumState.maximally_mixed(3))
         np.testing.assert_allclose(dist.outcomes, [1e8 + 1, 1e8 - 1], rtol=1e-14)
+        np.testing.assert_allclose(dist.probabilities, [2 / 3, 1 / 3], rtol=1e-9)
+
+    def test_offset_rotated_observable_accepted(self, bases):
+        # roundoff leaves the product about 1e-8 short of Hermitian
+        rng = np.random.default_rng(11)
+        _, vecs = np.linalg.eigh(linear_observable(rng.normal(size=8), bases[GELL_MANN]))
+        h = vecs @ np.diag([1e8 + 1, 1e8 + 1, 1e8 - 1]) @ vecs.conj().T
+        assert np.max(np.abs(h - h.conj().T)) > 1e-12
+        dist = born_distribution(h, QuantumState.maximally_mixed(3))
+        assert len(dist.outcomes) == 2
         np.testing.assert_allclose(dist.probabilities, [2 / 3, 1 / 3], rtol=1e-9)
 
     def test_mean_matches_trace(self, bases):
