@@ -64,7 +64,8 @@ def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndar
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("operator must be a square matrix")
-    if np.max(np.abs(m - m.conj().T)) > tol * max(1.0, float(np.linalg.norm(m))):
+    gap = float(np.max(np.abs(m - m.conj().T)))
+    if gap > tol and gap > tol * float(np.linalg.norm(m)):
         raise ValueError("operator is not Hermitian")
     return m
 

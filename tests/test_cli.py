@@ -167,7 +167,6 @@ class TestUsageErrors:
         assert "--original" in err
         assert out == ""
 
-
     @pytest.mark.parametrize("command", [["spin-half"], ["homogeneity", "--alpha", "1.5"]])
     def test_state_and_epsilon_together_exit_2(self, capsys, command):
         code, out, err = run_cli(capsys, [*command, *FAST, "--beta", "0,0,1", "--state", "0,1", "--epsilon", "0,0,1"])
