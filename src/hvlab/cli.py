@@ -189,14 +189,12 @@ def _sgn_mean_row(n: int, xi: float, samples: int, seed: int) -> ReportRow:
     return ReportRow("sgn-mean", f"n={n};xi={xi}", sign_mean_analytic(spec), *_cells(est), sign_mean_quadrature(spec))
 
 
-def _moment_rows(
-    kind: str, params: str, stats: Moments, oracle: Moments, mean_cells: tuple, second_cells: tuple = (None, None)
-) -> list[ReportRow]:
+def _moment_rows(kind: str, params: str, stats: Moments, oracle: Moments, est: McEstimate | None) -> list[ReportRow]:
     """The mean, second-moment and variance rows of a model's moments
-    against their reference, with the mc and stderr cells of the first two."""
+    against their reference, the first two with the estimate's cells."""
     return [
-        ReportRow(f"{kind}-mean", params, stats.mean, *mean_cells, oracle.mean),
-        ReportRow(f"{kind}-second-moment", params, stats.second_moment, *second_cells, oracle.second_moment),
+        ReportRow(f"{kind}-mean", params, stats.mean, *_cells(est), oracle.mean),
+        ReportRow(f"{kind}-second-moment", params, stats.second_moment, *_cells(est, second=True), oracle.second_moment),
         ReportRow(f"{kind}-variance", params, stats.variance, oracle=oracle.variance),
     ]
 
@@ -214,7 +212,7 @@ def _spin_half_rows(
     stats = spin_half.hv_statistics(direction, bloch)
     est = mc_mean(lambda xs: spin_half.bell_outcome_modified(direction, bloch, xs), PowerLawDistribution(0), samples, seed)
     oracle = _operator_moments(linear_observable(direction, pauli), state)
-    return _moment_rows("spin-half", params, stats, oracle, _cells(est), _cells(est, second=True))
+    return _moment_rows("spin-half", params, stats, oracle, est)
 
 
 def _spin_half_original_rows(
@@ -238,13 +236,12 @@ def _homogeneity_recombined_row(split: spin_half.HomogeneitySplit, params: str) 
     return ReportRow("homogeneity-recombined", params, recombined, oracle=split.whole)
 
 
-def _spin_one_rows(
-    formula: spin_one.OutcomeFormula, params: str, oracle: Moments, samples: int, seed: int
+def _formula_rows(
+    kind: str, formula: spin_one.OutcomeFormula, params: str, stats: Moments, oracle: Moments, samples: int, seed: int | None
 ) -> list[ReportRow]:
-    """Mean and second moment from one two-variable pass, variance."""
-    stats = spin_one.hv_statistics(formula)
-    est = mc_mean_pair(formula.evaluate, *formula.hidden_distributions, samples, seed)
-    return _moment_rows("spin-one", params, stats, oracle, _cells(est), _cells(est, second=True))
+    """Moment rows of a two-sign-function rule; with a seed, mc cells from one two-variable pass."""
+    est = None if seed is None else mc_mean_pair(formula.evaluate, *formula.hidden_distributions, samples, seed)
+    return _moment_rows(kind, params, stats, oracle, est)
 
 
 def _ks_moment_route(model: ks.KsModel) -> float:
@@ -268,18 +265,11 @@ def _ks_rows(model: ks.KsModel, params: str, samples: int = 0, seed: int | None 
     ]
 
 
-def _ks_epsilon_rows(
-    model: ks.DeformedKsModel, params: str, samples: int = 0, seed: int | None = None
-) -> list[ReportRow]:
+def _ks_epsilon_rows(model: ks.DeformedKsModel, params: str, samples: int = 0, seed: int | None = None) -> list[ReportRow]:
     """Closed-form moments of the deformed constraint against its outcome
-    table, the mean also against explicit draws."""
-    outcomes = ks.deformed_outcomes(model)
-    draws = np.empty(0)
-    if seed is not None:
-        rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-        draws = rng.choice(np.array(outcomes), size=samples, p=np.array(model.probabilities))
-    oracle = Moments.of(outcomes, model.probabilities)
-    return _moment_rows("ks-epsilon", params, ks.deformed_statistics(model), oracle, _sample_cells(draws))
+    table, the mean and second moment also from its two-sign-function rule."""
+    oracle = Moments.of(ks.deformed_outcomes(model), model.probabilities)
+    return _formula_rows("ks-epsilon", ks.deformed_formula(model), params, ks.deformed_statistics(model), oracle, samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +450,8 @@ def run_spin_one(args: argparse.Namespace) -> tuple[list[ReportRow], str | None]
             params = f"case={case_id};basis={args.basis};beta={args.beta}"
     except spin_one.InfeasibleCaseError as exc:
         return [], f"infeasible: {exc.reason}"
-    return _spin_one_rows(formula, params, oracle, args.samples, _row_seed(args, 3)), None
+    stats = spin_one.hv_statistics(formula)
+    return _formula_rows("spin-one", formula, params, stats, oracle, args.samples, _row_seed(args, 3)), None
 
 
 def run_ks_dispersion(args: argparse.Namespace) -> tuple[list[ReportRow], str | None]:
@@ -516,7 +507,8 @@ def run_verify_all(args: argparse.Namespace) -> tuple[list[ReportRow], str | Non
     values, probs = (0.0, 1.0, -1.0), (0.25, 0.5, 0.25)
     formula = spin_one.build_formula("III", spin_one.SpectralTriple(values, probs, traceless=True))
     params = "case=III;lambdas=0,1,-1;probs=0.25,0.5,0.25"
-    one = _spin_one_rows(formula, params, Moments.of(values, probs), args.samples, _row_seed(args, 301))
+    stats, oracle = spin_one.hv_statistics(formula), Moments.of(values, probs)
+    one = _formula_rows("spin-one", formula, params, stats, oracle, args.samples, _row_seed(args, 301))
     rows += _select(one, "spin-one-mean", "spin-one-second-moment")
 
     gm = build_basis(GELL_MANN)

@@ -8,8 +8,8 @@ slot probabilities of the common eigenbasis.  The ensemble average of
 the sum is always exactly 2, but the second moment has a closed form
 ranging from 4 to 6, so the model is generically dispersive.
 
-A deformed constraint with outcomes {2, 2 - eps, 2 + eps} makes the
-dispersion arbitrarily small but never zero.
+A deformed constraint with outcomes {2, 2 - eps, 2 + eps}, realised by
+two sign functions, makes the dispersion arbitrarily small but never zero.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import Moments, PowerLawDistribution, SignFunctionSpec, _probability_triple, sign_pm
 from .oracle import QuantumState, simultaneous_eigenbasis
-from .spin_one import CaseAssignment, OutcomeFormula, solve_coefficients
+from .spin_one import CaseAssignment, OutcomeFormula, SpectralTriple, build_formula, solve_coefficients
 
 __all__ = [
     "KsModel",
@@ -35,6 +35,7 @@ __all__ = [
     "dispersion_scan",
     "deformed_outcomes",
     "deformed_statistics",
+    "deformed_formula",
     "deformed_square_formula",
 ]
 
@@ -183,6 +184,13 @@ def deformed_statistics(model: DeformedKsModel) -> Moments:
         second_moment=4.0 + 4.0 * eps * diff + eps * eps * both,
         variance=eps * eps * (both - diff * diff),
     )
+
+
+def deformed_formula(model: DeformedKsModel) -> OutcomeFormula:
+    """The deformed model as a case-III rule over two sign functions, the
+    outcome 2 repeated; its exact moments are `deformed_statistics`."""
+    (plus, zero, minus), (p_plus, p_zero, p_minus) = deformed_outcomes(model), model.probabilities
+    return build_formula("III", SpectralTriple((zero, plus, minus), (p_zero, p_plus, p_minus)))
 
 
 def deformed_square_formula() -> OutcomeFormula:

@@ -255,7 +255,15 @@ class TestDeterminismAndFormats:
         assert float(rows[-1]["analytic"]) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_spin_one_makes_one_monte_carlo_pass(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spin-one", "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25"],
+        ["ks-epsilon", "--eps", "0.05", "--probs", "0.25,0.5,0.25"],
+    ],
+    ids=["spin-one", "ks-epsilon"],
+)
+def test_two_sign_function_rows_make_one_monte_carlo_pass(capsys, monkeypatch, argv):
     calls = []
     real = hvlab.cli.mc_mean_pair
 
@@ -264,9 +272,10 @@ def test_spin_one_makes_one_monte_carlo_pass(capsys, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(hvlab.cli, "mc_mean_pair", counted)
-    code, out, _ = run_cli(capsys, ["spin-one", *FAST, "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25"])
+    code, out, _ = run_cli(capsys, [*argv, *FAST])
     assert code == 0
-    assert "spin-one-second-moment" in out
+    (second,) = [line for line in out.splitlines() if line.startswith(f"{argv[0]}-second-moment")]
+    assert len(second.split()) == 7  # the second-moment row has mc and stderr cells
     assert len(calls) == 1
 
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvlab.distributions import mc_mean
+from hvlab.distributions import mc_mean, mc_mean_pair
 from hvlab.ks import (
     SHARED_HIDDEN,
     DeformedKsModel,
     KsModel,
+    deformed_formula,
     deformed_outcomes,
     deformed_square_formula,
     deformed_statistics,
@@ -23,7 +24,7 @@ from hvlab.ks import (
     ks_square_outcomes,
 )
 from hvlab.oracle import ANGULAR_MOMENTUM, QuantumState, build_basis, random_pure_state, variance
-from hvlab.spin_one import SIGN_PATTERNS
+from hvlab.spin_one import SIGN_PATTERNS, hv_statistics
 
 ANG = build_basis(ANGULAR_MOMENTUM)
 KS_MATRIX = sum(op @ op for op in ANG.operators[:3])
@@ -317,19 +318,55 @@ class TestDeformedModel:
             assert stats.variance > 0.0
 
     def test_mc_three_outcome_sampling(self):
+        # the outcomes come from the two-sign-function rule, not from the
+        # three-outcome distribution whose moments are checked
         model = DeformedKsModel(0.2, (0.25, 0.5, 0.25))
-        rng = np.random.default_rng(12)
-        draws = rng.choice(np.array(deformed_outcomes(model)), size=1_000_000, p=model.probabilities)
+        formula = deformed_formula(model)
+        est = mc_mean_pair(formula.evaluate, *formula.hidden_distributions, 1_000_000, 12)
         stats = deformed_statistics(model)
-        err = draws.std(ddof=1) / np.sqrt(draws.size)
-        assert abs(draws.mean() - stats.mean) < 4 * err
-        centred = (draws - draws.mean()) ** 2
-        var_err = centred.std(ddof=1) / np.sqrt(centred.size)
-        assert abs(draws.var(ddof=1) - stats.variance) < 4 * var_err
+        assert abs(est.mean - stats.mean) < 4 * est.stderr
+        assert abs(est.second_moment - stats.second_moment) < 4 * est.second_stderr
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
             DeformedKsModel(0.0, (0.3, 0.4, 0.3))
+
+
+DEFORMED_CORNERS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.0, 0.5)]
+
+
+class TestDeformedFormula:
+    @pytest.mark.parametrize("probs", DEFORMED_CORNERS)
+    @pytest.mark.parametrize("eps", [1e-4, 0.05, 0.5])
+    def test_exact_moments_at_corners(self, eps, probs):
+        model = DeformedKsModel(eps, probs)
+        exact = hv_statistics(deformed_formula(model))
+        closed = deformed_statistics(model)
+        assert exact.mean == pytest.approx(closed.mean, abs=1e-12)
+        assert exact.second_moment == pytest.approx(closed.second_moment, abs=1e-12)
+        assert exact.variance == pytest.approx(closed.variance, abs=1e-12)
+
+    def test_exact_moments_over_the_simplex(self):
+        rng = np.random.default_rng(31)
+        for eps in np.logspace(-4, np.log10(0.5), 10):
+            for _ in range(20):
+                model = DeformedKsModel(float(eps), tuple(rng.dirichlet(np.ones(3))))
+                exact = hv_statistics(deformed_formula(model))
+                closed = deformed_statistics(model)
+                assert exact.mean == pytest.approx(closed.mean, abs=1e-12)
+                assert exact.second_moment == pytest.approx(closed.second_moment, abs=1e-12)
+                assert exact.variance == pytest.approx(closed.variance, abs=1e-12)
+
+    def test_rule_takes_the_deformed_outcomes(self):
+        model = DeformedKsModel(0.25, (0.3, 0.4, 0.3))
+        formula = deformed_formula(model)
+        outs = {formula.evaluate_signs(s1, s2) for s1, s2 in SIGN_PATTERNS}
+        assert outs == set(deformed_outcomes(model))
+
+    def test_estimate_independent_of_worker_count(self):
+        formula = deformed_formula(DeformedKsModel(0.05, (0.2, 0.5, 0.3)))
+        args = (formula.evaluate, *formula.hidden_distributions, 300_000, 5)
+        assert mc_mean_pair(*args, workers=1) == mc_mean_pair(*args, workers=2)
 
 
 class TestDeformedSquareFormula:
