@@ -221,13 +221,14 @@ def _spin_half_original_rows(
     """Bell's original model, whose quantum reference is the spin-up state."""
     oracle = _operator_moments(linear_observable(direction, pauli), QuantumState.from_pure([1.0, 0.0]))
     mean = spin_half.bell_original_mean_analytic(direction)
-    mag = float(np.linalg.norm(direction))
+    # |b|^2 - b_z^2 without the cancellation: the outcomes are +-|b|, the mean is +-|b_z|
+    spread = float(direction[0] ** 2 + direction[1] ** 2)
     est = None
     if seed is not None:
         est = mc_mean(lambda xs: spin_half.bell_outcome_original(direction, xs), PowerLawDistribution(0), samples, seed)
     return [
         ReportRow("spin-half-original-mean", params, mean, *_cells(est), oracle.mean),
-        ReportRow("spin-half-original-variance", params, mag * mag - mean * mean, oracle=oracle.variance),
+        ReportRow("spin-half-original-variance", params, spread, oracle=oracle.variance),
     ]
 
 
@@ -445,6 +446,8 @@ def run_spin_one(args: argparse.Namespace) -> tuple[list[ReportRow], str | None]
             basis = build_basis(args.basis)
             coeffs = np.array(_parse_floats(args.beta, None, "--beta"))
             state = _parse_state(args.state)
+            if state.dim != 3:
+                raise CliError("--state must be 3-dimensional here")
             formula = spin_one.beable_from_operator(coeffs, basis, state, case_id=case_id, n=args.n, swap=args.swap)
             oracle = _operator_moments(linear_observable(coeffs, basis), state)
             params = f"case={case_id};basis={args.basis};beta={args.beta}"
@@ -599,7 +602,9 @@ def main(argv=None) -> int:
         if args.n < 0:
             raise CliError("--n must be nonnegative")
         rows, note = _DISPATCH[args.command](args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
+        # the library rejects out-of-range input with ValueError; the CLI
+        # does not repeat its checks
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if note is not None:

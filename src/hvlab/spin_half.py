@@ -89,9 +89,15 @@ def bell_outcome_modified(direction, bloch, hidden):
 def hv_statistics(direction, bloch) -> Moments:
     """Exact flat-ensemble moments of the modified rule: mean b.e,
     second moment |b|^2 and variance |b|^2 - (b.e)^2, matching the
-    quantum values for any state with that Bloch vector."""
+    quantum values for any state with that Bloch vector.
+
+    The variance is summed in Lagrange's form |b x e|^2 + |b|^2 (1 - |e|^2),
+    which does not cancel when b.e is close to +-|b|.
+    """
     mag, overlap, _ = _modified_rule(direction, bloch)
-    return Moments(mean=overlap, second_moment=mag * mag, variance=mag * mag - overlap * overlap)
+    b, e = (np.asarray(v, dtype=float).reshape(-1) for v in (direction, bloch))
+    spread = float(np.square(np.cross(b, e)).sum()) + mag * mag * (1.0 - float(e @ e))
+    return Moments(mean=overlap, second_moment=mag * mag, variance=spread)
 
 
 def outcome_probabilities(direction, bloch) -> tuple[float, float]:

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +152,29 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, [*argv, *FAST])
         assert code == 2
         assert "finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ks-epsilon", "--eps", "0.05", "--probs", "1.5,-0.5,0"], "probabilities must lie in"),
+            (["spin-one", "--lambdas", "0,1,-1", "--probs", "1.5,-0.5,0"], "probabilities must lie in"),
+            (["ks-dispersion", "--probs", "1.5,-0.5,0"], "probabilities must lie in"),
+            (["ks-epsilon", "--eps", "0", "--probs", "0.25,0.5,0.25"], "eps must be positive"),
+            (["ks-epsilon", "--eps", "-1", "--probs", "0.25,0.5,0.25"], "eps must be positive"),
+            (["spin-half", "--beta", "0,0,0"], "direction must be nonzero"),
+            (["homogeneity", "--beta", "0,0,0"], "direction must be nonzero"),
+            (["spin-one", "--basis", "pauli", "--beta", "0,0,1", "--state", "1,0"], "3-dimensional"),
+            (["spin-one", "--basis", "pauli", "--beta", "0,0,1", "--state", "1,0,0"], "3x3 observable"),
+            (["spin-one", "--basis", "angular-momentum", "--beta", "0,0", "--state", "1,0,0"], "coefficients"),
+            (["spin-one", "--basis", "angular-momentum", "--beta", "0,0,1", "--state", "1,0"], "3-dimensional"),
+        ],
+    )
+    def test_input_the_library_rejects_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, [*argv, *FAST])
+        assert code == 2
+        assert err.startswith("error: ")
+        assert message in err
         assert out == ""
 
     def test_invalid_samples_exit_2(self, capsys):
@@ -361,6 +386,42 @@ class TestLargeOffsets:
         )
         assert code == 0
         assert [row["experiment"] for row in rows] == ["spin-one-mean", "spin-one-second-moment", "spin-one-variance"]
+
+
+class TestSmallVariances:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--original"], "spin-half-original-variance"),
+            (["--state", "1,0"], "spin-half-variance"),
+            (["--epsilon", "0,0,1"], "spin-half-variance"),
+        ],
+    )
+    def test_variance_near_an_eigen_direction(self, capsys, argv, name):
+        # |b|^2 - (b.e)^2 cancels to 0 at b = (1e-4, 0, 1e4); the truth is b_x^2
+        code, rows = run_json(capsys, ["spin-half", *FAST, "--beta", "1e-4,0,1e4", *argv])
+        assert code == 0
+        (row,) = [row for row in rows if row["experiment"] == name]
+        assert row["analytic"] == pytest.approx(1e-8, rel=1e-12)
+        assert row["oracle"] == pytest.approx(1e-8, rel=1e-9)
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv lists of the README "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("hvlab ")]
+
+
+def test_readme_lists_every_example():
+    assert len(readme_commands()) == 11
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(argv))
+def test_readme_example_passes(capsys, argv):
+    code, out, _ = run_cli(capsys, [*argv, "--samples", "20000"])
+    assert code == 0
+    assert out
 
 
 class TestOracleBound:

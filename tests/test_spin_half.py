@@ -142,6 +142,13 @@ class TestHvStatistics:
             assert stats.mean == pytest.approx(expectation(matrix, state), abs=1e-10)
             assert stats.variance == pytest.approx(variance(matrix, state), abs=1e-10)
 
+    @pytest.mark.parametrize("bloch", [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    def test_variance_near_an_eigen_direction(self, bloch):
+        # |b|^2 - (b.e)^2 cancels to 0 here; the truth is |b x e|^2 at |e| = 1
+        beta = np.array([1e-4, 0.0, 1e4])
+        expected = float(np.square(np.cross(beta, bloch)).sum())
+        assert hv_statistics(beta, bloch).variance == pytest.approx(expected, rel=1e-12)
+
     def test_probability_identity(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
