@@ -332,11 +332,8 @@ class TestDeformedModel:
             DeformedKsModel(0.0, (0.3, 0.4, 0.3))
 
 
-DEFORMED_CORNERS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.0, 0.5)]
-
-
 class TestDeformedFormula:
-    @pytest.mark.parametrize("probs", DEFORMED_CORNERS)
+    @pytest.mark.parametrize("probs", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.0, 0.5)])
     @pytest.mark.parametrize("eps", [1e-4, 0.05, 0.5])
     def test_exact_moments_at_corners(self, eps, probs):
         model = DeformedKsModel(eps, probs)
