@@ -160,8 +160,8 @@ def _row_seed(args: argparse.Namespace, index: int) -> int:
 # ---------------------------------------------------------------------------
 # row builders: every experiment's rows are built here and nowhere else.
 # The subcommands parse their flags into a builder's arguments; verify-all
-# calls the same builders with fixed inputs.  Builders whose seed is
-# optional make no Monte Carlo pass when it is None.
+# calls the same builders with fixed inputs and selects rows from them.
+# Builders whose seed is optional make no Monte Carlo pass when it is None.
 
 
 def _cells(est: McEstimate | None, second: bool = False) -> tuple[float | None, float | None]:
@@ -187,6 +187,14 @@ def _sgn_mean_row(n: int, xi: float, samples: int, seed: int) -> ReportRow:
     spec = SignFunctionSpec(xi, n=n)
     est = mc_mean(spec.evaluate, spec.distribution, samples, seed)
     return ReportRow("sgn-mean", f"n={n};xi={xi}", sign_mean_analytic(spec), *_cells(est), sign_mean_quadrature(spec))
+
+
+def _sgn_product_row(n: int, b1: float, b2: float, samples: int, seed: int) -> ReportRow:
+    s1 = SignFunctionSpec(b1, n=n, include_sign_prefactor=True)
+    s2 = SignFunctionSpec(b2, n=n, include_sign_prefactor=True)
+    est = mc_mean(lambda xs: s1.evaluate(xs) * s2.evaluate(xs), s1.distribution, samples, seed)
+    analytic, quadrature = sign_product_mean_analytic(s1, s2), sign_product_mean_quadrature(s1, s2)
+    return ReportRow("sgn-product-mean", f"n={n};xi1={b1};xi2={b2}", analytic, *_cells(est), quadrature)
 
 
 def _moment_rows(kind: str, params: str, stats: Moments, oracle: Moments, est: McEstimate | None) -> list[ReportRow]:
@@ -232,9 +240,28 @@ def _spin_half_original_rows(
     ]
 
 
-def _homogeneity_recombined_row(split: spin_half.HomogeneitySplit, params: str) -> ReportRow:
+def _homogeneity_rows(
+    offset: float, direction: np.ndarray, state: QuantumState, pauli: OperatorBasis, params: str,
+    samples: int = 0, seed: int | None = None,
+) -> list[ReportRow]:
+    """Means of offset + b.S either side of the outcome threshold, overall and recombined; with a
+    seed, mc cells from one direct draw, as the block engine estimates no subensemble means."""
+    bloch = bloch_vector(state, pauli)
+    split = spin_half.homogeneity_split(offset, direction, bloch)
+    plus = minus = whole = (None, None)
+    if seed is not None:
+        hidden = PowerLawDistribution(0).sample(samples, np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF))
+        outcomes = offset + spin_half.bell_outcome_modified(direction, bloch, hidden)
+        upper = hidden >= split.split_point
+        plus, minus, whole = _sample_cells(outcomes[upper]), _sample_cells(outcomes[~upper]), _sample_cells(outcomes)
     recombined = split.weight_plus * split.mean_plus + split.weight_minus * split.mean_minus
-    return ReportRow("homogeneity-recombined", params, recombined, oracle=split.whole)
+    whole_oracle = offset + expectation(linear_observable(direction, pauli), state)
+    return [
+        ReportRow("homogeneity-mean-plus", params, split.mean_plus, *plus),
+        ReportRow("homogeneity-mean-minus", params, split.mean_minus, *minus),
+        ReportRow("homogeneity-whole", params, split.whole, *whole, whole_oracle),
+        ReportRow("homogeneity-recombined", params, recombined, oracle=split.whole),
+    ]
 
 
 def _formula_rows(
@@ -245,20 +272,35 @@ def _formula_rows(
     return _moment_rows(kind, params, stats, oracle, est)
 
 
-def _ks_moment_route(model: ks.KsModel) -> float:
-    """Second moment of the constraint sum term by term: 2 from the
-    squared outcomes plus twice the three pairwise cross terms."""
-    p1, p2, p3 = model.probabilities
-    return 2.0 + 2.0 * (ks.ks_cross_term(p1, p2) + ks.ks_cross_term(p1, p3) + ks.ks_cross_term(p2, p3))
+def _spin_one_rows(
+    values: tuple[float, float, float], probs: tuple[float, float, float], params: str, samples: int = 0,
+    seed: int | None = None, case_id: str = "III", n: int = 0, swap: bool = False,
+) -> list[ReportRow]:
+    """A case's rule for an explicit spectrum against the spectrum's own moments."""
+    formula = spin_one.build_formula(case_id, spin_one.SpectralTriple(values, probs), n=n, swap=swap)
+    oracle = Moments.of(values, probs)
+    return _formula_rows("spin-one", formula, params, spin_one.hv_statistics(formula), oracle, samples, seed)
 
 
-def _ks_rows(model: ks.KsModel, params: str, samples: int = 0, seed: int | None = None) -> list[ReportRow]:
+def _operator_rows(
+    kind: str, coeffs: np.ndarray, basis: OperatorBasis, state: QuantumState, params: str,
+    samples: int = 0, seed: int | None = None, case_id: str = "III", n: int = 0, swap: bool = False,
+) -> list[ReportRow]:
+    """A case's rule for an observable, its outcome probabilities the Born
+    weights in the state, against the observable's quantum moments."""
+    formula = spin_one.beable_from_operator(coeffs, basis, state, case_id=case_id, n=n, swap=swap)
+    oracle = _operator_moments(linear_observable(coeffs, basis), state)
+    return _formula_rows(kind, formula, params, spin_one.hv_statistics(formula), oracle, samples, seed)
+
+
+def _ks_rows(probs: tuple[float, float, float], params: str, samples: int = 0, seed: int | None = None) -> list[ReportRow]:
     """Average, second moment (both from one pass) and dispersion of the
-    constraint sum."""
-    est = None
-    if seed is not None:
-        est = mc_mean(lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, samples, seed)
-    route = _ks_moment_route(model)
+    constraint sum.  The reference second moment is taken term by term:
+    2 from the squared outcomes plus twice the three pairwise cross terms."""
+    model = ks.KsModel(probs)
+    est = None if seed is None else mc_mean(lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, samples, seed)
+    p1, p2, p3 = model.probabilities
+    route = 2.0 + 2.0 * (ks.ks_cross_term(p1, p2) + ks.ks_cross_term(p1, p3) + ks.ks_cross_term(p2, p3))
     return [
         ReportRow("ks-average", params, ks.ks_average(model), *_cells(est), 2.0),
         ReportRow("ks-second-moment", params, ks.ks_second_moment(model), *_cells(est, second=True), route),
@@ -266,19 +308,43 @@ def _ks_rows(model: ks.KsModel, params: str, samples: int = 0, seed: int | None 
     ]
 
 
-def _ks_epsilon_rows(model: ks.DeformedKsModel, params: str, samples: int = 0, seed: int | None = None) -> list[ReportRow]:
+def _ks_scan_rows(step: float) -> list[ReportRow]:
+    """Dispersion over the simplex grid, then its minimum and maximum."""
+    table = ks.dispersion_scan(step)
+    rows = [ReportRow("ks-scan", f"p1={p1:.6g};p2={p2:.6g};p3={p3:.6g}", float(value)) for p1, p2, p3, value in table]
+    values = table[:, 3]
+    rows.append(ReportRow("ks-scan-min", f"step={step}", float(values.min()), oracle=0.0))
+    rows.append(ReportRow("ks-scan-max", f"step={step}", float(values.max()), oracle=2.0))
+    return rows
+
+
+def _ks_epsilon_rows(
+    eps: float, probs: tuple[float, float, float], params: str, samples: int = 0, seed: int | None = None
+) -> list[ReportRow]:
     """Closed-form moments of the deformed constraint against its outcome
     table, the mean and second moment also from its two-sign-function rule."""
+    model = ks.DeformedKsModel(eps, probs)
     oracle = Moments.of(ks.deformed_outcomes(model), model.probabilities)
     return _formula_rows("ks-epsilon", ks.deformed_formula(model), params, ks.deformed_statistics(model), oracle, samples, seed)
 
 
-# ---------------------------------------------------------------------------
-# subcommands
+def _ks_epsilon_sweep_rows(probs: tuple[float, float, float], label: str) -> list[ReportRow]:
+    """Variance of the deformed constraint for eps from 1e-4 to 0.1, and its log-log slope 2."""
+    eps_grid = np.logspace(-4, -1, 13)
+    rows, variances = [], []
+    for eps in eps_grid:
+        swept = ks.DeformedKsModel(float(eps), probs)
+        variances.append(ks.deformed_statistics(swept).variance)
+        oracle = Moments.of(ks.deformed_outcomes(swept), probs).variance
+        rows.append(ReportRow("ks-epsilon-sweep", f"eps={eps:.6g};probs={label}", variances[-1], oracle=oracle))
+    slope = float(np.polyfit(np.log(eps_grid), np.log(variances), 1)[0])
+    rows.append(ReportRow("ks-epsilon-slope", f"probs={label}", slope, oracle=2.0))
+    return rows
 
 
-def run_oracle_check(args: argparse.Namespace) -> tuple[list[ReportRow], str | None]:
-    rng = np.random.default_rng(args.seed)
+def _oracle_check_rows(seed: int) -> list[ReportRow]:
+    """Self-checks of the quantum reference on fixed and seeded random inputs."""
+    rng = np.random.default_rng(seed)
     rows: list[ReportRow] = []
     bases = {kind: build_basis(kind) for kind in BASIS_KINDS}
 
@@ -354,26 +420,22 @@ def run_oracle_check(args: argparse.Namespace) -> tuple[list[ReportRow], str | N
         vals, _ = spectral_decompose(linear_observable(beta, ang))
         spec_dev = max(spec_dev, float(np.max(np.abs(vals - np.array([mag, 0.0, -mag])))))
     rows.append(ReportRow("direction-spectrum", "trials=200", spec_dev, oracle=0.0))
-    return rows, None
+    return rows
 
 
-def run_sgn_averages(args: argparse.Namespace) -> tuple[list[ReportRow], str | None]:
+# ---------------------------------------------------------------------------
+# subcommands: each parses its flags and calls builders
+
+
+def run_oracle_check(args: argparse.Namespace) -> list[ReportRow]:
+    return _oracle_check_rows(args.seed)
+
+
+def run_sgn_averages(args: argparse.Namespace) -> list[ReportRow]:
     rows = [_sgn_mean_row(args.n, round(-1.0 + 0.1 * k, 10), args.samples, _row_seed(args, k)) for k in range(21)]
     pairs = ((0.8, 0.3), (0.8, -0.3), (0.5, 0.5), (-0.6, -0.9))
-    for idx, (b1, b2) in enumerate(pairs):
-        s1 = SignFunctionSpec(b1, n=args.n, include_sign_prefactor=True)
-        s2 = SignFunctionSpec(b2, n=args.n, include_sign_prefactor=True)
-        est = mc_mean(lambda xs: s1.evaluate(xs) * s2.evaluate(xs), s1.distribution, args.samples, _row_seed(args, 100 + idx))
-        rows.append(
-            ReportRow(
-                "sgn-product-mean",
-                f"n={args.n};xi1={b1};xi2={b2}",
-                sign_product_mean_analytic(s1, s2),
-                *_cells(est),
-                sign_product_mean_quadrature(s1, s2),
-            )
-        )
-    return rows, None
+    rows += [_sgn_product_row(args.n, b1, b2, args.samples, _row_seed(args, 100 + idx)) for idx, (b1, b2) in enumerate(pairs)]
+    return rows
 
 
 def _spin_half_inputs(args) -> tuple[np.ndarray, QuantumState, OperatorBasis]:
@@ -396,139 +458,86 @@ def _spin_half_inputs(args) -> tuple[np.ndarray, QuantumState, OperatorBasis]:
     return direction, state, pauli
 
 
-def run_spin_half(args: argparse.Namespace) -> tuple[list[ReportRow], str | None]:
+def run_spin_half(args: argparse.Namespace) -> list[ReportRow]:
     if args.original and (args.state is not None or args.epsilon is not None):
         raise CliError("--original models the state (1, 0) only; it takes no --state or --epsilon")
     direction, state, pauli = _spin_half_inputs(args)
     params = f"beta={args.beta}"
     if args.original:
-        return _spin_half_original_rows(direction, pauli, params, args.samples, _row_seed(args, 0)), None
-    return _spin_half_rows(direction, state, pauli, params, args.samples, _row_seed(args, 1)), None
+        return _spin_half_original_rows(direction, pauli, params, args.samples, _row_seed(args, 0))
+    return _spin_half_rows(direction, state, pauli, params, args.samples, _row_seed(args, 1))
 
 
-def run_homogeneity(args: argparse.Namespace) -> tuple[list[ReportRow], str | None]:
+def run_homogeneity(args: argparse.Namespace) -> list[ReportRow]:
     direction, state, pauli = _spin_half_inputs(args)
-    bloch = bloch_vector(state, pauli)
-    offset = args.alpha
-    if not np.isfinite(offset):
+    if not np.isfinite(args.alpha):
         raise CliError("--alpha must be finite")
-    split = spin_half.homogeneity_split(offset, direction, bloch)
-    rng = np.random.default_rng(args.seed & 0xFFFFFFFFFFFFFFFF)
-    hidden = PowerLawDistribution(0).sample(args.samples, rng)
-    outcomes = offset + spin_half.bell_outcome_modified(direction, bloch, hidden)
-    upper = hidden >= split.split_point
-    params = f"alpha={offset};beta={args.beta}"
-    rows = [
-        ReportRow("homogeneity-mean-plus", params, split.mean_plus, *_sample_cells(outcomes[upper])),
-        ReportRow("homogeneity-mean-minus", params, split.mean_minus, *_sample_cells(outcomes[~upper])),
-    ]
-    whole_oracle = offset + expectation(linear_observable(direction, pauli), state)
-    rows.append(ReportRow("homogeneity-whole", params, split.whole, *_sample_cells(outcomes), whole_oracle))
-    rows.append(_homogeneity_recombined_row(split, params))
-    return rows, None
+    params = f"alpha={args.alpha};beta={args.beta}"
+    return _homogeneity_rows(args.alpha, direction, state, pauli, params, args.samples, args.seed)
 
 
-def run_spin_one(args: argparse.Namespace) -> tuple[list[ReportRow], str | None]:
-    case_id = args.case
-    try:
-        if args.lambdas is not None or args.probs is not None:
-            if args.lambdas is None or args.probs is None:
-                raise CliError("explicit mode needs both --lambdas and --probs")
-            values = tuple(_parse_floats(args.lambdas, 3, "--lambdas"))
-            probs = _parse_probs(args.probs)
-            triple = spin_one.SpectralTriple(values, probs)
-            formula = spin_one.build_formula(case_id, triple, n=args.n, swap=args.swap)
-            oracle = Moments.of(values, probs)
-            params = f"case={case_id};lambdas={args.lambdas};probs={args.probs}"
-        else:
-            if args.state is None:
-                raise CliError("operator mode needs --beta and --state")
-            basis = build_basis(args.basis)
-            coeffs = np.array(_parse_floats(args.beta, None, "--beta"))
-            state = _parse_state(args.state)
-            if state.dim != 3:
-                raise CliError("--state must be 3-dimensional here")
-            formula = spin_one.beable_from_operator(coeffs, basis, state, case_id=case_id, n=args.n, swap=args.swap)
-            oracle = _operator_moments(linear_observable(coeffs, basis), state)
-            params = f"case={case_id};basis={args.basis};beta={args.beta}"
-    except spin_one.InfeasibleCaseError as exc:
-        return [], f"infeasible: {exc.reason}"
-    stats = spin_one.hv_statistics(formula)
-    return _formula_rows("spin-one", formula, params, stats, oracle, args.samples, _row_seed(args, 3)), None
+def run_spin_one(args: argparse.Namespace) -> list[ReportRow]:
+    rule = dict(case_id=args.case, n=args.n, swap=args.swap)
+    if args.lambdas is not None or args.probs is not None:
+        if args.lambdas is None or args.probs is None:
+            raise CliError("explicit mode needs both --lambdas and --probs")
+        values, probs = tuple(_parse_floats(args.lambdas, 3, "--lambdas")), _parse_probs(args.probs)
+        params = f"case={args.case};lambdas={args.lambdas};probs={args.probs}"
+        return _spin_one_rows(values, probs, params, args.samples, _row_seed(args, 3), **rule)
+    if args.beta is None or args.state is None:
+        raise CliError("operator mode needs --beta and --state")
+    basis = build_basis(args.basis)
+    coeffs = np.array(_parse_floats(args.beta, None, "--beta"))
+    state = _parse_state(args.state)
+    if state.dim != 3:
+        raise CliError("--state must be 3-dimensional here")
+    params = f"case={args.case};basis={args.basis};beta={args.beta}"
+    return _operator_rows("spin-one", coeffs, basis, state, params, args.samples, _row_seed(args, 3), **rule)
 
 
-def run_ks_dispersion(args: argparse.Namespace) -> tuple[list[ReportRow], str | None]:
+def run_ks_dispersion(args: argparse.Namespace) -> list[ReportRow]:
     if args.scan:
-        table = ks.dispersion_scan(args.grid_step)
-        rows = [ReportRow("ks-scan", f"p1={p1:.6g};p2={p2:.6g};p3={p3:.6g}", float(value)) for p1, p2, p3, value in table]
-        values = table[:, 3]
-        rows.append(ReportRow("ks-scan-min", f"step={args.grid_step}", float(values.min()), oracle=0.0))
-        rows.append(ReportRow("ks-scan-max", f"step={args.grid_step}", float(values.max()), oracle=2.0))
-        return rows, None
+        return _ks_scan_rows(args.grid_step)
     if args.probs is None:
         raise CliError("ks-dispersion needs --probs or --scan")
-    model = ks.KsModel(_parse_probs(args.probs))
-    return _ks_rows(model, f"probs={args.probs}", args.samples, _row_seed(args, 5)), None
+    return _ks_rows(_parse_probs(args.probs), f"probs={args.probs}", args.samples, _row_seed(args, 5))
 
 
-def run_ks_epsilon(args: argparse.Namespace) -> tuple[list[ReportRow], str | None]:
+def run_ks_epsilon(args: argparse.Namespace) -> list[ReportRow]:
     if not np.isfinite(args.eps):
         raise CliError("--eps must be finite")
     probs = _parse_probs(args.probs)
-    model = ks.DeformedKsModel(args.eps, probs)
-    rows = _ks_epsilon_rows(model, f"eps={args.eps};probs={args.probs}", args.samples, _row_seed(args, 7))
-    if args.sweep:
-        eps_grid = np.logspace(-4, -1, 13)
-        variances = []
-        for eps in eps_grid:
-            swept = ks.DeformedKsModel(float(eps), probs)
-            variances.append(ks.deformed_statistics(swept).variance)
-            oracle = Moments.of(ks.deformed_outcomes(swept), probs).variance
-            rows.append(ReportRow("ks-epsilon-sweep", f"eps={eps:.6g};probs={args.probs}", variances[-1], oracle=oracle))
-        slope = float(np.polyfit(np.log(eps_grid), np.log(variances), 1)[0])
-        rows.append(ReportRow("ks-epsilon-slope", f"probs={args.probs}", slope, oracle=2.0))
-    return rows, None
+    rows = _ks_epsilon_rows(args.eps, probs, f"eps={args.eps};probs={args.probs}", args.samples, _row_seed(args, 7))
+    return rows + (_ks_epsilon_sweep_rows(probs, args.probs) if args.sweep else [])
 
 
-def run_verify_all(args: argparse.Namespace) -> tuple[list[ReportRow], str | None]:
-    rows = run_oracle_check(args)[0]
+def run_verify_all(args: argparse.Namespace) -> list[ReportRow]:
+    rows = _oracle_check_rows(args.seed)
     for n in (0, 3):
         for idx, xi in enumerate((-0.7, 0.0, 0.7)):
             rows.append(_sgn_mean_row(n, xi, args.samples, _row_seed(args, 200 + 10 * n + idx)))
 
     rng = np.random.default_rng(args.seed)
+    state2, state3, coeffs = random_pure_state(2, rng), random_pure_state(3, rng), rng.normal(size=8)
     pauli = build_basis(PAULI)
-    state2 = random_pure_state(2, rng)
-    direction = np.array([0.3, -0.4, 0.8])
-    params = "beta=0.3,-0.4,0.8"
+    direction, params = np.array([0.3, -0.4, 0.8]), "beta=0.3,-0.4,0.8"
     half = _spin_half_rows(direction, state2, pauli, params, args.samples, _row_seed(args, 300))
     rows += _select(half, "spin-half-mean", "spin-half-variance")
     rows += _select(_spin_half_original_rows(direction, pauli, params), "spin-half-original-mean")
-    split = spin_half.homogeneity_split(1.5, direction, bloch_vector(state2, pauli))
-    rows.append(_homogeneity_recombined_row(split, f"alpha=1.5;{params}"))
+    rows += _select(_homogeneity_rows(1.5, direction, state2, pauli, f"alpha=1.5;{params}"), "homogeneity-recombined")
 
-    values, probs = (0.0, 1.0, -1.0), (0.25, 0.5, 0.25)
-    formula = spin_one.build_formula("III", spin_one.SpectralTriple(values, probs, traceless=True))
     params = "case=III;lambdas=0,1,-1;probs=0.25,0.5,0.25"
-    stats, oracle = spin_one.hv_statistics(formula), Moments.of(values, probs)
-    one = _formula_rows("spin-one", formula, params, stats, oracle, args.samples, _row_seed(args, 301))
+    one = _spin_one_rows((0.0, 1.0, -1.0), (0.25, 0.5, 0.25), params, args.samples, _row_seed(args, 301))
     rows += _select(one, "spin-one-mean", "spin-one-second-moment")
+    operator = _operator_rows("spin-one-operator", coeffs, build_basis(GELL_MANN), state3, "basis=gell-mann")
+    rows += _select(operator, "spin-one-operator-mean", "spin-one-operator-variance")
 
-    gm = build_basis(GELL_MANN)
-    state3 = random_pure_state(3, rng)
-    coeffs = rng.normal(size=8)
-    op_stats = spin_one.hv_statistics(spin_one.beable_from_operator(coeffs, gm, state3, case_id="III"))
-    op_oracle = _operator_moments(linear_observable(coeffs, gm), state3)
-    rows.append(ReportRow("spin-one-operator-mean", "basis=gell-mann", op_stats.mean, oracle=op_oracle.mean))
-    rows.append(ReportRow("spin-one-operator-variance", "basis=gell-mann", op_stats.variance, oracle=op_oracle.variance))
-
-    rows += _select(_ks_rows(ks.ks_model_from_state(state3), "probs=from-state"), "ks-average")
+    rows += _select(_ks_rows(ks.ks_model_from_state(state3).probabilities, "probs=from-state"), "ks-average")
     for probs in ((0.2, 0.5, 0.3), (0.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3)):
         params = f"probs={probs[0]:.6g},{probs[1]:.6g},{probs[2]:.6g}"
-        rows += _select(_ks_rows(ks.KsModel(probs), params), "ks-second-moment")
-    deformed = ks.DeformedKsModel(0.05, (0.25, 0.5, 0.25))
-    rows += _select(_ks_epsilon_rows(deformed, "eps=0.05"), "ks-epsilon-mean", "ks-epsilon-variance")
-    return rows, None
+        rows += _select(_ks_rows(probs, params), "ks-second-moment")
+    rows += _select(_ks_epsilon_rows(0.05, (0.25, 0.5, 0.25), "eps=0.05"), "ks-epsilon-mean", "ks-epsilon-variance")
+    return rows
 
 
 _DISPATCH = {
@@ -601,14 +610,15 @@ def main(argv=None) -> int:
             raise CliError("--tolerance-sigma must be positive")
         if args.n < 0:
             raise CliError("--n must be nonnegative")
-        rows, note = _DISPATCH[args.command](args)
+        rows = _DISPATCH[args.command](args)
+    except spin_one.InfeasibleCaseError as exc:  # a finding, not a usage error; also a ValueError
+        print(f"infeasible: {exc.reason}")
+        return 0
     except (CliError, ValueError) as exc:
         # the library rejects out-of-range input with ValueError; the CLI
         # does not repeat its checks
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if note is not None:
-        print(note)
     if rows:
         emit_rows(rows, args)
     return 0 if all(row.passed(args.tolerance_sigma) for row in rows) else 1

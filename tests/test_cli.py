@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import hvlab.cli
-from hvlab.cli import ReportRow, main
+from hvlab import spin_one
+from hvlab.cli import ReportRow, build_parser, main
 
 FAST = ["--samples", "20000", "--seed", "42"]
 
@@ -114,6 +115,21 @@ class TestInfeasibleReporting:
         assert code == 0
         assert "infeasible" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spin-one", "--case", "I", "--lambdas", "0,1,-1", "--probs", "0,0.5,0.5"],
+            ["spin-one", "--case", "I", "--beta", "0,0,1", "--state", "1,1,1"],
+        ],
+        ids=["explicit", "operator"],
+    )
+    def test_only_main_prints_the_note(self, capsys, argv):
+        # the subcommand raises; main turns the rejection into the note
+        with pytest.raises(spin_one.InfeasibleCaseError):
+            hvlab.cli.run_spin_one(build_parser().parse_args([*argv, *FAST]))
+        code, out, err = run_cli(capsys, [*argv, *FAST])
+        assert (code, out, err) == (0, "infeasible: square root becomes imaginary\n", "")
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_2(self, capsys):
@@ -134,6 +150,12 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, ["ks-dispersion", *FAST])
         assert code == 2
         assert "error" in err
+
+    def test_operator_mode_without_beta_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, ["spin-one", *FAST, "--state", "1,0,0"])
+        assert code == 2
+        assert err == "error: operator mode needs --beta and --state\n"
+        assert out == ""
 
     @pytest.mark.parametrize(
         "argv",
@@ -362,6 +384,29 @@ class TestVerifyAllComposition:
         assert code == 0
         assert calls == {"mc_mean": 7, "mc_mean_pair": 1}
 
+    @pytest.mark.parametrize(
+        "builder, argv",
+        [
+            ("_spin_one_rows", ["spin-one", "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25"]),
+            ("_operator_rows", ["spin-one", "--beta", "0,0,1", "--state", "0.6,0,0.8"]),
+            ("_homogeneity_rows", ["homogeneity", "--alpha", "1.5", "--beta", "0,0,1"]),
+        ],
+    )
+    def test_subcommand_and_verify_all_share_one_builder(self, capsys, monkeypatch, builder, argv):
+        calls = []
+        real = getattr(hvlab.cli, builder)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hvlab.cli, builder, counted)
+        for command in (argv, ["verify-all"]):
+            calls.clear()
+            code, _, _ = run_cli(capsys, [*command, *FAST])
+            assert code == 0
+            assert len(calls) == 1
+
     def test_spin_one_rows_match_the_subcommand(self, capsys):
         _, battery = run_json(capsys, ["verify-all", *FAST])
         _, single = run_json(
@@ -404,6 +449,27 @@ class TestSmallVariances:
         (row,) = [row for row in rows if row["experiment"] == name]
         assert row["analytic"] == pytest.approx(1e-8, rel=1e-12)
         assert row["oracle"] == pytest.approx(1e-8, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-check"],
+        ["sgn-averages"],
+        ["spin-half", "--beta", "0,0,1", "--original"],
+        ["homogeneity", "--beta", "0,0,1"],
+        ["spin-one", "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25"],
+        ["ks-dispersion", "--scan", "--grid-step", "0.5"],
+        ["ks-epsilon", "--eps", "0.05", "--probs", "0.25,0.5,0.25", "--sweep"],
+        ["verify-all"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_subcommand_returns_report_rows(argv):
+    args = build_parser().parse_args([*argv, *FAST])
+    rows = getattr(hvlab.cli, "run_" + argv[0].replace("-", "_"))(args)
+    assert isinstance(rows, list) and rows
+    assert all(isinstance(row, ReportRow) for row in rows)
 
 
 def readme_commands() -> list[list[str]]:
