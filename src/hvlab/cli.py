@@ -470,8 +470,6 @@ def run_spin_half(args: argparse.Namespace) -> list[ReportRow]:
 
 def run_homogeneity(args: argparse.Namespace) -> list[ReportRow]:
     direction, state, pauli = _spin_half_inputs(args)
-    if not np.isfinite(args.alpha):
-        raise CliError("--alpha must be finite")
     params = f"alpha={args.alpha};beta={args.beta}"
     return _homogeneity_rows(args.alpha, direction, state, pauli, params, args.samples, args.seed)
 
@@ -504,8 +502,6 @@ def run_ks_dispersion(args: argparse.Namespace) -> list[ReportRow]:
 
 
 def run_ks_epsilon(args: argparse.Namespace) -> list[ReportRow]:
-    if not np.isfinite(args.eps):
-        raise CliError("--eps must be finite")
     probs = _parse_probs(args.probs)
     rows = _ks_epsilon_rows(args.eps, probs, f"eps={args.eps};probs={args.probs}", args.samples, _row_seed(args, 7))
     return rows + (_ks_epsilon_sweep_rows(probs, args.probs) if args.sweep else [])

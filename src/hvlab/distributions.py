@@ -161,6 +161,11 @@ def sign_mean_analytic(spec: SignFunctionSpec) -> float:
     return mag * sign_pm(spec.bias) if spec.include_sign_prefactor else mag
 
 
+def _sign_product_mean(b1, b2):
+    """sign(b1) sign(b2) (1 - ||b1| - |b2||), elementwise over arrays."""
+    return (1.0 - np.abs(np.abs(b1) - np.abs(b2))) * sign_pm(b1) * sign_pm(b2)
+
+
 def sign_product_mean_analytic(first: SignFunctionSpec, second: SignFunctionSpec) -> float:
     """Exact mean of the product of two prefactored sign functions of one
     shared variable:  sign(b1) * sign(b2) * (1 - ||b1| - |b2||).
@@ -169,8 +174,7 @@ def sign_product_mean_analytic(first: SignFunctionSpec, second: SignFunctionSpec
         raise ValueError("product average is defined for the prefactored forms")
     if first.n != second.n or first.norm != second.norm:
         raise ValueError("both sign functions must share one distribution")
-    overlap = 1.0 - abs(abs(first.bias) - abs(second.bias))
-    return sign_pm(first.bias) * sign_pm(second.bias) * overlap
+    return float(_sign_product_mean(first.bias, second.bias))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Moments, PowerLawDistribution, SignFunctionSpec, _probability_triple, sign_pm
+from .distributions import Moments, PowerLawDistribution, SignFunctionSpec, _probability_triple, _sign_product_mean
 from .oracle import QuantumState, simultaneous_eigenbasis
 from .spin_one import CaseAssignment, OutcomeFormula, SpectralTriple, build_formula, solve_coefficients
 
@@ -76,27 +76,17 @@ def ks_average(model: KsModel) -> float:
     return (1.0 - p1) + (1.0 - p2) + (1.0 - p3)
 
 
-def _sign_product(bi, bj):
-    # mean of the product of two prefactored sign functions of one shared
-    # hidden variable: sign(bi) sign(bj) (1 - ||bi| - |bj||), elementwise
-    return (1.0 - np.abs(np.abs(bi) - np.abs(bj))) * sign_pm(bi) * sign_pm(bj)
-
-
 def _pair_sum(b):
     # sum of the three pairwise sign-product means, over the last axis of b
     first, second, third = b[..., 0], b[..., 1], b[..., 2]
-    return _sign_product(first, second) + _sign_product(first, third) + _sign_product(second, third)
-
-
-def _cross_term(bi, bj):
-    # E[(1-s_i)(1-s_j)]/4 with a shared hidden variable
-    return 0.25 * (1.0 - bi - bj + _sign_product(bi, bj))
+    return _sign_product_mean(first, second) + _sign_product_mean(first, third) + _sign_product_mean(second, third)
 
 
 def ks_cross_term(p_i: float, p_j: float) -> float:
-    """Closed-form shared-variable mean of the product of two squared
-    outcomes with zero-outcome probabilities p_i, p_j."""
-    return float(_cross_term(2.0 * float(p_i) - 1.0, 2.0 * float(p_j) - 1.0))
+    """Closed-form shared-variable mean E[(1 - s_i)(1 - s_j)] / 4 of the
+    product of two squared outcomes with zero-outcome probabilities p_i, p_j."""
+    bi, bj = 2.0 * float(p_i) - 1.0, 2.0 * float(p_j) - 1.0
+    return float(0.25 * (1.0 - bi - bj + _sign_product_mean(bi, bj)))
 
 
 def ks_second_moment(model: KsModel) -> float:
@@ -158,6 +148,8 @@ class DeformedKsModel:
     probabilities: tuple[float, float, float]
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.eps):
+            raise ValueError(f"eps must be finite, got {self.eps}")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
         object.__setattr__(self, "probabilities", _probability_triple(self.probabilities))

@@ -54,18 +54,18 @@ DEGENERACY_TOL = 1e-8
 _ROUNDOFF_TOL = 1e-13
 
 
-def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(matrix: np.ndarray) -> np.ndarray:
     """Return the matrix as a complex array, raising if it is not Hermitian.
 
-    The bound is ``tol * max(1, ||H||_F)``: floating-point products round
-    in proportion to the entries, and the floor keeps it absolute for
-    density matrices.
+    The bound is ``HERMITIAN_TOL * max(1, ||H||_F)``: floating-point
+    products round in proportion to the entries, and the floor keeps it
+    absolute for density matrices.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("operator must be a square matrix")
     gap = float(np.max(np.abs(m - m.conj().T)))
-    if gap > tol and gap > tol * float(np.linalg.norm(m)):
+    if gap > HERMITIAN_TOL and gap > HERMITIAN_TOL * float(np.linalg.norm(m)):
         raise ValueError("operator is not Hermitian")
     return m
 
@@ -126,21 +126,18 @@ def _structure_constants(ops: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndar
     """
     size = len(ops)
     gram = np.einsum("aij,bji->ab", ops, ops).real
-    eye = np.eye(dim)
-    f = np.zeros((size, size, size))
-    d = np.zeros((size, size, size))
-    for i in range(size):
-        for j in range(size):
-            prod = ops[i] @ ops[j]
-            prod_t = ops[j] @ ops[i]
-            comm = prod - prod_t
-            rhs_f = (np.einsum("ij,kji->k", comm, ops) / 2j).real
-            f[i, j] = np.linalg.solve(gram, rhs_f)
-            anti = prod + prod_t
-            anti = anti - (np.trace(anti) / dim) * eye
-            rhs_d = np.einsum("ij,kji->k", anti, ops).real / 2.0
-            d[i, j] = np.linalg.solve(gram, rhs_d)
-    return f, d
+    prod = ops[:, None] @ ops[None, :]  # prod[i, j] = T_i T_j
+    comm = prod - prod.transpose(1, 0, 2, 3)
+    anti = prod + prod.transpose(1, 0, 2, 3)
+    anti -= (np.trace(anti, axis1=2, axis2=3) / dim)[..., None, None] * np.eye(dim)
+
+    def expand(rhs: np.ndarray) -> np.ndarray:
+        # one solve for every (i, j): rhs[k, i, j] -> coefficient[i, j, k]
+        return np.linalg.solve(gram, rhs.reshape(size, -1)).T.reshape(size, size, size)
+
+    rhs_f = (np.einsum("abij,kji->kab", comm, ops) / 2j).real
+    rhs_d = np.einsum("abij,kji->kab", anti, ops).real / 2.0
+    return expand(rhs_f), expand(rhs_d)
 
 
 @dataclass(frozen=True)
@@ -194,7 +191,8 @@ def linear_observable(coeffs, basis: OperatorBasis) -> np.ndarray:
         full = np.zeros(basis.size)
         full[:3] = c
     else:
-        raise ValueError(f"expected {basis.size} coefficients, got shape {c.shape}")
+        counts = f"{basis.size} or 3" if basis.kind == ANGULAR_MOMENTUM else f"{basis.size}"
+        raise ValueError(f"expected {counts} coefficients, got shape {c.shape}")
     return np.einsum("k,kij->ij", full, basis.operators)
 
 
@@ -326,18 +324,16 @@ class BornDistribution:
         return float(np.dot(np.square(self.outcomes), self.probabilities))
 
 
-def born_distribution(
-    matrix, state: QuantumState, merge_tol: float = DEGENERACY_TOL
-) -> BornDistribution:
+def born_distribution(matrix, state: QuantumState) -> BornDistribution:
     """Born rule: outcome probabilities are traces of the state against
-    the eigenprojectors, with eigenvalues within ``merge_tol`` times the
-    spectrum width (at least roundoff of the Frobenius norm) merged into
-    a single outcome.  The gap ignores a constant offset of the
+    the eigenprojectors, with eigenvalues within ``DEGENERACY_TOL`` times
+    the spectrum width (at least roundoff of the Frobenius norm) merged
+    into a single outcome.  The gap ignores a constant offset of the
     observable, so distinct eigenvalues of H + c*I stay distinct."""
     h = require_hermitian(matrix)
     _check_dims(h, state)
     values, vecs = spectral_decompose(h)
-    merge_gap = max(merge_tol * float(values[0] - values[-1]), _ROUNDOFF_TOL * float(np.linalg.norm(h)))
+    merge_gap = max(DEGENERACY_TOL * float(values[0] - values[-1]), _ROUNDOFF_TOL * float(np.linalg.norm(h)))
     slot_probs = np.einsum("ik,ij,jk->k", vecs.conj(), state.rho, vecs).real
     slot_probs = np.where(np.abs(slot_probs) < 1e-14, 0.0, slot_probs)
 

@@ -130,6 +130,8 @@ def homogeneity_split(offset, direction, bloch) -> HomogeneitySplit:
     ensemble reproduces offset + b.e.  The boundary point joins the
     upper part.
     """
+    if not np.isfinite(offset):
+        raise ValueError(f"offset must be finite, got {offset}")
     mag, overlap, spec = _modified_rule(direction, bloch)
     split = -spec.threshold
     side = sign_pm(spec.bias)

@@ -229,7 +229,6 @@ def build_formula(
     case_id: str,
     triple: SpectralTriple,
     n: int = 0,
-    norm: float = 1.0,
     swap: bool = False,
 ) -> OutcomeFormula:
     """Assemble the full outcome rule for a case and spectral triple.
@@ -245,8 +244,8 @@ def build_formula(
         values=triple.values,
         coefficients=coeffs,
         assignment=assignment,
-        sign1=SignFunctionSpec(t1, n=n, norm=norm, include_sign_prefactor=True),
-        sign2=SignFunctionSpec(t2, n=n, norm=norm, include_sign_prefactor=True),
+        sign1=SignFunctionSpec(t1, n=n, include_sign_prefactor=True),
+        sign2=SignFunctionSpec(t2, n=n, include_sign_prefactor=True),
         probabilities=triple.probabilities,
     )
 
@@ -274,7 +273,6 @@ def beable_from_operator(
     case_id: str = "III",
     repeated_index: int = 1,
     n: int = 0,
-    norm: float = 1.0,
     swap: bool = False,
 ) -> OutcomeFormula:
     """Pipeline from an observable to its deterministic outcome rule.
@@ -299,4 +297,4 @@ def beable_from_operator(
         probabilities=tuple(probs[order]),
         traceless=abs(values.sum()) < 1e-10 * max(1.0, float(np.abs(values).max())),
     )
-    return build_formula(case_id, triple, n=n, norm=norm, swap=swap)
+    return build_formula(case_id, triple, n=n, swap=swap)

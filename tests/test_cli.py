@@ -188,7 +188,7 @@ class TestUsageErrors:
             (["homogeneity", "--beta", "0,0,0"], "direction must be nonzero"),
             (["spin-one", "--basis", "pauli", "--beta", "0,0,1", "--state", "1,0"], "3-dimensional"),
             (["spin-one", "--basis", "pauli", "--beta", "0,0,1", "--state", "1,0,0"], "3x3 observable"),
-            (["spin-one", "--basis", "angular-momentum", "--beta", "0,0", "--state", "1,0,0"], "coefficients"),
+            (["spin-one", "--basis", "angular-momentum", "--beta", "0,0", "--state", "1,0,0"], "expected 8 or 3 coefficients"),
             (["spin-one", "--basis", "angular-momentum", "--beta", "0,0,1", "--state", "1,0"], "3-dimensional"),
         ],
     )

@@ -27,6 +27,12 @@ def _simpson(ys, xs):
     return step / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
 
 
+def test_a_silent_nan_fails_the_suite():
+    # pyproject.toml turns numpy's RuntimeWarning into an error under pytest
+    with pytest.raises(RuntimeWarning):
+        np.log(np.zeros(1))
+
+
 def test_sign_pm_convention():
     assert sign_pm(0.0) == 1.0
     assert sign_pm(-0.0) == 1.0
@@ -184,6 +190,28 @@ class TestAnalyticMeans:
 
 
 class TestProductMean:
+    def test_one_formula_for_scalars_and_arrays(self):
+        # the scalar mean and the ks layer's vectorised pair sums share one helper
+        import hvlab.distributions
+        import hvlab.ks
+
+        helper = hvlab.distributions._sign_product_mean
+        assert hvlab.ks._sign_product_mean is helper
+        edges = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]
+        rng = np.random.default_rng(17)
+        b1 = np.concatenate([np.repeat(edges, 6), rng.uniform(-1.0, 1.0, 40_000)])
+        b2 = np.concatenate([np.tile(edges, 6), rng.uniform(-1.0, 1.0, 40_000)])
+        vectorised = helper(b1, b2)
+        scalar = [
+            sign_product_mean_analytic(SignFunctionSpec(x, include_sign_prefactor=True), SignFunctionSpec(y, include_sign_prefactor=True))
+            for x, y in zip(b1.tolist(), b2.tolist())
+        ]
+        assert all(type(value) is float for value in scalar[:36])
+        # bit for bit, signed zeros included
+        assert vectorised.tobytes() == np.array(scalar).tobytes()
+        reference = np.array([sign_pm(x) * sign_pm(y) * (1.0 - abs(abs(x) - abs(y))) for x, y in zip(b1.tolist(), b2.tolist())])
+        assert vectorised.tobytes() == reference.tobytes()
+
     def test_identical_functions_give_one(self):
         spec = SignFunctionSpec(0.3, include_sign_prefactor=True)
         assert sign_product_mean_analytic(spec, spec) == 1.0

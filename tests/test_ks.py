@@ -246,6 +246,12 @@ class TestDispersion:
 
 
 class TestDeformedModel:
+    @pytest.mark.parametrize("eps", [float("inf"), float("nan"), float("-inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        # inf once gave Moments(nan, nan, inf)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            DeformedKsModel(eps, (0.25, 0.5, 0.25))
+
     def test_outcome_values(self):
         model = DeformedKsModel(0.25, (0.3, 0.4, 0.3))
         assert deformed_outcomes(model) == (2.25, 2.0, 1.75)

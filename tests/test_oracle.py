@@ -129,6 +129,20 @@ class TestBases:
                 np.testing.assert_allclose(anti, rebuilt, atol=1e-12)
 
 
+def test_structure_constants_take_one_solve_each(monkeypatch):
+    # every (i, j) right-hand side goes through one batched solve for f and one for d
+    calls = []
+    real = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    build_basis(GELL_MANN)
+    assert len(calls) == 2
+
+
 class TestRequireHermitian:
     def test_large_non_hermitian_rejected(self):
         h = np.diag([1e8 + 1, 1e8, 1e8 - 1]).astype(complex)
@@ -145,6 +159,10 @@ class TestRequireHermitian:
         with pytest.raises(ValueError, match="not Hermitian"):
             require_hermitian(rho)
 
+    def test_tolerance_is_not_settable(self):
+        with pytest.raises(TypeError):
+            require_hermitian(np.eye(2), tol=1.0)
+
 
 class TestLinearObservable:
     def test_single_term_selects_operator(self, bases):
@@ -160,6 +178,14 @@ class TestLinearObservable:
             linear_observable([1.0, 2.0], bases[GELL_MANN])
         with pytest.raises(ValueError):
             linear_observable([1.0, 2.0, 3.0], bases[GELL_MANN])
+
+    def test_mismatch_names_every_accepted_count(self, bases):
+        with pytest.raises(ValueError, match=r"^expected 8 or 3 coefficients, got shape \(2,\)$"):
+            linear_observable([1.0, 2.0], bases[ANGULAR_MOMENTUM])
+        with pytest.raises(ValueError, match=r"^expected 8 coefficients, got shape \(3,\)$"):
+            linear_observable([1.0, 2.0, 3.0], bases[GELL_MANN])
+        with pytest.raises(ValueError, match=r"^expected 3 coefficients, got shape \(2,\)$"):
+            linear_observable([1.0, 2.0], bases[PAULI])
 
     def test_direction_spectrum_law(self, bases):
         rng = np.random.default_rng(123)
@@ -255,6 +281,10 @@ class TestQuantumState:
 
 
 class TestBornDistribution:
+    def test_merge_tolerance_is_not_settable(self):
+        with pytest.raises(TypeError):
+            born_distribution(SIGMA_Z, QuantumState.from_pure([1, 0, 0]), merge_tol=1.0)
+
     def test_eigenstate_is_certain(self):
         dist = born_distribution(SIGMA_Z, QuantumState.from_pure([1, 0, 0]))
         np.testing.assert_allclose(dist.outcomes, [1.0, 0.0, -1.0], atol=1e-12)

@@ -181,6 +181,12 @@ class TestHvStatistics:
 
 
 class TestHomogeneitySplit:
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_offset_rejected(self, offset):
+        # nan once gave nan subensemble means
+        with pytest.raises(ValueError, match="offset must be finite"):
+            homogeneity_split(offset, [0, 0, 1], [0, 0, 0.5])
+
     def test_worked_example(self):
         split = homogeneity_split(0.0, [0, 0, 1], [0, 0, 0.5])
         assert split.mean_plus == pytest.approx(1.0, abs=1e-15)

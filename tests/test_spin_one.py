@@ -358,6 +358,23 @@ class TestHvStatistics:
         )
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda **kw: build_formula("III", SpectralTriple((0.0, 1.0, -1.0), (0.25, 0.5, 0.25)), **kw),
+        lambda **kw: beable_from_operator([0.0, 0.0, 1.0], ANG, QuantumState.from_pure([0.6, 0.0, 0.8]), **kw),
+    ],
+    ids=["build_formula", "beable_from_operator"],
+)
+def test_rule_norm_is_not_settable(build):
+    # both sign factors run on the unit-norm density; scale independence
+    # is a property of SignFunctionSpec and PowerLawDistribution
+    formula = build()
+    assert formula.sign1.norm == formula.sign2.norm == 1.0
+    with pytest.raises(TypeError):
+        build(norm=2.0)
+
+
 class TestBeableFromOperator:
     def test_direction_pipeline_matches_named_spectrum(self):
         from hvlab.oracle import born_distribution
