@@ -371,20 +371,18 @@ def _oracle_check_rows(seed: int) -> list[ReportRow]:
     ):
         rows.append(ReportRow(name, params, float(value), oracle=float(exact)))
 
-    s2, s3 = np.sqrt(2.0), np.sqrt(3.0)
-    combos = np.stack(
+    # Sx, Sy, Sz written out in the Sz basis, independent of the Gell-Mann
+    # combinations that build the angular-momentum set
+    r = 1 / np.sqrt(2.0)
+    spin = np.array(
         [
-            (gm.operators[0] + gm.operators[5]) / s2,
-            (gm.operators[1] + gm.operators[6]) / s2,
-            (s3 * gm.operators[7] + gm.operators[2]) / 2.0,
-            (gm.operators[0] - gm.operators[5]) / s2,
-            (gm.operators[1] - gm.operators[6]) / s2,
-            (s3 * gm.operators[7] - gm.operators[2]) / 2.0,
-            gm.operators[3],
-            gm.operators[4],
-        ]
+            [[0, r, 0], [r, 0, r], [0, r, 0]],
+            [[0, -1j * r, 0], [1j * r, 0, -1j * r], [0, 1j * r, 0]],
+            [[1, 0, 0], [0, 0, 0], [0, 0, -1]],
+        ],
+        dtype=complex,
     )
-    combo_dev = float(np.max(np.abs(combos - ang.operators)))
+    combo_dev = float(np.max(np.abs(ang.operators[:3] - spin)))
     rows.append(ReportRow("basis-combination", "angular-from-gell-mann", combo_dev, oracle=0.0))
     for kind, exact in ((ANGULAR_MOMENTUM, 0.0), (GELL_MANN, float(np.sqrt(6.0)))):
         rows.append(ReportRow("squares-identity", f"kind={kind}", verify_ks_identity(bases[kind]).residual, oracle=exact))

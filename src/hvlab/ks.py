@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Moments, PowerLawDistribution, SignFunctionSpec, _probability_triple, _sign_product_mean
-from .oracle import QuantumState, simultaneous_eigenbasis
+from .distributions import Moments, PowerLawDistribution, SignFunctionSpec, _sign_product_mean
+from .oracle import QuantumState, _born_weights, _probability_vector, simultaneous_eigenbasis
 from .spin_one import CaseAssignment, OutcomeFormula, SpectralTriple, build_formula, solve_coefficients
 
 __all__ = [
@@ -51,7 +51,7 @@ class KsModel:
     probabilities: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probabilities", _probability_triple(self.probabilities))
+        object.__setattr__(self, "probabilities", _probability_vector(self.probabilities, 3))
 
 
 def ks_sign_specs(model: KsModel) -> tuple[SignFunctionSpec, ...]:
@@ -111,12 +111,9 @@ def ks_model_from_state(state: QuantumState) -> KsModel:
     of the three squared spin components."""
     if state.dim != 3:
         raise ValueError("the constraint model needs a spin-1 (3-dimensional) state")
-    slots = {"p1": 0.0, "p2": 0.0, "p3": 0.0}
-    for row in simultaneous_eigenbasis():
-        weight = float(np.real(row.vector.conj() @ state.rho @ row.vector))
-        slots[row.probability_slot] = max(weight, 0.0)
-    total = slots["p1"] + slots["p2"] + slots["p3"]
-    return KsModel((slots["p1"] / total, slots["p2"] / total, slots["p3"] / total))
+    rows = sorted(simultaneous_eigenbasis(), key=lambda row: row.probability_slot)
+    weights = _born_weights(np.column_stack([row.vector for row in rows]), state)
+    return KsModel(tuple(weights / weights.sum()))
 
 
 def dispersion_scan(step: float = 0.01) -> np.ndarray:
@@ -152,7 +149,7 @@ class DeformedKsModel:
             raise ValueError(f"eps must be finite, got {self.eps}")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
-        object.__setattr__(self, "probabilities", _probability_triple(self.probabilities))
+        object.__setattr__(self, "probabilities", _probability_vector(self.probabilities, 3))
 
 
 def deformed_outcomes(model: DeformedKsModel) -> tuple[float, float, float]:

@@ -300,6 +300,30 @@ def _check_dims(matrix: np.ndarray, state: QuantumState) -> None:
         raise ValueError(f"operator dimension {matrix.shape[0]} != state dimension {state.dim}")
 
 
+def _born_weights(vectors: np.ndarray, state: QuantumState) -> np.ndarray:
+    """Born weight <v_k|rho|v_k> of each column v_k of ``vectors``.
+
+    Negative roundoff is clipped to 0; nothing else is changed, so the
+    weights are not renormalised.
+    """
+    _check_dims(vectors, state)
+    weights = np.einsum("ik,ij,jk->k", vectors.conj(), state.rho, vectors).real
+    return np.clip(weights, 0.0, None)
+
+
+def _probability_vector(probabilities, length: int | None = None) -> tuple[float, ...]:
+    """Outcome probabilities as floats, checked to lie in [0, 1] and to
+    sum to 1, each within 1e-10; ``length``, if given, is their count."""
+    probs = tuple(float(p) for p in probabilities)
+    if length is not None and len(probs) != length:
+        raise ValueError(f"expected {length} probabilities")
+    if any(p < -1e-10 or p > 1.0 + 1e-10 for p in probs):
+        raise ValueError("probabilities must lie in [0, 1]")
+    if abs(sum(probs) - 1.0) > 1e-10:
+        raise ValueError("probabilities must sum to 1")
+    return probs
+
+
 @dataclass(frozen=True)
 class BornDistribution:
     """Measurement outcomes (degenerate eigenvalues merged) and their
@@ -309,11 +333,7 @@ class BornDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probabilities, dtype=float)
-        if np.any(probs < -1e-10) or np.any(probs > 1.0 + 1e-10):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(probs.sum() - 1.0) > 1e-10:
-            raise ValueError("probabilities must sum to 1")
+        _probability_vector(self.probabilities)
 
     @property
     def mean(self) -> float:
@@ -331,11 +351,9 @@ def born_distribution(matrix, state: QuantumState) -> BornDistribution:
     into a single outcome.  The gap ignores a constant offset of the
     observable, so distinct eigenvalues of H + c*I stay distinct."""
     h = require_hermitian(matrix)
-    _check_dims(h, state)
     values, vecs = spectral_decompose(h)
     merge_gap = max(DEGENERACY_TOL * float(values[0] - values[-1]), _ROUNDOFF_TOL * float(np.linalg.norm(h)))
-    slot_probs = np.einsum("ik,ij,jk->k", vecs.conj(), state.rho, vecs).real
-    slot_probs = np.where(np.abs(slot_probs) < 1e-14, 0.0, slot_probs)
+    slot_probs = _born_weights(vecs, state)
 
     outcomes: list[float] = []
     probs: list[float] = []
@@ -347,7 +365,7 @@ def born_distribution(matrix, state: QuantumState) -> BornDistribution:
             probs.append(float(np.sum(slot_probs[group])))
             start = k
     out = np.asarray(outcomes)
-    pr = np.clip(np.asarray(probs), 0.0, None)
+    pr = np.asarray(probs)
     out.setflags(write=False)
     pr.setflags(write=False)
     return BornDistribution(outcomes=out, probabilities=pr)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Moments, PowerLawDistribution, SignFunctionSpec, _probability_triple, sign_mean_analytic
-from .oracle import OperatorBasis, QuantumState, linear_observable, spectral_decompose
+from .distributions import Moments, PowerLawDistribution, SignFunctionSpec, sign_mean_analytic
+from .oracle import OperatorBasis, QuantumState, _born_weights, _probability_vector, linear_observable, spectral_decompose
 
 __all__ = [
     "CASE_IDS",
@@ -93,19 +93,13 @@ class SpectralTriple:
 
     values: tuple[float, float, float]
     probabilities: tuple[float, float, float]
-    traceless: bool = False
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
         if len(vals) != 3:
             raise ValueError("a spectral triple needs three values")
-        probs = _probability_triple(self.probabilities)
-        if self.traceless:
-            span = max(1.0, max(abs(v) for v in vals))
-            if abs(sum(vals)) > 1e-10 * span:
-                raise ValueError("values marked traceless must sum to 0")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "probabilities", _probability_vector(self.probabilities, 3))
 
 
 def solve_coefficients(assignment: CaseAssignment, values) -> tuple[float, float, float, float]:
@@ -288,13 +282,8 @@ def beable_from_operator(
     if repeated_index not in (0, 1, 2):
         raise ValueError("repeated_index must be 0, 1 or 2")
     values, vecs = spectral_decompose(matrix)
-    probs = np.einsum("ik,ij,jk->k", vecs.conj(), state.rho, vecs).real
-    probs = np.clip(probs, 0.0, None)
+    probs = _born_weights(vecs, state)
     probs = probs / probs.sum()
     order = [repeated_index] + [k for k in range(3) if k != repeated_index]
-    triple = SpectralTriple(
-        values=tuple(values[order]),
-        probabilities=tuple(probs[order]),
-        traceless=abs(values.sum()) < 1e-10 * max(1.0, float(np.abs(values).max())),
-    )
+    triple = SpectralTriple(values=tuple(values[order]), probabilities=tuple(probs[order]))
     return build_formula(case_id, triple, n=n, swap=swap)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hvlab.cli
+import hvlab.oracle
 from hvlab import spin_one
 from hvlab.cli import ReportRow, build_parser, main
 
@@ -230,6 +231,44 @@ class TestFailureExitCode:
         )
         assert code == 1
         assert "FAIL" in out
+
+
+class TestOracleCheckRows:
+    def test_basis_combination_catches_a_wrong_gell_mann_matrix(self, capsys, monkeypatch):
+        # the row compares against Sx, Sy, Sz written out, so a sign error
+        # in lambda_6 reaches it through the angular-momentum set
+        gell_mann = hvlab.oracle._gell_mann_matrices
+
+        def negated_lambda_6():
+            ops = gell_mann()
+            ops[5] *= -1.0
+            return ops
+
+        monkeypatch.setattr(hvlab.oracle, "_gell_mann_matrices", negated_lambda_6)
+        code, rows = run_json(capsys, ["oracle-check", *FAST])
+        assert code == 1
+        (row,) = [row for row in rows if row["experiment"] == "basis-combination"]
+        assert row["analytic"] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        assert row["pass"] is False
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="an outcome of probability far below 1/samples is never drawn, so the "
+    "sample stderr is about 0 and the exact mean fails the band",
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spin-half", "--beta", "1e-4,0,1", "--state", "1,0"],
+        ["spin-one", "--beta", "1e-4,0,1", "--state", "0,1,0"],
+        ["ks-epsilon", "--eps", "0.05", "--probs", "0.99999999,0.000000005,0.000000005"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_correct_model_passes_with_a_rare_outcome(capsys, argv):
+    code, out, _ = run_cli(capsys, [*argv, *FAST])
+    assert code == 0, out
 
 
 class TestDeterminismAndFormats:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvlab.distributions import Moments
+from hvlab.ks import ks_model_from_state
 from hvlab.oracle import (
     ANGULAR_MOMENTUM,
     BASIS_KINDS,
@@ -25,6 +26,7 @@ from hvlab.oracle import (
     variance,
     verify_ks_identity,
 )
+from hvlab.spin_one import beable_from_operator
 
 S2 = np.sqrt(2.0)
 
@@ -343,6 +345,18 @@ class TestBornDistribution:
             dist = born_distribution(h, state)
             assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-10)
             assert dist.mean == pytest.approx(expectation(h, state), abs=1e-10)
+
+    def test_tiny_weight_is_kept_by_every_born_route(self, bases):
+        # the middle slot weighs about 1e-16: real, not roundoff to zero
+        amp = np.array([1.0, 1e-8, 0.0])
+        state = QuantumState.from_pure(amp / np.linalg.norm(amp))
+        weight = 1e-16 / (1.0 + 1e-16)
+        dist = born_distribution(SIGMA_Z, state)
+        assert dist.probabilities[1] == pytest.approx(weight, rel=1e-9, abs=0.0)
+        formula = beable_from_operator([0.0, 0.0, 1.0], bases[ANGULAR_MOMENTUM], state)
+        assert formula.probabilities[0] == pytest.approx(weight, rel=1e-9, abs=0.0)
+        # the (0, 1, 0) vector of the common eigenbasis is slot p3
+        assert ks_model_from_state(state).probabilities[2] == pytest.approx(weight, rel=1e-9, abs=0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -191,23 +191,18 @@ class TestSpectralTriple:
         with pytest.raises(ValueError):
             SpectralTriple((0.0, 1.0, -1.0), (0.5, 0.4, 0.0))
 
-    def test_traceless_validation(self):
-        with pytest.raises(ValueError):
-            SpectralTriple((1.0, 1.0, -1.0), (0.2, 0.3, 0.5), traceless=True)
-        SpectralTriple((0.0, 2.0, -2.0), (0.2, 0.3, 0.5), traceless=True)
-
 
 class TestBuildFormulaAndEvaluate:
     def test_direction_observable_structure(self):
         # spectrum (0, |b|, -|b|) in case III collapses to coefficients
         # (0, |b|/2, 0, -|b|/2)
         mag = 1.8
-        triple = SpectralTriple((0.0, mag, -mag), (0.3, 0.45, 0.25), traceless=True)
+        triple = SpectralTriple((0.0, mag, -mag), (0.3, 0.45, 0.25))
         formula = build_formula("III", triple)
         np.testing.assert_allclose(formula.coefficients, (0.0, mag / 2, 0.0, -mag / 2), atol=1e-12)
 
     def test_targets_recovered_as_sign_means(self):
-        triple = SpectralTriple((0.0, 1.0, -1.0), (0.25, 0.5, 0.25), traceless=True)
+        triple = SpectralTriple((0.0, 1.0, -1.0), (0.25, 0.5, 0.25))
         formula = build_formula("III", triple)
         assert formula.sign1.bias == pytest.approx(1 / 3, abs=1e-15)
         assert formula.sign2.bias == pytest.approx(-0.5, abs=1e-15)
@@ -229,7 +224,7 @@ class TestBuildFormulaAndEvaluate:
         np.testing.assert_array_equal(formula.evaluate(xs, xs[::-1]), 2.0)
 
     def test_hand_traced_outcome(self):
-        triple = SpectralTriple((0.0, 1.0, -1.0), (0.25, 0.5, 0.25), traceless=True)
+        triple = SpectralTriple((0.0, 1.0, -1.0), (0.25, 0.5, 0.25))
         formula = build_formula("III", triple)
         # h1=0.4: sign(0.4 + 1/6) * sign(1/3) = +1
         # h2=0.4: sign(0.4 + 0.25) * sign(-1/2) = -1 -> outcome 1
@@ -272,14 +267,14 @@ class TestBuildFormulaAndEvaluate:
             build_formula("I", triple)
 
     def test_mc_mean_matches_probability_sum(self):
-        triple = SpectralTriple((0.0, 1.0, -1.0), (0.25, 0.5, 0.25), traceless=True)
+        triple = SpectralTriple((0.0, 1.0, -1.0), (0.25, 0.5, 0.25))
         formula = build_formula("III", triple)
         d1, d2 = formula.hidden_distributions
         est = mc_mean_pair(formula.evaluate, d1, d2, 1_000_000, 15)
         assert abs(est.mean - 0.25) < 4 * est.stderr
 
     def test_nonflat_distribution_keeps_the_mean(self):
-        triple = SpectralTriple((0.0, 1.0, -1.0), (0.25, 0.5, 0.25), traceless=True)
+        triple = SpectralTriple((0.0, 1.0, -1.0), (0.25, 0.5, 0.25))
         formula = build_formula("III", triple, n=2)
         d1, d2 = formula.hidden_distributions
         assert d1.n == 2
