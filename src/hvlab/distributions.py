@@ -13,6 +13,7 @@ The sign convention is sign(0) = +1, applied uniformly by `sign_pm`.
 from __future__ import annotations
 
 import functools
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -37,6 +38,11 @@ __all__ = [
 # generated from its own deterministically derived RNG, so estimates do
 # not depend on how blocks are distributed over workers.
 MC_BLOCK_SIZE = 1 << 17
+
+# Samples per call of the estimated function within a block: small
+# enough that a chunk's draws and temporaries stay in cache and in
+# memory the allocator reuses, large enough to amortise each call.
+MC_CHUNK = 1 << 14
 
 _BIAS_SLACK = 1e-9
 
@@ -287,15 +293,27 @@ def _mc_moments(
     derived deterministically from (seed, lane, block index), and the
     block summaries are merged in block order.  The estimate is
     therefore bit-identical for any worker count.
+
+    ``f`` is called on consecutive chunks of at most ``MC_CHUNK``
+    samples of a block, so each outcome must depend only on its own
+    sample(s); it may return a scalar, which is broadcast.  A chunk's
+    draws continue the block's generators, so the block holds the same
+    numbers as one whole-block draw.  The outcome array and the summary
+    buffer are allocated once per worker and reused for every block.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    buffers = threading.local()
 
     def one_block(task):
         index, count = task
-        xs = [dist.sample(count, _block_rng(seed, index, lane)) for dist, lane in zip(dists, lanes)]
-        ys = np.broadcast_to(np.asarray(f(*xs), dtype=float), (count,))
-        work = np.empty(count)
+        if not hasattr(buffers, "ys"):
+            buffers.ys, buffers.work = np.empty((2, min(MC_BLOCK_SIZE, samples)))
+        ys, work = buffers.ys[:count], buffers.work[:count]
+        rngs = [_block_rng(seed, index, lane) for lane in lanes]
+        for start in range(0, count, MC_CHUNK):
+            stop = min(start + MC_CHUNK, count)
+            ys[start:stop] = f(*[dist.sample(stop - start, rng) for dist, rng in zip(dists, rngs)])
         first = _summary(ys, work)
         return first, _summary(np.square(ys, out=work), work)
 
@@ -317,7 +335,12 @@ def mc_mean(
     seed: int,
     workers: int = 1,
 ) -> McEstimate:
-    """Monte Carlo estimate of E[f(x)] and E[f(x)**2] under ``dist``."""
+    """Monte Carlo estimate of E[f(x)] and E[f(x)**2] under ``dist``.
+
+    ``f`` is called on chunks of each block of draws, so each value of
+    f(x) must depend only on its own x; the estimate depends on neither
+    the chunking nor ``workers``.
+    """
     return _mc_moments(f, (dist,), (0,), samples, seed, workers)
 
 
@@ -330,5 +353,10 @@ def mc_mean_pair(
     workers: int = 1,
 ) -> McEstimate:
     """Monte Carlo estimate of E[f(x1, x2)] and E[f(x1, x2)**2] for two
-    independent draws."""
+    independent draws.
+
+    ``f`` is called on chunks of each block of draws, so each value of
+    f(x1, x2) must depend only on its own pair; the estimate depends on
+    neither the chunking nor ``workers``.
+    """
     return _mc_moments(f, (dist1, dist2), (1, 2), samples, seed, workers)

@@ -1,12 +1,16 @@
 """Tests for the power-law densities, sign functions and MC estimator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hvlab import ks, spin_one
 from hvlab.distributions import (
     MC_BLOCK_SIZE,
+    MC_CHUNK,
     PowerLawDistribution,
     SignFunctionSpec,
     mc_mean,
@@ -357,13 +361,13 @@ def _reference_sign(spec, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _reference_mc_pair(f, dist1, dist2, samples, seed):
+def _reference_mc(f, dists, lanes, samples, seed):
     """(mean, stderr, second moment, its stderr) from per-block centred
-    summaries merged in block order."""
+    summaries merged in block order, f taking whole blocks."""
     parts = []
     for index, start in enumerate(range(0, samples, MC_BLOCK_SIZE)):
         count = min(MC_BLOCK_SIZE, samples - start)
-        xs = [_reference_sample(d, count, np.random.default_rng([seed, lane, index])) for d, lane in ((dist1, 1), (dist2, 2))]
+        xs = [_reference_sample(d, count, np.random.default_rng([seed, lane, index])) for d, lane in zip(dists, lanes)]
         ys = np.broadcast_to(np.asarray(f(*xs), dtype=float), (count,))
         parts.append([(count, v.mean(), np.square(v - v.mean()).sum()) for v in (ys, np.square(ys))])
     merged = []
@@ -408,7 +412,9 @@ class TestBlockArithmeticIsUnchanged:
             assert type(value) is float
             assert _bits(value) == _bits(_reference_sign(spec, float(x)))
 
-    @pytest.mark.parametrize("samples", [1, MC_BLOCK_SIZE, MC_BLOCK_SIZE + 1, 1_000_000])
+    @pytest.mark.parametrize(
+        "samples", [1, MC_CHUNK - 1, MC_CHUNK + 1, MC_BLOCK_SIZE - 1, MC_BLOCK_SIZE, MC_BLOCK_SIZE + 1, 1_000_000]
+    )
     @pytest.mark.parametrize("workers", [1, 2])
     def test_mc_pair_matches_reference(self, samples, workers):
         a = SignFunctionSpec(0.4, include_sign_prefactor=True)
@@ -419,5 +425,51 @@ class TestBlockArithmeticIsUnchanged:
             return lambda x, y: 1e3 + sign(a, x) - 2.0 * sign(b, y) * sign(a, x) + y
 
         est = mc_mean_pair(outcome(SignFunctionSpec.evaluate), dist1, dist2, samples, 31, workers=workers)
-        expected = _reference_mc_pair(outcome(_reference_sign), dist1, dist2, samples, 31)
+        expected = _reference_mc(outcome(_reference_sign), (dist1, dist2), (1, 2), samples, 31)
         assert (est.mean, est.stderr, est.second_moment, est.second_stderr) == expected
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_mc_mean_matches_reference(self, workers):
+        spec = SignFunctionSpec(-0.45, n=3, norm=0.8, include_sign_prefactor=True)
+        dist = spec.distribution
+
+        def outcome(sign):
+            return lambda x: 3.0 * sign(spec, x) - x
+
+        samples = 3 * MC_BLOCK_SIZE + MC_CHUNK + 5
+        est = mc_mean(outcome(SignFunctionSpec.evaluate), dist, samples, 77, workers=workers)
+        expected = _reference_mc(outcome(_reference_sign), (dist,), (0,), samples, 77)
+        assert (est.mean, est.stderr, est.second_moment, est.second_stderr) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scalar_outcome_is_broadcast_and_exact(self, workers):
+        samples = MC_BLOCK_SIZE + MC_CHUNK + 3
+        est = mc_mean(lambda xs: 2.5, PowerLawDistribution(1), samples, 4, workers=workers)
+        assert (est.mean, est.stderr, est.second_moment, est.second_stderr) == (2.5, 0.0, 6.25, 0.0)
+        dist = PowerLawDistribution(0)
+        pair = mc_mean_pair(lambda x, y: -0.75, dist, dist, samples, 4, workers=workers)
+        assert (pair.mean, pair.stderr, pair.second_moment, pair.second_stderr) == (-0.75, 0.0, 0.5625, 0.0)
+
+
+def _case_iii_pair():
+    formula = spin_one.build_formula("III", spin_one.SpectralTriple((0.0, 1.0, -1.0), (0.3, 0.5, 0.2)))
+    return mc_mean_pair(formula.evaluate, *formula.hidden_distributions, 1_000_000, 5)
+
+
+def _ks_sum():
+    model = ks.KsModel((0.2, 0.5, 0.3))
+    return mc_mean(lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, 1_000_000, 5)
+
+
+@pytest.mark.parametrize("estimate", [_case_iii_pair, _ks_sum])
+def test_mc_peak_memory_stays_below_three_blocks(estimate):
+    # the outcome array and the summary buffer are two blocks; each
+    # chunk's draws and temporaries must fit in the third
+    estimate()
+    tracemalloc.start()
+    try:
+        estimate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * MC_BLOCK_SIZE * 8
