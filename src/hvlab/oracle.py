@@ -13,6 +13,7 @@ models must reproduce.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,61 +197,57 @@ def linear_observable(coeffs, basis: OperatorBasis) -> np.ndarray:
     return np.einsum("k,kij->ij", full, basis.operators)
 
 
-def _jacobi_rotation(work: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
-    b = work[p, q]
-    mag = abs(b)
-    if mag == 0.0:
-        return
-    phase = b / mag
-    app = work[p, p].real
-    aqq = work[q, q].real
-    tau = (aqq - app) / (2.0 * mag)
-    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    dim = work.shape[0]
-    rot = np.eye(dim, dtype=complex)
-    rot[p, p] = c
-    rot[p, q] = s
-    rot[q, p] = -np.conj(phase) * s
-    rot[q, q] = np.conj(phase) * c
-    work[:, :] = rot.conj().T @ work @ rot
-    vecs[:, :] = vecs @ rot
-
-
 def spectral_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors of a
     Hermitian matrix via cyclic complex Jacobi rotations.
 
     Returns (values, vectors) with vectors[:, k] the unit eigenvector of
-    values[k].  Eigenvector phases are fixed so the largest-magnitude
-    component is real and nonnegative, keeping output deterministic.
+    values[k].  Each eigenvector's phase makes real and nonnegative its
+    first component within a factor 1 - 1e-12 of the largest magnitude,
+    so components equal in exact arithmetic leave the output
+    deterministic rather than to roundoff.
     The stopping and residual tests are relative to the Frobenius norm,
     so a tiny observable keeps its relative accuracy.
     """
     h = require_hermitian(matrix)
     dim = h.shape[0]
     scale = float(np.linalg.norm(h))
-    work = h.copy()
-    vecs = np.eye(dim, dtype=complex)
+    # the sweep runs on Python complex scalars: numpy's per-call overhead
+    # dominates at this size
+    a = h.tolist()
+    v = np.eye(dim, dtype=complex).tolist()
+    pairs = [(p, q) for p in range(dim - 1) for q in range(p + 1, dim)]
     for _ in range(100):
-        off = np.sqrt(sum(abs(work[p, q]) ** 2 for p in range(dim) for q in range(p + 1, dim)))
-        if off <= 1e-15 * scale:
+        if math.sqrt(sum(abs(a[p][q]) ** 2 for p, q in pairs)) <= 1e-15 * scale:
             break
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                if abs(work[p, q]) > 1e-18 * scale:
-                    _jacobi_rotation(work, vecs, p, q)
-    values = np.diag(work).real.copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vecs = vecs[:, order]
-    for k in range(dim):
-        lead = int(np.argmax(np.abs(vecs[:, k])))
-        pivot = vecs[lead, k]
-        if abs(pivot) > 0.0:
-            vecs[:, k] *= np.conj(pivot) / abs(pivot)
-    residual = np.max(np.abs(h @ vecs - vecs @ np.diag(values)))
+        for p, q in pairs:
+            mag = abs(a[p][q])
+            if not mag > 1e-18 * scale:
+                continue
+            phase = a[p][q] / mag
+            tau = (a[q][q].real - a[p][p].real) / (2.0 * mag)
+            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau)) if tau != 0.0 else 1.0
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            # A <- R^H A R and V <- V R, with R the identity but for
+            # R[p,p] = c, R[p,q] = s, R[q,p] = -conj(phase) s, R[q,q] = conj(phase) c:
+            # only columns p and q, then rows p and q, change
+            rqp, rqq = -phase.conjugate() * s, phase.conjugate() * c
+            for row in a + v:
+                x, y = row[p], row[q]
+                row[p], row[q] = x * c + y * rqp, x * s + y * rqq
+            rqp, rqq = rqp.conjugate(), rqq.conjugate()
+            pq = list(zip(a[p], a[q]))
+            a[p] = [c * x + rqp * y for x, y in pq]
+            a[q] = [s * x + rqq * y for x, y in pq]
+    order = sorted(range(dim), key=lambda k: a[k][k].real, reverse=True)
+    values = np.array([a[k][k].real for k in order])
+    vecs = np.array(v)[:, order]
+    mags = np.abs(vecs)
+    lead = np.argmax(mags >= (1.0 - 1e-12) * mags.max(axis=0), axis=0)
+    pivots = vecs[lead, range(dim)]
+    vecs *= pivots.conj() / np.abs(pivots)
+    residual = np.max(np.abs(h @ vecs - vecs * values))
     if residual > 1e-9 * scale:
         raise RuntimeError(f"eigensolver residual {residual:.3e} too large")
     return values, vecs

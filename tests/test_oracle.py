@@ -245,6 +245,37 @@ class TestSpectralDecompose:
             vals, _ = spectral_decompose(h)
             np.testing.assert_allclose(vals, np.linalg.eigvalsh(h)[::-1], atol=1e-10)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_eigenprojectors_match_library_eigensolver(self, dim):
+        rng = np.random.default_rng(41 + dim)
+        for _ in range(50):
+            raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            h = raw + raw.conj().T
+            norm = np.linalg.norm(h)
+            ref_vals, ref_vecs = np.linalg.eigh(h)
+            assert np.min(np.diff(ref_vals)) > 1e-3 * norm  # a non-degenerate draw
+            _, vecs = spectral_decompose(h)
+            for k in range(dim):
+                ref = ref_vecs[:, dim - 1 - k]
+                np.testing.assert_allclose(
+                    np.outer(vecs[:, k], vecs[:, k].conj()),
+                    np.outer(ref, ref.conj()),
+                    rtol=0.0,
+                    atol=1e-12 * max(1.0, norm),
+                )
+
+    def test_tied_components_put_the_phase_on_the_first(self, bases):
+        # the 0-eigenvector of n.S is (-sin t e^-ip / sqrt2, cos t, sin t e^ip / sqrt2),
+        # so |v1| = |v3| exactly and the phase must not follow roundoff to v3
+        rng = np.random.default_rng(5)
+        ang = bases[ANGULAR_MOMENTUM]
+        for _ in range(200):
+            n = rng.normal(size=3)
+            _, vecs = spectral_decompose(linear_observable(n, ang))
+            lead = 0 if n[2] ** 2 < (n[0] ** 2 + n[1] ** 2) / 2 else 1
+            pivot = vecs[lead, 1]
+            assert abs(pivot.imag) <= 1e-15 and pivot.real >= 0.0
+
     @pytest.mark.parametrize("scale", [1e-9, 1e-12, 1e-14])
     def test_tiny_observables_keep_relative_accuracy(self, bases, scale):
         rng = np.random.default_rng(29)
