@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import ks, spin_half, spin_one
 from .distributions import (
+    MC_CHUNK,
     McEstimate,
     Moments,
     PowerLawDistribution,
@@ -172,11 +174,19 @@ def _cells(est: McEstimate | None, second: bool = False) -> tuple[float | None, 
     return (est.second_moment, est.second_stderr) if second else (est.mean, est.stderr)
 
 
-def _sample_cells(draws: np.ndarray) -> tuple[float | None, float | None]:
-    """Mean and standard error of explicit draws, for the rows that sample directly."""
-    if not draws.size:
+def _count_cells(counts: list[tuple[float, int]]) -> tuple[float | None, float | None]:
+    """Mean and standard error of draws given as (value, count) pairs.
+    The mean is taken about the first value, so draws of one value give
+    it exactly, and the spread is summed about the mean."""
+    n = sum(count for _, count in counts)
+    if not n:
         return None, None
-    return float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(draws.size)) if draws.size > 1 else 0.0
+    first = counts[0][0]
+    mean = first + math.fsum(count * (value - first) for value, count in counts) / n
+    if n == 1:
+        return mean, 0.0
+    spread = math.fsum(count * (value - mean) ** 2 for value, count in counts)
+    return mean, math.sqrt(spread / (n - 1) / n)
 
 
 def _select(rows: list[ReportRow], *names: str) -> list[ReportRow]:
@@ -240,6 +250,31 @@ def _spin_half_original_rows(
     ]
 
 
+def _split_counts(
+    offset: float, direction: np.ndarray, bloch: np.ndarray, split_point: float, samples: int, seed: int
+) -> dict[tuple[float, bool], int]:
+    """How many of ``samples`` seeded draws of offset + b.S take each
+    (outcome value, upper side) pair.  The hidden values are drawn from one
+    generator in chunks of ``MC_CHUNK``, which continue its stream, and only
+    counts are kept; the values are read from the outcomes, two at most."""
+    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    dist = PowerLawDistribution(0)
+    counts: dict[tuple[float, bool], int] = {}
+    for start in range(0, samples, MC_CHUNK):
+        hidden = dist.sample(min(MC_CHUNK, samples - start), rng)
+        outcomes = offset + spin_half.bell_outcome_modified(direction, bloch, hidden)
+        high, low = float(outcomes.max()), float(outcomes.min())
+        is_high = outcomes == high
+        if not np.all(is_high | (outcomes == low)):
+            raise RuntimeError("the outcome rule took more than two values")
+        # cell 2 * (value is high) + (hidden value is upper)
+        cells = np.bincount(2 * is_high + (hidden >= split_point), minlength=4).tolist()
+        for key, count in zip(((low, False), (low, True), (high, False), (high, True)), cells):
+            if count:
+                counts[key] = counts.get(key, 0) + count
+    return counts
+
+
 def _homogeneity_rows(
     offset: float, direction: np.ndarray, state: QuantumState, pauli: OperatorBasis, params: str,
     samples: int = 0, seed: int | None = None,
@@ -250,10 +285,10 @@ def _homogeneity_rows(
     split = spin_half.homogeneity_split(offset, direction, bloch)
     plus = minus = whole = (None, None)
     if seed is not None:
-        hidden = PowerLawDistribution(0).sample(samples, np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF))
-        outcomes = offset + spin_half.bell_outcome_modified(direction, bloch, hidden)
-        upper = hidden >= split.split_point
-        plus, minus, whole = _sample_cells(outcomes[upper]), _sample_cells(outcomes[~upper]), _sample_cells(outcomes)
+        counts = _split_counts(offset, direction, bloch, split.split_point, samples, seed)
+        upper = [(value, count) for (value, side), count in counts.items() if side]
+        lower = [(value, count) for (value, side), count in counts.items() if not side]
+        plus, minus, whole = _count_cells(upper), _count_cells(lower), _count_cells(upper + lower)
     recombined = split.weight_plus * split.mean_plus + split.weight_minus * split.mean_minus
     whole_oracle = offset + expectation(linear_observable(direction, pauli), state)
     return [

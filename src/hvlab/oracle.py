@@ -56,7 +56,8 @@ _ROUNDOFF_TOL = 1e-13
 
 
 def require_hermitian(matrix: np.ndarray) -> np.ndarray:
-    """Return the matrix as a complex array, raising if it is not Hermitian.
+    """Return the matrix as a complex array, raising if it is not Hermitian
+    or has a non-finite entry.
 
     The bound is ``HERMITIAN_TOL * max(1, ||H||_F)``: floating-point
     products round in proportion to the entries, and the floor keeps it
@@ -65,6 +66,8 @@ def require_hermitian(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("operator must be a square matrix")
+    if not np.isfinite(m).all():
+        raise ValueError("operator has non-finite entries")
     gap = float(np.max(np.abs(m - m.conj().T)))
     if gap > HERMITIAN_TOL and gap > HERMITIAN_TOL * float(np.linalg.norm(m)):
         raise ValueError("operator is not Hermitian")
@@ -347,9 +350,9 @@ def born_distribution(matrix, state: QuantumState) -> BornDistribution:
     the spectrum width (at least roundoff of the Frobenius norm) merged
     into a single outcome.  The gap ignores a constant offset of the
     observable, so distinct eigenvalues of H + c*I stay distinct."""
-    h = require_hermitian(matrix)
-    values, vecs = spectral_decompose(h)
-    merge_gap = max(DEGENERACY_TOL * float(values[0] - values[-1]), _ROUNDOFF_TOL * float(np.linalg.norm(h)))
+    values, vecs = spectral_decompose(matrix)
+    # the Frobenius norm of a Hermitian matrix is that of its spectrum
+    merge_gap = max(DEGENERACY_TOL * float(values[0] - values[-1]), _ROUNDOFF_TOL * float(np.linalg.norm(values)))
     slot_probs = _born_weights(vecs, state)
 
     outcomes: list[float] = []

@@ -1,9 +1,11 @@
 """Tests for the command-line front end."""
 
 import csv
+import dataclasses
 import io
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,10 @@ import pytest
 
 import hvlab.cli
 import hvlab.oracle
-from hvlab import spin_one
+from hvlab import spin_half, spin_one
 from hvlab.cli import ReportRow, build_parser, main
+from hvlab.distributions import MC_BLOCK_SIZE, MC_CHUNK, PowerLawDistribution
+from hvlab.oracle import PAULI, QuantumState, bloch_vector, build_basis
 
 FAST = ["--samples", "20000", "--seed", "42"]
 
@@ -250,6 +254,75 @@ class TestOracleCheckRows:
         (row,) = [row for row in rows if row["experiment"] == "basis-combination"]
         assert row["analytic"] == pytest.approx(np.sqrt(2.0), rel=1e-12)
         assert row["pass"] is False
+
+
+class TestStreamedHomogeneity:
+    DIRECTION = np.array([0.3, -0.1, 1.6])
+    STATE = QuantumState.from_pure([0.6, 0.8])
+    SEED = 7
+
+    def rows(self, offset: float, samples: int) -> dict[str, ReportRow]:
+        rows = hvlab.cli._homogeneity_rows(
+            offset, self.DIRECTION, self.STATE, build_basis(PAULI), "", samples, self.SEED
+        )
+        return {row.experiment: row for row in rows}
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        peaks = []
+        for samples in (1_000_000, 4_000_000):
+            self.rows(1.5, samples)
+            tracemalloc.start()
+            try:
+                self.rows(1.5, samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the block engine's bound: two blocks of buffers and one of chunk temporaries
+        assert peaks[0] < 3 * MC_BLOCK_SIZE * 8
+        assert peaks[1] <= peaks[0]
+
+    @pytest.mark.parametrize("samples", [1, 2, MC_CHUNK - 1, MC_CHUNK + 1, 1_000_000])
+    def test_counts_match_one_whole_draw(self, samples):
+        offset = 1.5
+        bloch = bloch_vector(self.STATE, build_basis(PAULI))
+        split = spin_half.homogeneity_split(offset, self.DIRECTION, bloch)
+        hidden = PowerLawDistribution(0).sample(samples, np.random.default_rng(self.SEED))
+        outcomes = offset + spin_half.bell_outcome_modified(self.DIRECTION, bloch, hidden)
+        upper = hidden >= split.split_point
+        expected = {}
+        for value, side in zip(outcomes.tolist(), upper.tolist()):
+            expected[value, side] = expected.get((value, side), 0) + 1
+        counts = hvlab.cli._split_counts(offset, self.DIRECTION, bloch, split.split_point, samples, self.SEED)
+        assert counts == expected
+
+        rows = self.rows(offset, samples)
+        whole = rows["homogeneity-whole"]
+        assert whole.mc == pytest.approx(outcomes.mean(), rel=1e-12)
+        stderr = outcomes.std(ddof=1) / np.sqrt(samples) if samples > 1 else 0.0
+        assert whole.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+        for name, part in (("homogeneity-mean-plus", upper), ("homogeneity-mean-minus", ~upper)):
+            if part.any():
+                assert rows[name].mc == outcomes[part][0]
+                assert rows[name].stderr == 0.0
+            else:
+                assert (rows[name].mc, rows[name].stderr) == (None, None)
+
+    def test_whole_stderr_is_centred(self):
+        far, near = self.rows(1e8, 100_000), self.rows(0.0, 100_000)
+        assert far["homogeneity-whole"].stderr == pytest.approx(near["homogeneity-whole"].stderr, rel=1e-6)
+
+    def test_a_wrong_split_fails_its_rows(self, capsys, monkeypatch):
+        real = spin_half.homogeneity_split
+
+        def shifted(*args):
+            split = real(*args)
+            return dataclasses.replace(split, split_point=split.split_point + 0.01)
+
+        monkeypatch.setattr(spin_half, "homogeneity_split", shifted)
+        code, rows = run_json(capsys, ["homogeneity", *FAST, "--alpha", "1.5", "--beta", "0,0,1", "--epsilon", "0,0,0.5"])
+        assert code == 1
+        failed = {row["experiment"] for row in rows if not row["pass"]}
+        assert failed & {"homogeneity-mean-plus", "homogeneity-mean-minus"}
 
 
 @pytest.mark.xfail(

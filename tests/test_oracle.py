@@ -1,7 +1,11 @@
 """Tests for the exact quantum reference layer."""
 
+import warnings
+
 import numpy as np
 import pytest
+
+import hvlab.oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -164,6 +168,24 @@ class TestRequireHermitian:
     def test_tolerance_is_not_settable(self):
         with pytest.raises(TypeError):
             require_hermitian(np.eye(2), tol=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize(
+        "check",
+        [require_hermitian, spectral_decompose, lambda h: born_distribution(h, QuantumState.maximally_mixed(3))],
+        ids=["require_hermitian", "spectral_decompose", "born_distribution"],
+    )
+    def test_non_finite_entries_rejected(self, check, where, bad):
+        h = np.diag([1.0, 0.0, -1.0]).astype(complex)
+        if where == "diagonal":
+            h[0, 0] = bad
+        else:
+            h[0, 1] = h[1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                check(h)
 
 
 class TestLinearObservable:
@@ -392,6 +414,22 @@ class TestBornDistribution:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             born_distribution(SIGMA_Z, QuantumState.from_pure([1, 0]))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            born_distribution(np.array([[0.0, 1.0], [0.0, 0.0]]), QuantumState.maximally_mixed(2))
+
+    def test_checks_the_matrix_once(self, monkeypatch):
+        calls = []
+        real = hvlab.oracle.require_hermitian
+
+        def counted(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(hvlab.oracle, "require_hermitian", counted)
+        born_distribution(SIGMA_X, QuantumState.maximally_mixed(3))
+        assert len(calls) == 1
 
     def test_validation_of_probabilities(self):
         with pytest.raises(ValueError):
