@@ -21,11 +21,12 @@ import numpy as np
 
 from . import ks, spin_half, spin_one
 from .distributions import (
-    MC_CHUNK,
+    MC_BLOCK_SIZE,
     McEstimate,
     Moments,
     PowerLawDistribution,
     SignFunctionSpec,
+    _outcome_blocks,
     mc_mean,
     mc_mean_pair,
     sign_mean_analytic,
@@ -254,25 +255,26 @@ def _split_counts(
     offset: float, direction: np.ndarray, bloch: np.ndarray, split_point: float, samples: int, seed: int
 ) -> dict[tuple[float, bool], int]:
     """How many of ``samples`` seeded draws of offset + b.S take each
-    (outcome value, upper side) pair.  The hidden values are drawn from one
-    generator in chunks of ``MC_CHUNK``, which continue its stream, and only
-    counts are kept; the values are read from the outcomes, two at most."""
-    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-    dist = PowerLawDistribution(0)
-    counts: dict[tuple[float, bool], int] = {}
-    for start in range(0, samples, MC_CHUNK):
-        hidden = dist.sample(min(MC_CHUNK, samples - start), rng)
+    (outcome value, upper side) pair.  The hidden values are the block
+    engine's stream, the one ``mc_mean`` draws, and only the count of each
+    joint cell is kept."""
+    mag = float(np.linalg.norm(direction))  # |b|, as the rule computes it
+    low, high = offset - mag, offset + mag
+
+    def cell(hidden):
         outcomes = offset + spin_half.bell_outcome_modified(direction, bloch, hidden)
-        high, low = float(outcomes.max()), float(outcomes.min())
         is_high = outcomes == high
         if not np.all(is_high | (outcomes == low)):
-            raise RuntimeError("the outcome rule took more than two values")
-        # cell 2 * (value is high) + (hidden value is upper)
-        cells = np.bincount(2 * is_high + (hidden >= split_point), minlength=4).tolist()
-        for key, count in zip(((low, False), (low, True), (high, False), (high, True)), cells):
-            if count:
-                counts[key] = counts.get(key, 0) + count
-    return counts
+            raise RuntimeError("the outcome rule took a value other than offset -+ |b|")
+        return 2 * is_high + (hidden >= split_point)
+
+    cells = np.zeros(4, dtype=np.int64)
+    codes = np.empty(min(MC_BLOCK_SIZE, samples), dtype=np.intp)
+    for block in _outcome_blocks(cell, (PowerLawDistribution(0),), (0,), samples, seed, codes):
+        cells += np.bincount(block, minlength=4)
+    # when high == low every draw is high, so the low cells are empty
+    keys = ((low, False), (low, True), (high, False), (high, True))
+    return {key: count for key, count in zip(keys, cells.tolist()) if count}
 
 
 def _homogeneity_rows(
@@ -280,7 +282,7 @@ def _homogeneity_rows(
     samples: int = 0, seed: int | None = None,
 ) -> list[ReportRow]:
     """Means of offset + b.S either side of the outcome threshold, overall and recombined; with a
-    seed, mc cells from one direct draw, as the block engine estimates no subensemble means."""
+    seed, mc cells counted on the block engine's draws, as its estimator gives no subensemble means."""
     bloch = bloch_vector(state, pauli)
     split = spin_half.homogeneity_split(offset, direction, bloch)
     plus = minus = whole = (None, None)

@@ -12,11 +12,8 @@ The sign convention is sign(0) = +1, applied uniformly by `sign_pm`.
 
 from __future__ import annotations
 
-import functools
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -35,8 +32,9 @@ __all__ = [
 ]
 
 # Block size for the Monte Carlo sub-streams.  Each block of samples is
-# generated from its own deterministically derived RNG, so estimates do
-# not depend on how blocks are distributed over workers.
+# generated from its own deterministically derived RNG, so the block
+# size fixes which numbers are drawn, and it bounds the buffers that
+# hold a block's outcomes.
 MC_BLOCK_SIZE = 1 << 17
 
 # Samples per call of the estimated function within a block: small
@@ -283,47 +281,48 @@ def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[in
     return count, mean_a + delta * (count_b / count), m2_a + m2_b + delta * delta * (count_a * count_b / count)
 
 
-def _mc_moments(
-    f: Callable[..., np.ndarray], dists: tuple, lanes: tuple[int, ...], samples: int, seed: int, workers: int
-) -> McEstimate:
-    """Monte Carlo estimate of E[f] and E[f**2], f taking one independent
-    draw from each of ``dists``.
+def _outcome_blocks(
+    f: Callable[..., np.ndarray], dists: tuple, lanes: tuple[int, ...], samples: int, seed: int, ys: np.ndarray
+) -> Iterator[np.ndarray]:
+    """f's outcomes on ``samples`` draws, block by block in block order,
+    each block written into the caller's buffer ``ys`` (of at least
+    ``min(MC_BLOCK_SIZE, samples)`` values, in the dtype the caller
+    wants), so a yielded block is valid until the next one is drawn.
 
-    Each block of samples is drawn once, each variable from its own RNG
-    derived deterministically from (seed, lane, block index), and the
-    block summaries are merged in block order.  The estimate is
-    therefore bit-identical for any worker count.
-
-    ``f`` is called on consecutive chunks of at most ``MC_CHUNK``
-    samples of a block, so each outcome must depend only on its own
-    sample(s); it may return a scalar, which is broadcast.  A chunk's
-    draws continue the block's generators, so the block holds the same
-    numbers as one whole-block draw.  The outcome array and the summary
-    buffer are allocated once per worker and reused for every block.
+    Each variable of a block is drawn from its own RNG derived from
+    (seed, lane, block index).  ``f`` takes one draw from each of
+    ``dists`` and is called on consecutive chunks of at most ``MC_CHUNK``
+    samples, so each outcome must depend only on its own sample(s); it
+    may return a scalar, which is broadcast.  A chunk's draws continue
+    the block's generators, so a block holds the numbers of one
+    whole-block draw.
     """
+    for index, start in enumerate(range(0, samples, MC_BLOCK_SIZE)):
+        count = min(MC_BLOCK_SIZE, samples - start)
+        rngs = [_block_rng(seed, index, lane) for lane in lanes]
+        for lo in range(0, count, MC_CHUNK):
+            hi = min(lo + MC_CHUNK, count)
+            ys[lo:hi] = f(*[dist.sample(hi - lo, rng) for dist, rng in zip(dists, rngs)])
+        yield ys[:count]
+
+
+def _mc_moments(
+    f: Callable[..., np.ndarray], dists: tuple, lanes: tuple[int, ...], samples: int, seed: int
+) -> McEstimate:
+    """Monte Carlo estimate of E[f] and E[f**2]: each block of
+    ``_outcome_blocks`` is summarised, and the summaries are merged in
+    block order."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    buffers = threading.local()
-
-    def one_block(task):
-        index, count = task
-        if not hasattr(buffers, "ys"):
-            buffers.ys, buffers.work = np.empty((2, min(MC_BLOCK_SIZE, samples)))
-        ys, work = buffers.ys[:count], buffers.work[:count]
-        rngs = [_block_rng(seed, index, lane) for lane in lanes]
-        for start in range(0, count, MC_CHUNK):
-            stop = min(start + MC_CHUNK, count)
-            ys[start:stop] = f(*[dist.sample(stop - start, rng) for dist, rng in zip(dists, rngs)])
-        first = _summary(ys, work)
-        return first, _summary(np.square(ys, out=work), work)
-
-    tasks = [(index, min(MC_BLOCK_SIZE, samples - start)) for index, start in enumerate(range(0, samples, MC_BLOCK_SIZE))]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one_block, tasks))
-    else:
-        partials = [one_block(task) for task in tasks]
-    (_, mean, m2), (_, second, second_m2) = (functools.reduce(_merge, parts) for parts in zip(*partials))
+    # one allocation for both buffers: two separate ones are handed back
+    # to the system on every call and fault their pages in again
+    ys, work = np.empty((2, min(MC_BLOCK_SIZE, samples)))
+    merged = None
+    for block in _outcome_blocks(f, dists, lanes, samples, seed, ys):
+        spare = work[: block.size]
+        parts = _summary(block, spare), _summary(np.square(block, out=spare), spare)
+        merged = parts if merged is None else tuple(map(_merge, merged, parts))
+    (_, mean, m2), (_, second, second_m2) = merged
     scale = 1.0 / ((samples - 1) * samples) if samples > 1 else 0.0
     return McEstimate(mean, float(np.sqrt(m2 * scale)), samples, seed, second, float(np.sqrt(second_m2 * scale)))
 
@@ -333,15 +332,14 @@ def mc_mean(
     dist: PowerLawDistribution,
     samples: int,
     seed: int,
-    workers: int = 1,
 ) -> McEstimate:
     """Monte Carlo estimate of E[f(x)] and E[f(x)**2] under ``dist``.
 
     ``f`` is called on chunks of each block of draws, so each value of
-    f(x) must depend only on its own x; the estimate depends on neither
-    the chunking nor ``workers``.
+    f(x) must depend only on its own x; the estimate does not depend on
+    the chunking.
     """
-    return _mc_moments(f, (dist,), (0,), samples, seed, workers)
+    return _mc_moments(f, (dist,), (0,), samples, seed)
 
 
 def mc_mean_pair(
@@ -350,13 +348,12 @@ def mc_mean_pair(
     dist2: PowerLawDistribution,
     samples: int,
     seed: int,
-    workers: int = 1,
 ) -> McEstimate:
     """Monte Carlo estimate of E[f(x1, x2)] and E[f(x1, x2)**2] for two
     independent draws.
 
     ``f`` is called on chunks of each block of draws, so each value of
-    f(x1, x2) must depend only on its own pair; the estimate depends on
-    neither the chunking nor ``workers``.
+    f(x1, x2) must depend only on its own pair; the estimate does not
+    depend on the chunking.
     """
-    return _mc_moments(f, (dist1, dist2), (1, 2), samples, seed, workers)
+    return _mc_moments(f, (dist1, dist2), (1, 2), samples, seed)

@@ -265,25 +265,21 @@ def beable_from_operator(
     basis: OperatorBasis,
     state: QuantumState,
     case_id: str = "III",
-    repeated_index: int = 1,
     n: int = 0,
     swap: bool = False,
 ) -> OutcomeFormula:
     """Pipeline from an observable to its deterministic outcome rule.
 
     The observable is decomposed, per-eigenvector Born weights become
-    the outcome probabilities, and ``repeated_index`` selects which
-    eigenvalue (by descending position, default the middle one) plays
-    the repeated role in the case table.
+    the outcome probabilities, and the middle eigenvalue (by descending
+    position) plays the repeated role in the case table.
     """
     matrix = linear_observable(coeffs, basis)
     if matrix.shape[0] != 3:
         raise ValueError("the three-outcome construction needs a 3x3 observable")
-    if repeated_index not in (0, 1, 2):
-        raise ValueError("repeated_index must be 0, 1 or 2")
     values, vecs = spectral_decompose(matrix)
     probs = _born_weights(vecs, state)
     probs = probs / probs.sum()
-    order = [repeated_index] + [k for k in range(3) if k != repeated_index]
+    order = [1, 0, 2]
     triple = SpectralTriple(values=tuple(values[order]), probabilities=tuple(probs[order]))
     return build_formula(case_id, triple, n=n, swap=swap)

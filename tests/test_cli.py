@@ -15,7 +15,7 @@ import hvlab.cli
 import hvlab.oracle
 from hvlab import spin_half, spin_one
 from hvlab.cli import ReportRow, build_parser, main
-from hvlab.distributions import MC_BLOCK_SIZE, MC_CHUNK, PowerLawDistribution
+from hvlab.distributions import MC_BLOCK_SIZE, MC_CHUNK, PowerLawDistribution, mc_mean
 from hvlab.oracle import PAULI, QuantumState, bloch_vector, build_basis
 
 FAST = ["--samples", "20000", "--seed", "42"]
@@ -281,12 +281,18 @@ class TestStreamedHomogeneity:
         assert peaks[0] < 3 * MC_BLOCK_SIZE * 8
         assert peaks[1] <= peaks[0]
 
-    @pytest.mark.parametrize("samples", [1, 2, MC_CHUNK - 1, MC_CHUNK + 1, 1_000_000])
+    @pytest.mark.parametrize(
+        "samples", [1, 2, MC_CHUNK - 1, MC_CHUNK + 1, MC_BLOCK_SIZE - 1, MC_BLOCK_SIZE + 1, 1_000_000]
+    )
     def test_counts_match_one_whole_draw(self, samples):
         offset = 1.5
         bloch = bloch_vector(self.STATE, build_basis(PAULI))
         split = spin_half.homogeneity_split(offset, self.DIRECTION, bloch)
-        hidden = PowerLawDistribution(0).sample(samples, np.random.default_rng(self.SEED))
+        # the block engine's stream: each block drawn whole from its own generator
+        hidden = np.concatenate([
+            PowerLawDistribution(0).sample(min(MC_BLOCK_SIZE, samples - start), np.random.default_rng([self.SEED, 0, index]))
+            for index, start in enumerate(range(0, samples, MC_BLOCK_SIZE))
+        ])
         outcomes = offset + spin_half.bell_outcome_modified(self.DIRECTION, bloch, hidden)
         upper = hidden >= split.split_point
         expected = {}
@@ -306,6 +312,24 @@ class TestStreamedHomogeneity:
                 assert rows[name].stderr == 0.0
             else:
                 assert (rows[name].mc, rows[name].stderr) == (None, None)
+
+    def test_whole_matches_the_block_engine(self):
+        offset, samples = 1.5, 2 * MC_BLOCK_SIZE + 5
+        bloch = bloch_vector(self.STATE, build_basis(PAULI))
+        est = mc_mean(
+            lambda xs: offset + spin_half.bell_outcome_modified(self.DIRECTION, bloch, xs),
+            PowerLawDistribution(0), samples, self.SEED,
+        )
+        whole = self.rows(offset, samples)["homogeneity-whole"]
+        assert whole.mc == pytest.approx(est.mean, rel=1e-12, abs=0.0)
+        assert whole.stderr == pytest.approx(est.stderr, rel=1e-12, abs=0.0)
+
+    def test_a_third_outcome_value_raises(self, monkeypatch):
+        real = spin_half.bell_outcome_modified
+        monkeypatch.setattr(spin_half, "bell_outcome_modified", lambda b, e, xs: real(b, e, xs) * (1.0 + (xs > 0.4)))
+        bloch = bloch_vector(self.STATE, build_basis(PAULI))
+        with pytest.raises(RuntimeError):
+            hvlab.cli._split_counts(1.5, self.DIRECTION, bloch, 0.0, 1000, self.SEED)
 
     def test_whole_stderr_is_centred(self):
         far, near = self.rows(1e8, 100_000), self.rows(0.0, 100_000)

@@ -289,26 +289,6 @@ class TestMcMean:
         b = mc_mean(spec.evaluate, PowerLawDistribution(0), 300_000, 5)
         assert a == b
 
-    def test_worker_count_does_not_change_estimate(self):
-        spec = SignFunctionSpec(0.3, n=2)
-        dist = PowerLawDistribution(2)
-        serial = mc_mean(spec.evaluate, dist, 500_000, 5, workers=1)
-        threaded = mc_mean(spec.evaluate, dist, 500_000, 5, workers=4)
-        assert serial.mean == threaded.mean
-        assert serial.stderr == threaded.stderr
-
-    def test_pair_worker_count_does_not_change_estimate(self):
-        a = SignFunctionSpec(0.4, n=1, include_sign_prefactor=True)
-        b = SignFunctionSpec(-0.7, n=1, include_sign_prefactor=True)
-        dist = PowerLawDistribution(1)
-
-        def f(x, y):
-            return a.evaluate(x) + 2.0 * b.evaluate(y) + x * y
-
-        serial = mc_mean_pair(f, dist, dist, 500_000, 8, workers=1)
-        threaded = mc_mean_pair(f, dist, dist, 500_000, 8, workers=2)
-        assert serial == threaded
-
     def test_second_moment_is_the_squared_pass(self):
         spec = SignFunctionSpec(0.3, n=1)
         dist = PowerLawDistribution(1)
@@ -332,6 +312,14 @@ class TestMcMean:
         dist = PowerLawDistribution(0)
         est = mc_mean_pair(lambda x, y: np.sign(x) * np.sign(y), dist, dist, 400_000, 3)
         assert abs(est.mean) < 5 * est.stderr
+
+    def test_worker_count_is_not_settable(self):
+        # the engine is serial: blocks are drawn and merged in block order
+        dist = PowerLawDistribution(0)
+        with pytest.raises(TypeError):
+            mc_mean(lambda xs: xs, dist, 1000, 1, workers=2)
+        with pytest.raises(TypeError):
+            mc_mean_pair(lambda x, y: x, dist, dist, 1000, 1, workers=2)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
@@ -415,8 +403,8 @@ class TestBlockArithmeticIsUnchanged:
     @pytest.mark.parametrize(
         "samples", [1, MC_CHUNK - 1, MC_CHUNK + 1, MC_BLOCK_SIZE - 1, MC_BLOCK_SIZE, MC_BLOCK_SIZE + 1, 1_000_000]
     )
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_mc_pair_matches_reference(self, samples, workers):
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_mc_pair_matches_reference(self, samples, seed):
         a = SignFunctionSpec(0.4, include_sign_prefactor=True)
         b = SignFunctionSpec(-0.7, n=1, include_sign_prefactor=True)
         dist1, dist2 = PowerLawDistribution(0), PowerLawDistribution(1)
@@ -424,12 +412,12 @@ class TestBlockArithmeticIsUnchanged:
         def outcome(sign):
             return lambda x, y: 1e3 + sign(a, x) - 2.0 * sign(b, y) * sign(a, x) + y
 
-        est = mc_mean_pair(outcome(SignFunctionSpec.evaluate), dist1, dist2, samples, 31, workers=workers)
-        expected = _reference_mc(outcome(_reference_sign), (dist1, dist2), (1, 2), samples, 31)
+        est = mc_mean_pair(outcome(SignFunctionSpec.evaluate), dist1, dist2, samples, seed)
+        expected = _reference_mc(outcome(_reference_sign), (dist1, dist2), (1, 2), samples, seed)
         assert (est.mean, est.stderr, est.second_moment, est.second_stderr) == expected
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_mc_mean_matches_reference(self, workers):
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_mc_mean_matches_reference(self, seed):
         spec = SignFunctionSpec(-0.45, n=3, norm=0.8, include_sign_prefactor=True)
         dist = spec.distribution
 
@@ -437,17 +425,17 @@ class TestBlockArithmeticIsUnchanged:
             return lambda x: 3.0 * sign(spec, x) - x
 
         samples = 3 * MC_BLOCK_SIZE + MC_CHUNK + 5
-        est = mc_mean(outcome(SignFunctionSpec.evaluate), dist, samples, 77, workers=workers)
-        expected = _reference_mc(outcome(_reference_sign), (dist,), (0,), samples, 77)
+        est = mc_mean(outcome(SignFunctionSpec.evaluate), dist, samples, seed)
+        expected = _reference_mc(outcome(_reference_sign), (dist,), (0,), samples, seed)
         assert (est.mean, est.stderr, est.second_moment, est.second_stderr) == expected
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_scalar_outcome_is_broadcast_and_exact(self, workers):
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_scalar_outcome_is_broadcast_and_exact(self, seed):
         samples = MC_BLOCK_SIZE + MC_CHUNK + 3
-        est = mc_mean(lambda xs: 2.5, PowerLawDistribution(1), samples, 4, workers=workers)
+        est = mc_mean(lambda xs: 2.5, PowerLawDistribution(1), samples, seed)
         assert (est.mean, est.stderr, est.second_moment, est.second_stderr) == (2.5, 0.0, 6.25, 0.0)
         dist = PowerLawDistribution(0)
-        pair = mc_mean_pair(lambda x, y: -0.75, dist, dist, samples, 4, workers=workers)
+        pair = mc_mean_pair(lambda x, y: -0.75, dist, dist, samples, seed)
         assert (pair.mean, pair.stderr, pair.second_moment, pair.second_stderr) == (-0.75, 0.0, 0.5625, 0.0)
 
 

@@ -366,11 +366,6 @@ class TestDeformedFormula:
         outs = {formula.evaluate_signs(s1, s2) for s1, s2 in SIGN_PATTERNS}
         assert outs == set(deformed_outcomes(model))
 
-    def test_estimate_independent_of_worker_count(self):
-        formula = deformed_formula(DeformedKsModel(0.05, (0.2, 0.5, 0.3)))
-        args = (formula.evaluate, *formula.hidden_distributions, 300_000, 5)
-        assert mc_mean_pair(*args, workers=1) == mc_mean_pair(*args, workers=2)
-
 
 class TestDeformedSquareFormula:
     def test_coefficients(self):

@@ -406,11 +406,13 @@ class TestBeableFromOperator:
             assert stats.mean == pytest.approx(expectation(matrix, state), abs=1e-10)
             assert stats.variance == pytest.approx(variance(matrix, state), abs=1e-10)
 
-    def test_repeated_index_is_configurable(self):
+    def test_repeated_index_is_not_settable(self):
+        # the middle eigenvalue always plays the repeated role
         beta = np.array([0.0, 0.0, 1.0])
         state = QuantumState.from_pure([0.6, 0.8, 0.0])
-        formula = beable_from_operator(beta, ANG, state, case_id="III", repeated_index=0)
-        assert formula.values[0] == pytest.approx(1.0, abs=1e-12)
+        assert beable_from_operator(beta, ANG, state).values[0] == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(TypeError):
+            beable_from_operator(beta, ANG, state, repeated_index=0)
 
     def test_mc_against_oracle(self):
         rng = np.random.default_rng(20)
