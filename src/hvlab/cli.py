@@ -467,6 +467,8 @@ def run_oracle_check(args: argparse.Namespace) -> list[ReportRow]:
 
 
 def run_sgn_averages(args: argparse.Namespace) -> list[ReportRow]:
+    if args.n < 0:
+        raise CliError("--n must be nonnegative")
     rows = [_sgn_mean_row(args.n, round(-1.0 + 0.1 * k, 10), args.samples, _row_seed(args, k)) for k in range(21)]
     pairs = ((0.8, 0.3), (0.8, -0.3), (0.5, 0.5), (-0.6, -0.9))
     rows += [_sgn_product_row(args.n, b1, b2, args.samples, _row_seed(args, 100 + idx)) for idx, (b1, b2) in enumerate(pairs)]
@@ -510,6 +512,8 @@ def run_homogeneity(args: argparse.Namespace) -> list[ReportRow]:
 
 
 def run_spin_one(args: argparse.Namespace) -> list[ReportRow]:
+    if args.n < 0:  # before the case can be found infeasible
+        raise CliError("--n must be nonnegative")
     rule = dict(case_id=args.case, n=args.n, swap=args.swap)
     if args.lambdas is not None or args.probs is not None:
         if args.lambdas is None or args.probs is None:
@@ -530,9 +534,11 @@ def run_spin_one(args: argparse.Namespace) -> list[ReportRow]:
 
 def run_ks_dispersion(args: argparse.Namespace) -> list[ReportRow]:
     if args.scan:
-        return _ks_scan_rows(args.grid_step)
+        return _ks_scan_rows(0.01 if args.grid_step is None else args.grid_step)
     if args.probs is None:
         raise CliError("ks-dispersion needs --probs or --scan")
+    if args.grid_step is not None:
+        raise CliError("--grid-step applies to --scan only")
     return _ks_rows(_parse_probs(args.probs), f"probs={args.probs}", args.samples, _row_seed(args, 5))
 
 
@@ -588,14 +594,13 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42)
     common.add_argument("--samples", type=int, default=1_000_000)
-    common.add_argument("--n", type=int, default=0, help="power-law distribution index")
     common.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    common.add_argument("--grid-step", type=float, default=0.01)
     common.add_argument("--tolerance-sigma", type=float, default=4.0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("oracle-check", parents=[common])
-    sub.add_parser("sgn-averages", parents=[common])
+    p = sub.add_parser("sgn-averages", parents=[common])
+    p.add_argument("--n", type=int, default=0, help="power-law distribution index")
 
     for name in ("spin-half", "homogeneity"):
         p = sub.add_parser(name, parents=[common])
@@ -608,6 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--alpha", type=float, default=0.0)
 
     p = sub.add_parser("spin-one", parents=[common])
+    p.add_argument("--n", type=int, default=0, help="power-law distribution index")
     p.add_argument("--case", default="III", choices=spin_one.CASE_IDS)
     p.add_argument("--swap", action="store_true")
     p.add_argument("--lambdas", help="three outcome values, repeated one first")
@@ -617,8 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default=ANGULAR_MOMENTUM, choices=BASIS_KINDS)
 
     p = sub.add_parser("ks-dispersion", parents=[common])
-    p.add_argument("--probs", help="three zero-outcome probabilities")
-    p.add_argument("--scan", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--probs", help="three zero-outcome probabilities")
+    mode.add_argument("--scan", action="store_true")
+    p.add_argument("--grid-step", type=float, help="simplex grid step of --scan (default 0.01)")
 
     p = sub.add_parser("ks-epsilon", parents=[common])
     p.add_argument("--eps", type=float, required=True)
@@ -635,12 +643,8 @@ def main(argv=None) -> int:
     try:
         if args.samples < 1:
             raise CliError("--samples must be at least 1")
-        if not 0.0 < args.grid_step <= 0.5:
-            raise CliError("--grid-step must lie in (0, 0.5]")
         if not args.tolerance_sigma > 0.0:
             raise CliError("--tolerance-sigma must be positive")
-        if args.n < 0:
-            raise CliError("--n must be nonnegative")
         rows = _DISPATCH[args.command](args)
     except spin_one.InfeasibleCaseError as exc:  # a finding, not a usage error; also a ValueError
         print(f"infeasible: {exc.reason}")

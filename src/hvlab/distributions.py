@@ -12,6 +12,7 @@ The sign convention is sign(0) = +1, applied uniformly by `sign_pm`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -210,19 +211,27 @@ def _panel_integral(dist: PowerLawDistribution, lo: float, hi: float) -> float:
     return float(half * (weights @ dist.density(lo + half * (nodes + 1.0))))
 
 
-def sign_mean_quadrature(spec: SignFunctionSpec) -> float:
-    """Gauss-Legendre mean of the sign function, split at its threshold.
+def _sign_quadrature(*specs: SignFunctionSpec) -> float:
+    """Gauss-Legendre mean of the product of sign functions sharing the
+    first one's variable, split at every threshold.
 
-    Splitting at the known sign change leaves a polynomial integrand on
+    Splitting at the known sign changes leaves a polynomial integrand on
     each panel, which the rule integrates exactly.
     """
-    dist = spec.distribution
+    dist = specs[0].distribution
     edge = dist.support_edge
-    cut = min(spec.threshold, edge)
-    mean = _panel_integral(dist, -cut, edge) - _panel_integral(dist, -edge, -cut)
-    if spec.include_sign_prefactor:
-        mean *= sign_pm(spec.bias)
-    return mean
+    cuts = sorted({-edge, *(-min(spec.threshold, edge) for spec in specs), edge})
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        piece = math.prod(sign_pm(mid + spec.threshold) for spec in specs)
+        total += piece * _panel_integral(dist, lo, hi)
+    return total * math.prod(sign_pm(spec.bias) for spec in specs if spec.include_sign_prefactor)
+
+
+def sign_mean_quadrature(spec: SignFunctionSpec) -> float:
+    """Gauss-Legendre mean of the sign function, split at its threshold."""
+    return _sign_quadrature(spec)
 
 
 def sign_product_mean_quadrature(first: SignFunctionSpec, second: SignFunctionSpec) -> float:
@@ -230,19 +239,7 @@ def sign_product_mean_quadrature(first: SignFunctionSpec, second: SignFunctionSp
     one variable, split at both thresholds."""
     if first.n != second.n or first.norm != second.norm:
         raise ValueError("both sign functions must share one distribution")
-    dist = first.distribution
-    edge = dist.support_edge
-    cuts = sorted({-edge, -min(first.threshold, edge), -min(second.threshold, edge), edge})
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        piece = sign_pm(mid + first.threshold) * sign_pm(mid + second.threshold)
-        total += piece * _panel_integral(dist, lo, hi)
-    if first.include_sign_prefactor:
-        total *= sign_pm(first.bias)
-    if second.include_sign_prefactor:
-        total *= sign_pm(second.bias)
-    return total
+    return _sign_quadrature(first, second)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,16 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def exit_status(capsys, argv) -> tuple[int, str]:
+    """The exit status and stdout of ``argv``, whether ``main`` returns
+    the status or argparse exits with it."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
 class TestBasicCommands:
     def test_oracle_check_passes(self, capsys):
         code, out, _ = run_cli(capsys, ["oracle-check", *FAST])
@@ -225,6 +235,54 @@ class TestUsageErrors:
         assert code == 2
         assert "--state and --epsilon" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spin-half", "--beta", "0.3,-0.4,0.8", "--n", "3"],
+            ["homogeneity", "--alpha", "1.5", "--beta", "0,0,1", "--n", "2"],
+            ["ks-epsilon", "--eps", "0.05", "--probs", "0.25,0.5,0.25", "--n", "3"],
+            ["ks-dispersion", "--probs", "0.2,0.5,0.3", "--n", "1"],
+            ["oracle-check", "--n", "1"],
+            ["verify-all", "--n", "3"],
+            ["verify-all", "--grid-step", "0.3"],
+            ["spin-one", "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25", "--grid-step", "0.1"],
+            ["ks-dispersion", "--scan", "--probs", "0.2,0.5,0.3"],
+            ["ks-dispersion", "--probs", "0.2,0.5,0.3", "--grid-step", "0.05"],
+        ],
+    )
+    def test_a_flag_the_run_would_ignore_exit_2(self, capsys, argv):
+        assert exit_status(capsys, [*argv, *FAST]) == (2, "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sgn-averages", "--n", "-1"], "--n must be nonnegative"),
+            # the index is checked before the case I rule can be found infeasible
+            (["spin-one", "--case", "I", "--n", "-1", "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25"],
+             "--n must be nonnegative"),
+            (["spin-one", "--n", "-1", "--beta", "0,0,1", "--state", "1,0,0"], "--n must be nonnegative"),
+            (["ks-dispersion", "--probs", "0.2,0.5,0.3", "--grid-step", "0.9"], "--grid-step"),
+            (["ks-dispersion", "--scan", "--grid-step", "0.9"], "step must lie in (0, 0.5]"),
+            (["ks-dispersion", "--scan", "--grid-step", "0"], "step must lie in (0, 0.5]"),
+            (["ks-dispersion", "--scan", "--grid-step", "nan"], "step must lie in (0, 0.5]"),
+        ],
+    )
+    def test_index_or_grid_step_out_of_range_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, [*argv, *FAST])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    def test_spin_one_takes_n(self, capsys):
+        code, out, _ = run_cli(capsys, ["spin-one", *FAST, "--n", "2", "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25"])
+        assert code == 0
+        assert "spin-one-variance" in out
+
+    def test_scan_step_defaults_to_one_hundredth(self, capsys):
+        code, out, _ = run_cli(capsys, ["ks-dispersion", "--scan", "--format", "csv"])
+        assert code == 0
+        assert out == run_cli(capsys, ["ks-dispersion", "--scan", "--grid-step", "0.01", "--format", "csv"])[1]
+        assert out.count("\nks-scan,") == 5152
 
 
 class TestFailureExitCode:
