@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -21,12 +21,12 @@ import numpy as np
 
 from . import ks, spin_half, spin_one
 from .distributions import (
-    MC_BLOCK_SIZE,
     McEstimate,
     Moments,
     PowerLawDistribution,
     SignFunctionSpec,
-    _outcome_blocks,
+    _count_cells,
+    _outcome_counts,
     mc_mean,
     mc_mean_pair,
     sign_mean_analytic,
@@ -175,19 +175,10 @@ def _cells(est: McEstimate | None, second: bool = False) -> tuple[float | None, 
     return (est.second_moment, est.second_stderr) if second else (est.mean, est.stderr)
 
 
-def _count_cells(counts: list[tuple[float, int]]) -> tuple[float | None, float | None]:
-    """Mean and standard error of draws given as (value, count) pairs.
-    The mean is taken about the first value, so draws of one value give
-    it exactly, and the spread is summed about the mean."""
-    n = sum(count for _, count in counts)
-    if not n:
-        return None, None
-    first = counts[0][0]
-    mean = first + math.fsum(count * (value - first) for value, count in counts) / n
-    if n == 1:
-        return mean, 0.0
-    spread = math.fsum(count * (value - mean) ** 2 for value, count in counts)
-    return mean, math.sqrt(spread / (n - 1) / n)
+def _spin_half_outcomes(direction: np.ndarray) -> tuple[float, float]:
+    """-|b| and +|b|, the outcome table of both spin-half rules, with |b| as the rules compute it."""
+    mag = float(np.linalg.norm(direction))
+    return -mag, mag
 
 
 def _select(rows: list[ReportRow], *names: str) -> list[ReportRow]:
@@ -196,14 +187,14 @@ def _select(rows: list[ReportRow], *names: str) -> list[ReportRow]:
 
 def _sgn_mean_row(n: int, xi: float, samples: int, seed: int) -> ReportRow:
     spec = SignFunctionSpec(xi, n=n)
-    est = mc_mean(spec.evaluate, spec.distribution, samples, seed)
+    est = mc_mean(spec.evaluate, spec.distribution, samples, seed, (-1.0, 1.0))
     return ReportRow("sgn-mean", f"n={n};xi={xi}", sign_mean_analytic(spec), *_cells(est), sign_mean_quadrature(spec))
 
 
 def _sgn_product_row(n: int, b1: float, b2: float, samples: int, seed: int) -> ReportRow:
     s1 = SignFunctionSpec(b1, n=n, include_sign_prefactor=True)
     s2 = SignFunctionSpec(b2, n=n, include_sign_prefactor=True)
-    est = mc_mean(lambda xs: s1.evaluate(xs) * s2.evaluate(xs), s1.distribution, samples, seed)
+    est = mc_mean(lambda xs: s1.evaluate(xs) * s2.evaluate(xs), s1.distribution, samples, seed, (-1.0, 1.0))
     analytic, quadrature = sign_product_mean_analytic(s1, s2), sign_product_mean_quadrature(s1, s2)
     return ReportRow("sgn-product-mean", f"n={n};xi1={b1};xi2={b2}", analytic, *_cells(est), quadrature)
 
@@ -229,7 +220,8 @@ def _spin_half_rows(
     """Modified Bell model: mean and second moment from one pass, variance."""
     bloch = bloch_vector(state, pauli)
     stats = spin_half.hv_statistics(direction, bloch)
-    est = mc_mean(lambda xs: spin_half.bell_outcome_modified(direction, bloch, xs), PowerLawDistribution(0), samples, seed)
+    outcome = functools.partial(spin_half.bell_outcome_modified, direction, bloch)
+    est = mc_mean(outcome, PowerLawDistribution(0), samples, seed, _spin_half_outcomes(direction))
     oracle = _operator_moments(linear_observable(direction, pauli), state)
     return _moment_rows("spin-half", params, stats, oracle, est)
 
@@ -244,7 +236,8 @@ def _spin_half_original_rows(
     spread = float(direction[0] ** 2 + direction[1] ** 2)
     est = None
     if seed is not None:
-        est = mc_mean(lambda xs: spin_half.bell_outcome_original(direction, xs), PowerLawDistribution(0), samples, seed)
+        outcome = functools.partial(spin_half.bell_outcome_original, direction)
+        est = mc_mean(outcome, PowerLawDistribution(0), samples, seed, _spin_half_outcomes(direction))
     return [
         ReportRow("spin-half-original-mean", params, mean, *_cells(est), oracle.mean),
         ReportRow("spin-half-original-variance", params, spread, oracle=oracle.variance),
@@ -258,8 +251,8 @@ def _split_counts(
     (outcome value, upper side) pair.  The hidden values are the block
     engine's stream, the one ``mc_mean`` draws, and only the count of each
     joint cell is kept."""
-    mag = float(np.linalg.norm(direction))  # |b|, as the rule computes it
-    low, high = offset - mag, offset + mag
+    minus, plus = _spin_half_outcomes(direction)
+    low, high = offset + minus, offset + plus
 
     def cell(hidden):
         outcomes = offset + spin_half.bell_outcome_modified(direction, bloch, hidden)
@@ -268,13 +261,10 @@ def _split_counts(
             raise RuntimeError("the outcome rule took a value other than offset -+ |b|")
         return 2 * is_high + (hidden >= split_point)
 
-    cells = np.zeros(4, dtype=np.int64)
-    codes = np.empty(min(MC_BLOCK_SIZE, samples), dtype=np.intp)
-    for block in _outcome_blocks(cell, (PowerLawDistribution(0),), (0,), samples, seed, codes):
-        cells += np.bincount(block, minlength=4)
+    cells = _outcome_counts(cell, (PowerLawDistribution(0),), (0,), samples, seed, range(4))
     # when high == low every draw is high, so the low cells are empty
     keys = ((low, False), (low, True), (high, False), (high, True))
-    return {key: count for key, count in zip(keys, cells.tolist()) if count}
+    return {key: count for key, (_, count) in zip(keys, cells) if count}
 
 
 def _homogeneity_rows(
@@ -305,7 +295,7 @@ def _formula_rows(
     kind: str, formula: spin_one.OutcomeFormula, params: str, stats: Moments, oracle: Moments, samples: int, seed: int | None
 ) -> list[ReportRow]:
     """Moment rows of a two-sign-function rule; with a seed, mc cells from one two-variable pass."""
-    est = None if seed is None else mc_mean_pair(formula.evaluate, *formula.hidden_distributions, samples, seed)
+    est = None if seed is None else mc_mean_pair(formula.evaluate, *formula.hidden_distributions, samples, seed, formula._table)
     return _moment_rows(kind, params, stats, oracle, est)
 
 
@@ -335,7 +325,9 @@ def _ks_rows(probs: tuple[float, float, float], params: str, samples: int = 0, s
     constraint sum.  The reference second moment is taken term by term:
     2 from the squared outcomes plus twice the three pairwise cross terms."""
     model = ks.KsModel(probs)
-    est = None if seed is None else mc_mean(lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, samples, seed)
+    est = None if seed is None else mc_mean(
+        lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, samples, seed, (0.0, 1.0, 2.0, 3.0)
+    )
     p1, p2, p3 = model.probabilities
     route = 2.0 + 2.0 * (ks.ks_cross_term(p1, p2) + ks.ks_cross_term(p1, p3) + ks.ks_cross_term(p2, p3))
     return [

@@ -5,7 +5,8 @@ symmetric power-law densities on a bounded support, the +/-1 step
 functions whose threshold is tied to a bias parameter, closed-form
 averages of those step functions, the moments of a discrete outcome
 distribution, an exact Gauss-Legendre quadrature, an inverse-CDF sampler
-and a seeded, block-deterministic Monte Carlo estimator.
+and a seeded, block-deterministic Monte Carlo estimator that counts how
+often each value of an outcome table is drawn.
 
 The sign convention is sign(0) = +1, applied uniformly by `sign_pm`.
 """
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from fractions import Fraction
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -34,13 +36,12 @@ __all__ = [
 
 # Block size for the Monte Carlo sub-streams.  Each block of samples is
 # generated from its own deterministically derived RNG, so the block
-# size fixes which numbers are drawn, and it bounds the buffers that
-# hold a block's outcomes.
+# size fixes which numbers are drawn.
 MC_BLOCK_SIZE = 1 << 17
 
 # Samples per call of the estimated function within a block: small
-# enough that a chunk's draws and temporaries stay in cache and in
-# memory the allocator reuses, large enough to amortise each call.
+# enough that a chunk's draws, outcomes and temporaries stay in cache
+# and in memory the allocator reuses, large enough to amortise each call.
 MC_CHUNK = 1 << 14
 
 _BIAS_SLACK = 1e-9
@@ -260,68 +261,69 @@ def _block_rng(seed: int, block_index: int, lane: int) -> np.random.Generator:
     return np.random.default_rng([key, lane, block_index])
 
 
-def _summary(vals: np.ndarray, work: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, sum of squared deviations from the mean); the
-    squared deviations are written to ``work``, which may be ``vals``."""
-    mean = float(vals.mean())
-    np.subtract(vals, mean, out=work)
-    np.square(work, out=work)
-    return vals.size, mean, float(work.sum())
+def _count_cells(counts: list[tuple[float, int]]) -> tuple[float | None, float | None]:
+    """Mean and standard error of draws given as (value, count) pairs.
+    Both are summed exactly in rationals and rounded once, so draws of
+    one value give it exactly with stderr 0, and no offset common to the
+    values cancels the spread."""
+    exact = [(Fraction(value), count) for value, count in counts if count]
+    n = sum(count for _, count in exact)
+    if not n:
+        return None, None
+    mean = sum(count * value for value, count in exact) / n
+    if n == 1:
+        return float(mean), 0.0
+    spread = sum(count * (value - mean) ** 2 for value, count in exact)
+    return float(mean), math.sqrt(spread / (n - 1) / n)
 
 
-def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
-    """Pairwise update of Chan, Golub & LeVeque (1979): centred, so a
-    large common offset cannot cancel the spread."""
-    (count_a, mean_a, m2_a), (count_b, mean_b, m2_b) = a, b
-    count = count_a + count_b
-    delta = mean_b - mean_a
-    return count, mean_a + delta * (count_b / count), m2_a + m2_b + delta * delta * (count_a * count_b / count)
-
-
-def _outcome_blocks(
-    f: Callable[..., np.ndarray], dists: tuple, lanes: tuple[int, ...], samples: int, seed: int, ys: np.ndarray
-) -> Iterator[np.ndarray]:
-    """f's outcomes on ``samples`` draws, block by block in block order,
-    each block written into the caller's buffer ``ys`` (of at least
-    ``min(MC_BLOCK_SIZE, samples)`` values, in the dtype the caller
-    wants), so a yielded block is valid until the next one is drawn.
+def _outcome_counts(
+    f: Callable[..., np.ndarray], dists: tuple, lanes: tuple[int, ...], samples: int, seed: int,
+    outcomes: Iterable[float],
+) -> list[tuple[float, int]]:
+    """How many of ``samples`` draws of f take each value of its finite
+    outcome table ``outcomes``: (value, count) pairs, one per distinct
+    value, in table order.
 
     Each variable of a block is drawn from its own RNG derived from
     (seed, lane, block index).  ``f`` takes one draw from each of
     ``dists`` and is called on consecutive chunks of at most ``MC_CHUNK``
     samples, so each outcome must depend only on its own sample(s); it
     may return a scalar, which is broadcast.  A chunk's draws continue
-    the block's generators, so a block holds the numbers of one
-    whole-block draw.
+    the block's generators, so the counts are those of whole-block draws.
+    Outcomes the table does not cover (NaN or an off-table value) raise
+    ValueError.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    values = list(dict.fromkeys(np.ravel(outcomes).astype(float).tolist()))
+    counts = [0] * len(values)
     for index, start in enumerate(range(0, samples, MC_BLOCK_SIZE)):
-        count = min(MC_BLOCK_SIZE, samples - start)
+        size = min(MC_BLOCK_SIZE, samples - start)
         rngs = [_block_rng(seed, index, lane) for lane in lanes]
-        for lo in range(0, count, MC_CHUNK):
-            hi = min(lo + MC_CHUNK, count)
-            ys[lo:hi] = f(*[dist.sample(hi - lo, rng) for dist, rng in zip(dists, rngs)])
-        yield ys[:count]
+        for lo in range(0, size, MC_CHUNK):
+            chunk = min(MC_CHUNK, size - lo)
+            ys = np.broadcast_to(f(*[dist.sample(chunk, rng) for dist, rng in zip(dists, rngs)]), (chunk,))
+            hits = [np.count_nonzero(ys == value) for value in values]
+            if sum(hits) != chunk:
+                raise ValueError(f"{chunk - sum(hits)} outcomes outside the outcome table {values}")
+            counts = [total + hit for total, hit in zip(counts, hits)]
+    return list(zip(values, counts))
 
 
 def _mc_moments(
-    f: Callable[..., np.ndarray], dists: tuple, lanes: tuple[int, ...], samples: int, seed: int
+    f: Callable[..., np.ndarray], dists: tuple, lanes: tuple[int, ...], samples: int, seed: int,
+    outcomes: Iterable[float],
 ) -> McEstimate:
-    """Monte Carlo estimate of E[f] and E[f**2]: each block of
-    ``_outcome_blocks`` is summarised, and the summaries are merged in
-    block order."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    # one allocation for both buffers: two separate ones are handed back
-    # to the system on every call and fault their pages in again
-    ys, work = np.empty((2, min(MC_BLOCK_SIZE, samples)))
-    merged = None
-    for block in _outcome_blocks(f, dists, lanes, samples, seed, ys):
-        spare = work[: block.size]
-        parts = _summary(block, spare), _summary(np.square(block, out=spare), spare)
-        merged = parts if merged is None else tuple(map(_merge, merged, parts))
-    (_, mean, m2), (_, second, second_m2) = merged
-    scale = 1.0 / ((samples - 1) * samples) if samples > 1 else 0.0
-    return McEstimate(mean, float(np.sqrt(m2 * scale)), samples, seed, second, float(np.sqrt(second_m2 * scale)))
+    """Monte Carlo estimate of E[f] and E[f**2], each formed once from
+    the outcome counts."""
+    counts = _outcome_counts(f, dists, lanes, samples, seed, outcomes)
+    try:
+        mean, stderr = _count_cells(counts)
+        second, second_stderr = _count_cells([(value * value, count) for value, count in counts])
+    except OverflowError as exc:
+        raise ValueError("the outcome moments exceed the float range") from exc
+    return McEstimate(mean, stderr, samples, seed, second, second_stderr)
 
 
 def mc_mean(
@@ -329,14 +331,16 @@ def mc_mean(
     dist: PowerLawDistribution,
     samples: int,
     seed: int,
+    outcomes: Iterable[float],
 ) -> McEstimate:
-    """Monte Carlo estimate of E[f(x)] and E[f(x)**2] under ``dist``.
+    """Monte Carlo estimate of E[f(x)] and E[f(x)**2] under ``dist``,
+    counted against the finite table ``outcomes`` of the values f takes.
 
     ``f`` is called on chunks of each block of draws, so each value of
     f(x) must depend only on its own x; the estimate does not depend on
     the chunking.
     """
-    return _mc_moments(f, (dist,), (0,), samples, seed)
+    return _mc_moments(f, (dist,), (0,), samples, seed, outcomes)
 
 
 def mc_mean_pair(
@@ -345,12 +349,13 @@ def mc_mean_pair(
     dist2: PowerLawDistribution,
     samples: int,
     seed: int,
+    outcomes: Iterable[float],
 ) -> McEstimate:
     """Monte Carlo estimate of E[f(x1, x2)] and E[f(x1, x2)**2] for two
-    independent draws.
+    independent draws, counted against the finite table ``outcomes``.
 
     ``f`` is called on chunks of each block of draws, so each value of
     f(x1, x2) must depend only on its own pair; the estimate does not
     depend on the chunking.
     """
-    return _mc_moments(f, (dist1, dist2), (1, 2), samples, seed)
+    return _mc_moments(f, (dist1, dist2), (1, 2), samples, seed, outcomes)

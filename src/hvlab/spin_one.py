@@ -199,9 +199,11 @@ class OutcomeFormula:
         its outcome table in ``SIGN_PATTERNS`` order."""
         s1 = np.asarray(s1, dtype=float)
         s2 = np.asarray(s2, dtype=float)
-        if not (np.all((s1 == 1.0) | (s1 == -1.0)) and np.all((s2 == 1.0) | (s2 == -1.0))):
+        if not (np.all(np.abs(s1) == 1.0) and np.all(np.abs(s2) == 1.0)):
             raise ValueError("sign arguments must be +1 or -1")
-        out = self._table[2 * (s1 < 0) + (s2 < 0)]
+        code = (s1 < 0).view(np.uint8) << 1
+        code |= (s2 < 0).view(np.uint8)
+        out = self._table.take(code)
         return float(out) if out.ndim == 0 else out
 
     def evaluate(self, hidden1, hidden2):

@@ -131,7 +131,8 @@ def test_criterion_2_bell_spin_half():
 
     flat = PowerLawDistribution(0)
     for seed, beta in enumerate(([0.6, -0.8, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])):
-        est = mc_mean(lambda xs: bell_outcome_original(beta, xs), flat, 1_000_000, 2000 + seed)
+        table = (-np.linalg.norm(beta), np.linalg.norm(beta))
+        est = mc_mean(lambda xs: bell_outcome_original(beta, xs), flat, 1_000_000, 2000 + seed, table)
         assert abs(est.mean - beta[2]) <= max(4.0 * est.stderr, 1e-12)
 
 
@@ -263,6 +264,7 @@ def test_criterion_7_ks_dispersion():
             SHARED_HIDDEN,
             1_000_000,
             7000 + seed,
+            (0.0, 1.0, 4.0, 9.0),
         )
         assert abs(est.mean - ks_second_moment(model)) <= max(4.0 * est.stderr, 1e-12)
 

@@ -1,6 +1,8 @@
 """Tests for the power-law densities, sign functions and MC estimator."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from hvlab.distributions import (
     MC_CHUNK,
     PowerLawDistribution,
     SignFunctionSpec,
+    _count_cells,
+    _outcome_counts,
     mc_mean,
     mc_mean_pair,
     sign_mean_analytic,
@@ -23,6 +27,9 @@ from hvlab.distributions import (
 )
 
 XI_GRID = [round(-1.0 + 0.1 * k, 10) for k in range(21)]
+
+# the outcome table of every sign rule
+SIGNS = (-1.0, 1.0)
 
 
 def _simpson(ys, xs):
@@ -268,25 +275,25 @@ class TestProductMean:
 
 class TestMcMean:
     def test_constant_function_is_exact(self):
-        est = mc_mean(lambda xs: np.ones_like(xs), PowerLawDistribution(0), 10_000, 42)
+        est = mc_mean(lambda xs: np.ones_like(xs), PowerLawDistribution(0), 10_000, 42, (1.0,))
         assert est.mean == 1.0
         assert est.stderr == 0.0
 
     def test_sign_mean_within_band(self):
         spec = SignFunctionSpec(0.5)
-        est = mc_mean(spec.evaluate, PowerLawDistribution(0), 1_000_000, 42)
+        est = mc_mean(spec.evaluate, PowerLawDistribution(0), 1_000_000, 42, SIGNS)
         assert abs(est.mean - 0.5) < 4 * est.stderr
 
     def test_product_within_band(self):
         a = SignFunctionSpec(0.8, include_sign_prefactor=True)
         b = SignFunctionSpec(0.3, include_sign_prefactor=True)
-        est = mc_mean(lambda xs: a.evaluate(xs) * b.evaluate(xs), PowerLawDistribution(0), 1_000_000, 7)
+        est = mc_mean(lambda xs: a.evaluate(xs) * b.evaluate(xs), PowerLawDistribution(0), 1_000_000, 7, SIGNS)
         assert abs(est.mean - 0.5) < 4 * est.stderr
 
     def test_seed_determinism(self):
         spec = SignFunctionSpec(0.3)
-        a = mc_mean(spec.evaluate, PowerLawDistribution(0), 300_000, 5)
-        b = mc_mean(spec.evaluate, PowerLawDistribution(0), 300_000, 5)
+        a = mc_mean(spec.evaluate, PowerLawDistribution(0), 300_000, 5, SIGNS)
+        b = mc_mean(spec.evaluate, PowerLawDistribution(0), 300_000, 5, SIGNS)
         assert a == b
 
     def test_second_moment_is_the_squared_pass(self):
@@ -294,47 +301,64 @@ class TestMcMean:
         dist = PowerLawDistribution(1)
 
         def f(xs):
-            return 2.0 * spec.evaluate(xs) + xs
+            return 2.0 * spec.evaluate(xs) + sign_pm(xs)
 
-        est = mc_mean(f, dist, 300_000, 9)
-        squared = mc_mean(lambda xs: f(xs) ** 2, dist, 300_000, 9)
+        est = mc_mean(f, dist, 300_000, 9, (-3.0, -1.0, 1.0, 3.0))
+        squared = mc_mean(lambda xs: f(xs) ** 2, dist, 300_000, 9, (1.0, 9.0))
         assert est.second_moment == squared.mean
         assert est.second_stderr == squared.stderr
 
     @pytest.mark.parametrize("offset", [1e5, 1e7])
     def test_spread_survives_large_offset(self, offset):
         # the sum-of-squares form cancels here: stderr 0 at 1e5, 256x too large at 1e7
-        est = mc_mean(lambda xs: offset + 1e-3 * sign_pm(xs), PowerLawDistribution(0), 10**6, 1)
+        table = (offset - 1e-3, offset + 1e-3)
+        est = mc_mean(lambda xs: offset + 1e-3 * sign_pm(xs), PowerLawDistribution(0), 10**6, 1, table)
         assert est.stderr == pytest.approx(1e-6, rel=0.01)
         assert est.mean == pytest.approx(offset, abs=1e-5)
 
     def test_pair_streams_are_independent(self):
         dist = PowerLawDistribution(0)
-        est = mc_mean_pair(lambda x, y: np.sign(x) * np.sign(y), dist, dist, 400_000, 3)
+        est = mc_mean_pair(lambda x, y: np.sign(x) * np.sign(y), dist, dist, 400_000, 3, (-1.0, 0.0, 1.0))
         assert abs(est.mean) < 5 * est.stderr
 
     def test_worker_count_is_not_settable(self):
         # the engine is serial: blocks are drawn and merged in block order
         dist = PowerLawDistribution(0)
         with pytest.raises(TypeError):
-            mc_mean(lambda xs: xs, dist, 1000, 1, workers=2)
+            mc_mean(sign_pm, dist, 1000, 1, SIGNS, workers=2)
         with pytest.raises(TypeError):
-            mc_mean_pair(lambda x, y: x, dist, dist, 1000, 1, workers=2)
+            mc_mean_pair(lambda x, y: sign_pm(x), dist, dist, 1000, 1, SIGNS, workers=2)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
-            mc_mean(lambda xs: xs, PowerLawDistribution(0), 0, 1)
+            mc_mean(sign_pm, PowerLawDistribution(0), 0, 1, SIGNS)
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan])
+    def test_outcome_off_the_table_raises(self, bad):
+        # one bad outcome in the last chunk of the second block
+        samples = MC_BLOCK_SIZE + MC_CHUNK + 3
+        dist = PowerLawDistribution(0)
+        flagged = dist.sample(MC_CHUNK + 3, np.random.default_rng([1, 0, 1]))[-1]
+        with pytest.raises(ValueError, match="outcome table"):
+            mc_mean(lambda xs: np.where(xs == flagged, bad, sign_pm(xs)), dist, samples, 1, SIGNS)
+        with pytest.raises(ValueError, match="outcome table"):
+            mc_mean(lambda xs: np.full(xs.shape, np.nan), dist, 10, 1, (np.nan, 1.0))
+
+    def test_table_order_and_repeats_do_not_change_the_estimate(self):
+        spec = SignFunctionSpec(0.3)
+        est = mc_mean(spec.evaluate, PowerLawDistribution(0), 50_000, 5, SIGNS)
+        assert mc_mean(spec.evaluate, PowerLawDistribution(0), 50_000, 5, (1.0, -1.0, 1.0, 7.0)) == est
 
     @pytest.mark.parametrize("n", range(4))
     def test_mc_matches_analytic_mean(self, n):
         spec = SignFunctionSpec(-0.6, n=n, include_sign_prefactor=True)
-        est = mc_mean(spec.evaluate, PowerLawDistribution(n), 400_000, 21 + n)
+        est = mc_mean(spec.evaluate, PowerLawDistribution(n), 400_000, 21 + n, SIGNS)
         assert abs(est.mean - (-0.6)) < 5 * est.stderr
 
 
 # Reference forms of the Monte Carlo block arithmetic, one temporary per
-# step: the sampler, the sign function and the block summaries must
-# reproduce them bit for bit.
+# step: the sampler and the sign function must reproduce them bit for
+# bit, and the engine's counts must be those of whole-block draws.
 
 
 def _reference_sample(dist, size, rng):
@@ -349,31 +373,37 @@ def _reference_sign(spec, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _reference_mc(f, dists, lanes, samples, seed):
-    """(mean, stderr, second moment, its stderr) from per-block centred
-    summaries merged in block order, f taking whole blocks."""
-    parts = []
+def _reference_counts(f, dists, lanes, samples, seed):
+    """{value: count} of f's outcomes, f taking whole blocks."""
+    counts = {}
     for index, start in enumerate(range(0, samples, MC_BLOCK_SIZE)):
         count = min(MC_BLOCK_SIZE, samples - start)
         xs = [_reference_sample(d, count, np.random.default_rng([seed, lane, index])) for d, lane in zip(dists, lanes)]
         ys = np.broadcast_to(np.asarray(f(*xs), dtype=float), (count,))
-        parts.append([(count, v.mean(), np.square(v - v.mean()).sum()) for v in (ys, np.square(ys))])
-    merged = []
-    for summaries in zip(*parts):
-        count, mean, m2 = summaries[0]
-        for count_b, mean_b, m2_b in summaries[1:]:
-            total = count + count_b
-            delta = mean_b - mean
-            mean, m2 = mean + delta * (count_b / total), m2 + m2_b + delta * delta * (count * count_b / total)
-            count = total
-        merged.append((float(mean), float(m2)))
-    scale = 1.0 / ((samples - 1) * samples) if samples > 1 else 0.0
-    (mean, m2), (second, second_m2) = merged
-    return mean, float(np.sqrt(m2 * scale)), second, float(np.sqrt(second_m2 * scale))
+        for value, hits in zip(*np.unique(ys, return_counts=True)):
+            counts[float(value)] = counts.get(float(value), 0) + int(hits)
+    return counts
+
+
+def _assert_engine_matches_reference(estimate, f, reference_f, dists, lanes, samples, seed, table):
+    """The engine's counts equal the reference counts, and its estimate is
+    formed from them: mean and stderr of the outcomes and of their squares."""
+    counts = _outcome_counts(f, dists, lanes, samples, seed, table)
+    expected = _reference_counts(reference_f, dists, lanes, samples, seed)
+    assert {value: count for value, count in counts if count} == expected
+    assert sum(count for _, count in counts) == samples
+    squares = [(value * value, count) for value, count in expected.items()]
+    assert (estimate.mean, estimate.stderr) == _count_cells(list(expected.items()))
+    assert (estimate.second_moment, estimate.second_stderr) == _count_cells(squares)
+    assert (estimate.samples, estimate.seed) == (samples, seed)
 
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
+
+
+# sample counts at the chunk and block edges
+ENGINE_SAMPLES = [1, MC_CHUNK - 1, MC_CHUNK + 1, MC_BLOCK_SIZE - 1, MC_BLOCK_SIZE, MC_BLOCK_SIZE + 1, 1_000_000]
 
 
 class TestBlockArithmeticIsUnchanged:
@@ -400,59 +430,93 @@ class TestBlockArithmeticIsUnchanged:
             assert type(value) is float
             assert _bits(value) == _bits(_reference_sign(spec, float(x)))
 
-    @pytest.mark.parametrize(
-        "samples", [1, MC_CHUNK - 1, MC_CHUNK + 1, MC_BLOCK_SIZE - 1, MC_BLOCK_SIZE, MC_BLOCK_SIZE + 1, 1_000_000]
-    )
+    @pytest.mark.parametrize("samples", ENGINE_SAMPLES)
     @pytest.mark.parametrize("seed", [1, 2])
     def test_mc_pair_matches_reference(self, samples, seed):
         a = SignFunctionSpec(0.4, include_sign_prefactor=True)
         b = SignFunctionSpec(-0.7, n=1, include_sign_prefactor=True)
         dist1, dist2 = PowerLawDistribution(0), PowerLawDistribution(1)
+        table = (997.0, 999.0, 1001.0, 1003.0)
 
         def outcome(sign):
-            return lambda x, y: 1e3 + sign(a, x) - 2.0 * sign(b, y) * sign(a, x) + y
+            return lambda x, y: 1e3 + sign(a, x) - 2.0 * sign(b, y) * sign(a, x)
 
-        est = mc_mean_pair(outcome(SignFunctionSpec.evaluate), dist1, dist2, samples, seed)
-        expected = _reference_mc(outcome(_reference_sign), (dist1, dist2), (1, 2), samples, seed)
-        assert (est.mean, est.stderr, est.second_moment, est.second_stderr) == expected
+        est = mc_mean_pair(outcome(SignFunctionSpec.evaluate), dist1, dist2, samples, seed, table)
+        _assert_engine_matches_reference(
+            est, outcome(SignFunctionSpec.evaluate), outcome(_reference_sign), (dist1, dist2), (1, 2), samples, seed, table
+        )
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_mc_mean_matches_reference(self, seed):
         spec = SignFunctionSpec(-0.45, n=3, norm=0.8, include_sign_prefactor=True)
         dist = spec.distribution
+        table = (-4.0, -2.0, 2.0, 4.0)
 
         def outcome(sign):
-            return lambda x: 3.0 * sign(spec, x) - x
+            return lambda x: 3.0 * sign(spec, x) - sign_pm(x)
 
-        samples = 3 * MC_BLOCK_SIZE + MC_CHUNK + 5
-        est = mc_mean(outcome(SignFunctionSpec.evaluate), dist, samples, seed)
-        expected = _reference_mc(outcome(_reference_sign), (dist,), (0,), samples, seed)
-        assert (est.mean, est.stderr, est.second_moment, est.second_stderr) == expected
+        for samples in [*ENGINE_SAMPLES, 3 * MC_BLOCK_SIZE + MC_CHUNK + 5]:
+            est = mc_mean(outcome(SignFunctionSpec.evaluate), dist, samples, seed, table)
+            _assert_engine_matches_reference(
+                est, outcome(SignFunctionSpec.evaluate), outcome(_reference_sign), (dist,), (0,), samples, seed, table
+            )
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_scalar_outcome_is_broadcast_and_exact(self, seed):
         samples = MC_BLOCK_SIZE + MC_CHUNK + 3
-        est = mc_mean(lambda xs: 2.5, PowerLawDistribution(1), samples, seed)
+        est = mc_mean(lambda xs: 2.5, PowerLawDistribution(1), samples, seed, (2.5,))
         assert (est.mean, est.stderr, est.second_moment, est.second_stderr) == (2.5, 0.0, 6.25, 0.0)
         dist = PowerLawDistribution(0)
-        pair = mc_mean_pair(lambda x, y: -0.75, dist, dist, samples, seed)
+        pair = mc_mean_pair(lambda x, y: -0.75, dist, dist, samples, seed, (-0.75, 1.0))
         assert (pair.mean, pair.stderr, pair.second_moment, pair.second_stderr) == (-0.75, 0.0, 0.5625, 0.0)
+        assert _outcome_counts(lambda x: 2.5, (dist,), (0,), samples, seed, (1.0, 2.5)) == [(1.0, 0), (2.5, samples)]
+
+
+class TestCountCells:
+    def test_one_value_is_exact(self):
+        for value in (0.1, -1e8 - 0.3, 12345.678, 5e-324):
+            assert _count_cells([(value, 7)]) == (value, 0.0)
+            assert _count_cells([(3.0, 0), (value, 7)]) == (value, 0.0)
+        assert _count_cells([(0.3, 1)]) == (0.3, 0.0)
+
+    def test_no_draws_give_empty_cells(self):
+        assert _count_cells([]) == (None, None)
+        assert _count_cells([(1.0, 0)]) == (None, None)
+
+    @given(
+        st.lists(st.tuples(st.floats(-1e6, 1e6), st.integers(0, 10**6)), min_size=1, max_size=5),
+        st.floats(-1e8, 1e8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mean_is_rounded_once_and_offset_cannot_cancel_the_spread(self, pairs, offset):
+        n = sum(count for _, count in pairs)
+        mean, stderr = _count_cells(pairs)
+        if not n:
+            assert (mean, stderr) == (None, None)
+            return
+        exact = sum(Fraction(value) * count for value, count in pairs) / n
+        assert mean == float(exact)
+        spread = sum(count * (Fraction(value) - exact) ** 2 for value, count in pairs)
+        assert stderr == (math.sqrt(spread / (n - 1) / n) if n > 1 else 0.0)
+        shifted = [(offset + value, count) for value, count in pairs]
+        if all(offset + value - offset == value for value, _ in pairs):
+            assert _count_cells(shifted)[1] == pytest.approx(stderr, rel=1e-12, abs=0.0)
 
 
 def _case_iii_pair():
     formula = spin_one.build_formula("III", spin_one.SpectralTriple((0.0, 1.0, -1.0), (0.3, 0.5, 0.2)))
-    return mc_mean_pair(formula.evaluate, *formula.hidden_distributions, 1_000_000, 5)
+    return mc_mean_pair(formula.evaluate, *formula.hidden_distributions, 1_000_000, 5, formula._table)
 
 
 def _ks_sum():
     model = ks.KsModel((0.2, 0.5, 0.3))
-    return mc_mean(lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, 1_000_000, 5)
+    return mc_mean(lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, 1_000_000, 5, (0.0, 1.0, 2.0, 3.0))
 
 
 @pytest.mark.parametrize("estimate", [_case_iii_pair, _ks_sum])
-def test_mc_peak_memory_stays_below_three_blocks(estimate):
-    # the outcome array and the summary buffer are two blocks; each
-    # chunk's draws and temporaries must fit in the third
+def test_mc_peak_memory_stays_below_one_block(estimate):
+    # the engine keeps only counts: a chunk's draws, outcomes and
+    # temporaries are all it holds
     estimate()
     tracemalloc.start()
     try:
@@ -460,4 +524,4 @@ def test_mc_peak_memory_stays_below_three_blocks(estimate):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * MC_BLOCK_SIZE * 8
+    assert peak < MC_BLOCK_SIZE * 8

@@ -89,12 +89,12 @@ class TestSquareOutcomes:
 
     def test_sum_averages_to_two_by_mc(self):
         model = KsModel((0.2, 0.5, 0.3))
-        est = mc_mean(lambda xs: sum(ks_square_outcomes(model, xs)), SHARED_HIDDEN, 1_000_000, 1)
+        est = mc_mean(lambda xs: sum(ks_square_outcomes(model, xs)), SHARED_HIDDEN, 1_000_000, 1, (0.0, 1.0, 2.0, 3.0))
         assert abs(est.mean - 2.0) < 4 * est.stderr
 
     def test_zero_probability_matches_component_means(self):
         model = KsModel((0.1, 0.6, 0.3))
-        est = mc_mean(lambda xs: ks_square_outcomes(model, xs)[1], SHARED_HIDDEN, 500_000, 2)
+        est = mc_mean(lambda xs: ks_square_outcomes(model, xs)[1], SHARED_HIDDEN, 500_000, 2, (0.0, 1.0))
         assert abs(est.mean - (1.0 - 0.6)) < 4 * est.stderr
 
 
@@ -174,7 +174,7 @@ class TestSecondMoment:
             probs = tuple(rng.dirichlet(np.ones(3)))
             model = KsModel(probs)
             est = mc_mean(
-                lambda xs: sum(ks_square_outcomes(model, xs)) ** 2, SHARED_HIDDEN, 400_000, seed
+                lambda xs: sum(ks_square_outcomes(model, xs)) ** 2, SHARED_HIDDEN, 400_000, seed, (0.0, 1.0, 4.0, 9.0)
             )
             assert abs(est.mean - ks_second_moment(model)) < 4 * est.stderr
 
@@ -328,7 +328,7 @@ class TestDeformedModel:
         # three-outcome distribution whose moments are checked
         model = DeformedKsModel(0.2, (0.25, 0.5, 0.25))
         formula = deformed_formula(model)
-        est = mc_mean_pair(formula.evaluate, *formula.hidden_distributions, 1_000_000, 12)
+        est = mc_mean_pair(formula.evaluate, *formula.hidden_distributions, 1_000_000, 12, formula._table)
         stats = deformed_statistics(model)
         assert abs(est.mean - stats.mean) < 4 * est.stderr
         assert abs(est.second_moment - stats.second_moment) < 4 * est.second_stderr

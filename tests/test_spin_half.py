@@ -27,6 +27,11 @@ def _random_direction(rng, scale=2.0):
             return beta
 
 
+def _outcomes(beta):
+    # both rules take the values -|b| and +|b|
+    return -np.linalg.norm(beta), np.linalg.norm(beta)
+
+
 class TestOriginalRule:
     def test_outcomes_live_on_two_points(self):
         rng = np.random.default_rng(0)
@@ -64,7 +69,7 @@ class TestOriginalRule:
 
     def test_mc_average_matches_z_component(self):
         beta = np.array([0.6, -0.8, 0.5])
-        est = mc_mean(lambda xs: bell_outcome_original(beta, xs), FLAT, 1_000_000, 42)
+        est = mc_mean(lambda xs: bell_outcome_original(beta, xs), FLAT, 1_000_000, 42, _outcomes(beta))
         assert abs(est.mean - beta[2]) < 4 * est.stderr
 
     def test_variance_matches_up_state(self):
@@ -108,7 +113,7 @@ class TestModifiedRule:
     def test_mc_mean_matches_overlap(self):
         beta = np.array([0.8, -0.2, 0.5])
         bloch = np.array([0.3, 0.4, -0.6])
-        est = mc_mean(lambda xs: bell_outcome_modified(beta, bloch, xs), FLAT, 1_000_000, 5)
+        est = mc_mean(lambda xs: bell_outcome_modified(beta, bloch, xs), FLAT, 1_000_000, 5, _outcomes(beta))
         assert abs(est.mean - float(np.dot(beta, bloch))) < 4 * est.stderr
 
     def test_negative_overlap_probabilities(self):
@@ -175,7 +180,7 @@ class TestHvStatistics:
         beta = _random_direction(rng)
         state = random_pure_state(2, rng)
         bloch = bloch_vector(state, PAULI_BASIS)
-        est = mc_mean(lambda xs: bell_outcome_modified(beta, bloch, xs), FLAT, 1_000_000, 10)
+        est = mc_mean(lambda xs: bell_outcome_modified(beta, bloch, xs), FLAT, 1_000_000, 10, _outcomes(beta))
         matrix = linear_observable(beta, PAULI_BASIS)
         assert abs(est.mean - expectation(matrix, state)) < 4 * est.stderr
 

@@ -240,7 +240,7 @@ class TestBuildFormulaAndEvaluate:
             outs = formula.evaluate(d1.sample(2000, rng), d2.sample(2000, rng))
             assert np.all(np.isin(outs, lam))
 
-    @pytest.mark.parametrize("bad", [0.5, 0.0, float("nan")])
+    @pytest.mark.parametrize("bad", [0.5, 0.0, float("nan"), float("inf"), -float("inf")])
     def test_non_sign_arguments_rejected(self, bad):
         formula = build_formula("III", SpectralTriple((0.0, 1.0, -1.0), (0.25, 0.5, 0.25)))
         with pytest.raises(ValueError):
@@ -270,7 +270,7 @@ class TestBuildFormulaAndEvaluate:
         triple = SpectralTriple((0.0, 1.0, -1.0), (0.25, 0.5, 0.25))
         formula = build_formula("III", triple)
         d1, d2 = formula.hidden_distributions
-        est = mc_mean_pair(formula.evaluate, d1, d2, 1_000_000, 15)
+        est = mc_mean_pair(formula.evaluate, d1, d2, 1_000_000, 15, formula._table)
         assert abs(est.mean - 0.25) < 4 * est.stderr
 
     def test_nonflat_distribution_keeps_the_mean(self):
@@ -278,7 +278,7 @@ class TestBuildFormulaAndEvaluate:
         formula = build_formula("III", triple, n=2)
         d1, d2 = formula.hidden_distributions
         assert d1.n == 2
-        est = mc_mean_pair(formula.evaluate, d1, d2, 1_000_000, 16)
+        est = mc_mean_pair(formula.evaluate, d1, d2, 1_000_000, 16, formula._table)
         assert abs(est.mean - 0.25) < 4 * est.stderr
 
     def test_mean_law_over_random_feasible_instances(self):
@@ -289,7 +289,7 @@ class TestBuildFormulaAndEvaluate:
             probs = random_simplex(rng)
             formula = build_formula(cases[trial % 4], SpectralTriple(lam, probs))
             d1, d2 = formula.hidden_distributions
-            est = mc_mean_pair(formula.evaluate, d1, d2, 200_000, 500 + trial)
+            est = mc_mean_pair(formula.evaluate, d1, d2, 200_000, 500 + trial, formula._table)
             assert abs(est.mean - float(np.dot(probs, lam))) <= max(4 * est.stderr, 1e-12)
 
 
@@ -420,7 +420,7 @@ class TestBeableFromOperator:
         state = random_pure_state(3, rng)
         formula = beable_from_operator(coeffs, GM, state, case_id="IV")
         d1, d2 = formula.hidden_distributions
-        est = mc_mean_pair(formula.evaluate, d1, d2, 1_000_000, 21)
+        est = mc_mean_pair(formula.evaluate, d1, d2, 1_000_000, 21, formula._table)
         matrix = linear_observable(coeffs, GM)
         assert abs(est.mean - expectation(matrix, state)) < 4 * est.stderr
 
