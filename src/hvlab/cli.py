@@ -21,12 +21,10 @@ import numpy as np
 
 from . import ks, spin_half, spin_one
 from .distributions import (
-    McEstimate,
     Moments,
     PowerLawDistribution,
     SignFunctionSpec,
     _count_cells,
-    _outcome_counts,
     mc_mean,
     mc_mean_pair,
     sign_mean_analytic,
@@ -164,15 +162,8 @@ def _row_seed(args: argparse.Namespace, index: int) -> int:
 # row builders: every experiment's rows are built here and nowhere else.
 # The subcommands parse their flags into a builder's arguments; verify-all
 # calls the same builders with fixed inputs and selects rows from them.
-# Builders whose seed is optional make no Monte Carlo pass when it is None.
-
-
-def _cells(est: McEstimate | None, second: bool = False) -> tuple[float | None, float | None]:
-    """The mc and stderr cells of a row: the estimate's mean or second
-    moment, or empty cells when no pass was made."""
-    if est is None:
-        return None, None
-    return (est.second_moment, est.second_stderr) if second else (est.mean, est.stderr)
+# Builders whose seed is optional make no Monte Carlo pass when it is None:
+# their outcome counts are empty, and so are the mc and stderr cells.
 
 
 def _spin_half_outcomes(direction: np.ndarray) -> tuple[float, float]:
@@ -187,24 +178,26 @@ def _select(rows: list[ReportRow], *names: str) -> list[ReportRow]:
 
 def _sgn_mean_row(n: int, xi: float, samples: int, seed: int) -> ReportRow:
     spec = SignFunctionSpec(xi, n=n)
-    est = mc_mean(spec.evaluate, spec.distribution, samples, seed, (-1.0, 1.0))
-    return ReportRow("sgn-mean", f"n={n};xi={xi}", sign_mean_analytic(spec), *_cells(est), sign_mean_quadrature(spec))
+    counts = mc_mean(spec.evaluate, spec.distribution, samples, seed, (-1.0, 1.0))
+    return ReportRow("sgn-mean", f"n={n};xi={xi}", sign_mean_analytic(spec), *_count_cells(counts), sign_mean_quadrature(spec))
 
 
 def _sgn_product_row(n: int, b1: float, b2: float, samples: int, seed: int) -> ReportRow:
     s1 = SignFunctionSpec(b1, n=n, include_sign_prefactor=True)
     s2 = SignFunctionSpec(b2, n=n, include_sign_prefactor=True)
-    est = mc_mean(lambda xs: s1.evaluate(xs) * s2.evaluate(xs), s1.distribution, samples, seed, (-1.0, 1.0))
+    counts = mc_mean(lambda xs: s1.evaluate(xs) * s2.evaluate(xs), s1.distribution, samples, seed, (-1.0, 1.0))
     analytic, quadrature = sign_product_mean_analytic(s1, s2), sign_product_mean_quadrature(s1, s2)
-    return ReportRow("sgn-product-mean", f"n={n};xi1={b1};xi2={b2}", analytic, *_cells(est), quadrature)
+    return ReportRow("sgn-product-mean", f"n={n};xi1={b1};xi2={b2}", analytic, *_count_cells(counts), quadrature)
 
 
-def _moment_rows(kind: str, params: str, stats: Moments, oracle: Moments, est: McEstimate | None) -> list[ReportRow]:
+def _moment_rows(kind: str, params: str, stats: Moments, oracle: Moments, counts: list[tuple[float, int]]) -> list[ReportRow]:
     """The mean, second-moment and variance rows of a model's moments
-    against their reference, the first two with the estimate's cells."""
+    against their reference, the first two with the cells of the outcome
+    counts and of their squares."""
+    squares = [(value * value, count) for value, count in counts]
     return [
-        ReportRow(f"{kind}-mean", params, stats.mean, *_cells(est), oracle.mean),
-        ReportRow(f"{kind}-second-moment", params, stats.second_moment, *_cells(est, second=True), oracle.second_moment),
+        ReportRow(f"{kind}-mean", params, stats.mean, *_count_cells(counts), oracle.mean),
+        ReportRow(f"{kind}-second-moment", params, stats.second_moment, *_count_cells(squares), oracle.second_moment),
         ReportRow(f"{kind}-variance", params, stats.variance, oracle=oracle.variance),
     ]
 
@@ -221,9 +214,9 @@ def _spin_half_rows(
     bloch = bloch_vector(state, pauli)
     stats = spin_half.hv_statistics(direction, bloch)
     outcome = functools.partial(spin_half.bell_outcome_modified, direction, bloch)
-    est = mc_mean(outcome, PowerLawDistribution(0), samples, seed, _spin_half_outcomes(direction))
+    counts = mc_mean(outcome, PowerLawDistribution(0), samples, seed, _spin_half_outcomes(direction))
     oracle = _operator_moments(linear_observable(direction, pauli), state)
-    return _moment_rows("spin-half", params, stats, oracle, est)
+    return _moment_rows("spin-half", params, stats, oracle, counts)
 
 
 def _spin_half_original_rows(
@@ -234,12 +227,12 @@ def _spin_half_original_rows(
     mean = spin_half.bell_original_mean_analytic(direction)
     # |b|^2 - b_z^2 without the cancellation: the outcomes are +-|b|, the mean is +-|b_z|
     spread = float(direction[0] ** 2 + direction[1] ** 2)
-    est = None
+    counts = []
     if seed is not None:
         outcome = functools.partial(spin_half.bell_outcome_original, direction)
-        est = mc_mean(outcome, PowerLawDistribution(0), samples, seed, _spin_half_outcomes(direction))
+        counts = mc_mean(outcome, PowerLawDistribution(0), samples, seed, _spin_half_outcomes(direction))
     return [
-        ReportRow("spin-half-original-mean", params, mean, *_cells(est), oracle.mean),
+        ReportRow("spin-half-original-mean", params, mean, *_count_cells(counts), oracle.mean),
         ReportRow("spin-half-original-variance", params, spread, oracle=oracle.variance),
     ]
 
@@ -248,9 +241,9 @@ def _split_counts(
     offset: float, direction: np.ndarray, bloch: np.ndarray, split_point: float, samples: int, seed: int
 ) -> dict[tuple[float, bool], int]:
     """How many of ``samples`` seeded draws of offset + b.S take each
-    (outcome value, upper side) pair.  The hidden values are the block
-    engine's stream, the one ``mc_mean`` draws, and only the count of each
-    joint cell is kept."""
+    (outcome value, upper side) pair, counted by ``mc_mean`` as the four
+    values of one table, so the hidden values are those ``mc_mean`` of the
+    rule itself draws."""
     minus, plus = _spin_half_outcomes(direction)
     low, high = offset + minus, offset + plus
 
@@ -261,7 +254,7 @@ def _split_counts(
             raise RuntimeError("the outcome rule took a value other than offset -+ |b|")
         return 2 * is_high + (hidden >= split_point)
 
-    cells = _outcome_counts(cell, (PowerLawDistribution(0),), (0,), samples, seed, range(4))
+    cells = mc_mean(cell, PowerLawDistribution(0), samples, seed, range(4))
     # when high == low every draw is high, so the low cells are empty
     keys = ((low, False), (low, True), (high, False), (high, True))
     return {key: count for key, (_, count) in zip(keys, cells) if count}
@@ -275,18 +268,15 @@ def _homogeneity_rows(
     seed, mc cells counted on the block engine's draws, as its estimator gives no subensemble means."""
     bloch = bloch_vector(state, pauli)
     split = spin_half.homogeneity_split(offset, direction, bloch)
-    plus = minus = whole = (None, None)
-    if seed is not None:
-        counts = _split_counts(offset, direction, bloch, split.split_point, samples, seed)
-        upper = [(value, count) for (value, side), count in counts.items() if side]
-        lower = [(value, count) for (value, side), count in counts.items() if not side]
-        plus, minus, whole = _count_cells(upper), _count_cells(lower), _count_cells(upper + lower)
+    counts = {} if seed is None else _split_counts(offset, direction, bloch, split.split_point, samples, seed)
+    upper = [(value, count) for (value, side), count in counts.items() if side]
+    lower = [(value, count) for (value, side), count in counts.items() if not side]
     recombined = split.weight_plus * split.mean_plus + split.weight_minus * split.mean_minus
     whole_oracle = offset + expectation(linear_observable(direction, pauli), state)
     return [
-        ReportRow("homogeneity-mean-plus", params, split.mean_plus, *plus),
-        ReportRow("homogeneity-mean-minus", params, split.mean_minus, *minus),
-        ReportRow("homogeneity-whole", params, split.whole, *whole, whole_oracle),
+        ReportRow("homogeneity-mean-plus", params, split.mean_plus, *_count_cells(upper)),
+        ReportRow("homogeneity-mean-minus", params, split.mean_minus, *_count_cells(lower)),
+        ReportRow("homogeneity-whole", params, split.whole, *_count_cells(upper + lower), whole_oracle),
         ReportRow("homogeneity-recombined", params, recombined, oracle=split.whole),
     ]
 
@@ -295,8 +285,8 @@ def _formula_rows(
     kind: str, formula: spin_one.OutcomeFormula, params: str, stats: Moments, oracle: Moments, samples: int, seed: int | None
 ) -> list[ReportRow]:
     """Moment rows of a two-sign-function rule; with a seed, mc cells from one two-variable pass."""
-    est = None if seed is None else mc_mean_pair(formula.evaluate, *formula.hidden_distributions, samples, seed, formula._table)
-    return _moment_rows(kind, params, stats, oracle, est)
+    counts = [] if seed is None else mc_mean_pair(formula.evaluate, *formula.hidden_distributions, samples, seed, formula._table)
+    return _moment_rows(kind, params, stats, oracle, counts)
 
 
 def _spin_one_rows(
@@ -325,14 +315,15 @@ def _ks_rows(probs: tuple[float, float, float], params: str, samples: int = 0, s
     constraint sum.  The reference second moment is taken term by term:
     2 from the squared outcomes plus twice the three pairwise cross terms."""
     model = ks.KsModel(probs)
-    est = None if seed is None else mc_mean(
+    counts = [] if seed is None else mc_mean(
         lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, samples, seed, (0.0, 1.0, 2.0, 3.0)
     )
+    squares = [(value * value, count) for value, count in counts]
     p1, p2, p3 = model.probabilities
     route = 2.0 + 2.0 * (ks.ks_cross_term(p1, p2) + ks.ks_cross_term(p1, p3) + ks.ks_cross_term(p2, p3))
     return [
-        ReportRow("ks-average", params, ks.ks_average(model), *_cells(est), 2.0),
-        ReportRow("ks-second-moment", params, ks.ks_second_moment(model), *_cells(est, second=True), route),
+        ReportRow("ks-average", params, ks.ks_average(model), *_count_cells(counts), 2.0),
+        ReportRow("ks-second-moment", params, ks.ks_second_moment(model), *_count_cells(squares), route),
         ReportRow("ks-dispersion", params, ks.ks_dispersion(model), oracle=route - 4.0),
     ]
 

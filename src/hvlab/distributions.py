@@ -25,7 +25,6 @@ __all__ = [
     "PowerLawDistribution",
     "SignFunctionSpec",
     "Moments",
-    "McEstimate",
     "sign_mean_analytic",
     "sign_product_mean_analytic",
     "sign_mean_quadrature",
@@ -243,38 +242,30 @@ def sign_product_mean_quadrature(first: SignFunctionSpec, second: SignFunctionSp
     return _sign_quadrature(first, second)
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    """Monte Carlo mean of f with its standard error, and the mean of f**2
-    with its standard error, both from the same draws."""
-
-    mean: float
-    stderr: float
-    samples: int
-    seed: int
-    second_moment: float
-    second_stderr: float
-
-
 def _block_rng(seed: int, block_index: int, lane: int) -> np.random.Generator:
     key = int(seed) & 0xFFFFFFFFFFFFFFFF
     return np.random.default_rng([key, lane, block_index])
 
 
 def _count_cells(counts: list[tuple[float, int]]) -> tuple[float | None, float | None]:
-    """Mean and standard error of draws given as (value, count) pairs.
-    Both are summed exactly in rationals and rounded once, so draws of
-    one value give it exactly with stderr 0, and no offset common to the
-    values cancels the spread."""
-    exact = [(Fraction(value), count) for value, count in counts if count]
-    n = sum(count for _, count in exact)
-    if not n:
-        return None, None
-    mean = sum(count * value for value, count in exact) / n
-    if n == 1:
-        return float(mean), 0.0
-    spread = sum(count * (value - mean) ** 2 for value, count in exact)
-    return float(mean), math.sqrt(spread / (n - 1) / n)
+    """Mean and standard error of draws given as (value, count) pairs:
+    the mc and stderr cells of every Monte Carlo row.  Both are summed
+    exactly in rationals and rounded once, so draws of one value give it
+    exactly with stderr 0, and no offset common to the values cancels
+    the spread.  No draws give empty cells; a value or a result beyond
+    the float range raises ValueError."""
+    try:
+        exact = [(Fraction(value), count) for value, count in counts if count]
+        n = sum(count for _, count in exact)
+        if not n:
+            return None, None
+        mean = sum(count * value for value, count in exact) / n
+        if n == 1:
+            return float(mean), 0.0
+        spread = sum(count * (value - mean) ** 2 for value, count in exact)
+        return float(mean), math.sqrt(spread / (n - 1) / n)
+    except OverflowError as exc:
+        raise ValueError("the outcome moments exceed the float range") from exc
 
 
 def _outcome_counts(
@@ -311,36 +302,24 @@ def _outcome_counts(
     return list(zip(values, counts))
 
 
-def _mc_moments(
-    f: Callable[..., np.ndarray], dists: tuple, lanes: tuple[int, ...], samples: int, seed: int,
-    outcomes: Iterable[float],
-) -> McEstimate:
-    """Monte Carlo estimate of E[f] and E[f**2], each formed once from
-    the outcome counts."""
-    counts = _outcome_counts(f, dists, lanes, samples, seed, outcomes)
-    try:
-        mean, stderr = _count_cells(counts)
-        second, second_stderr = _count_cells([(value * value, count) for value, count in counts])
-    except OverflowError as exc:
-        raise ValueError("the outcome moments exceed the float range") from exc
-    return McEstimate(mean, stderr, samples, seed, second, second_stderr)
-
-
 def mc_mean(
     f: Callable[[np.ndarray], np.ndarray],
     dist: PowerLawDistribution,
     samples: int,
     seed: int,
     outcomes: Iterable[float],
-) -> McEstimate:
-    """Monte Carlo estimate of E[f(x)] and E[f(x)**2] under ``dist``,
-    counted against the finite table ``outcomes`` of the values f takes.
+) -> list[tuple[float, int]]:
+    """How many of ``samples`` seeded draws of f(x) under ``dist`` take
+    each value of its finite outcome table ``outcomes``: (value, count)
+    pairs, one per distinct value, in table order.  ``_count_cells`` of
+    the pairs gives the estimate of E[f(x)] and its standard error, and
+    of the squared pairs that of E[f(x)**2].
 
     ``f`` is called on chunks of each block of draws, so each value of
-    f(x) must depend only on its own x; the estimate does not depend on
-    the chunking.
+    f(x) must depend only on its own x; the counts do not depend on the
+    chunking.
     """
-    return _mc_moments(f, (dist,), (0,), samples, seed, outcomes)
+    return _outcome_counts(f, (dist,), (0,), samples, seed, outcomes)
 
 
 def mc_mean_pair(
@@ -350,12 +329,13 @@ def mc_mean_pair(
     samples: int,
     seed: int,
     outcomes: Iterable[float],
-) -> McEstimate:
-    """Monte Carlo estimate of E[f(x1, x2)] and E[f(x1, x2)**2] for two
-    independent draws, counted against the finite table ``outcomes``.
+) -> list[tuple[float, int]]:
+    """How many of ``samples`` seeded draws of f(x1, x2), for two
+    independent variables, take each value of the finite table
+    ``outcomes``: (value, count) pairs, as ``mc_mean`` gives them.
 
     ``f`` is called on chunks of each block of draws, so each value of
-    f(x1, x2) must depend only on its own pair; the estimate does not
+    f(x1, x2) must depend only on its own pair; the counts do not
     depend on the chunking.
     """
-    return _mc_moments(f, (dist1, dist2), (1, 2), samples, seed, outcomes)
+    return _outcome_counts(f, (dist1, dist2), (1, 2), samples, seed, outcomes)

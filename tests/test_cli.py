@@ -15,7 +15,7 @@ import hvlab.cli
 import hvlab.oracle
 from hvlab import spin_half, spin_one
 from hvlab.cli import ReportRow, build_parser, main
-from hvlab.distributions import MC_BLOCK_SIZE, MC_CHUNK, PowerLawDistribution, mc_mean
+from hvlab.distributions import MC_BLOCK_SIZE, MC_CHUNK, PowerLawDistribution, _count_cells, mc_mean
 from hvlab.oracle import PAULI, QuantumState, bloch_vector, build_basis
 
 FAST = ["--samples", "20000", "--seed", "42"]
@@ -375,13 +375,14 @@ class TestStreamedHomogeneity:
     def test_whole_matches_the_block_engine(self):
         offset, samples = 1.5, 2 * MC_BLOCK_SIZE + 5
         bloch = bloch_vector(self.STATE, build_basis(PAULI))
-        est = mc_mean(
+        counts = mc_mean(
             lambda xs: offset + spin_half.bell_outcome_modified(self.DIRECTION, bloch, xs),
             PowerLawDistribution(0), samples, self.SEED, offset + np.array([-1.0, 1.0]) * np.linalg.norm(self.DIRECTION),
         )
+        mean, stderr = _count_cells(counts)
         whole = self.rows(offset, samples)["homogeneity-whole"]
-        assert whole.mc == pytest.approx(est.mean, rel=1e-12, abs=0.0)
-        assert whole.stderr == pytest.approx(est.stderr, rel=1e-12, abs=0.0)
+        assert whole.mc == pytest.approx(mean, rel=1e-12, abs=0.0)
+        assert whole.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
 
     def test_a_third_outcome_value_raises(self, monkeypatch):
         real = spin_half.bell_outcome_modified

@@ -275,20 +275,21 @@ class TestProductMean:
 
 class TestMcMean:
     def test_constant_function_is_exact(self):
-        est = mc_mean(lambda xs: np.ones_like(xs), PowerLawDistribution(0), 10_000, 42, (1.0,))
-        assert est.mean == 1.0
-        assert est.stderr == 0.0
+        mean, stderr = _count_cells(mc_mean(lambda xs: np.ones_like(xs), PowerLawDistribution(0), 10_000, 42, (1.0,)))
+        assert mean == 1.0
+        assert stderr == 0.0
 
     def test_sign_mean_within_band(self):
         spec = SignFunctionSpec(0.5)
-        est = mc_mean(spec.evaluate, PowerLawDistribution(0), 1_000_000, 42, SIGNS)
-        assert abs(est.mean - 0.5) < 4 * est.stderr
+        mean, stderr = _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(0), 1_000_000, 42, SIGNS))
+        assert abs(mean - 0.5) < 4 * stderr
 
     def test_product_within_band(self):
         a = SignFunctionSpec(0.8, include_sign_prefactor=True)
         b = SignFunctionSpec(0.3, include_sign_prefactor=True)
-        est = mc_mean(lambda xs: a.evaluate(xs) * b.evaluate(xs), PowerLawDistribution(0), 1_000_000, 7, SIGNS)
-        assert abs(est.mean - 0.5) < 4 * est.stderr
+        counts = mc_mean(lambda xs: a.evaluate(xs) * b.evaluate(xs), PowerLawDistribution(0), 1_000_000, 7, SIGNS)
+        mean, stderr = _count_cells(counts)
+        assert abs(mean - 0.5) < 4 * stderr
 
     def test_seed_determinism(self):
         spec = SignFunctionSpec(0.3)
@@ -303,23 +304,24 @@ class TestMcMean:
         def f(xs):
             return 2.0 * spec.evaluate(xs) + sign_pm(xs)
 
-        est = mc_mean(f, dist, 300_000, 9, (-3.0, -1.0, 1.0, 3.0))
+        counts = mc_mean(f, dist, 300_000, 9, (-3.0, -1.0, 1.0, 3.0))
         squared = mc_mean(lambda xs: f(xs) ** 2, dist, 300_000, 9, (1.0, 9.0))
-        assert est.second_moment == squared.mean
-        assert est.second_stderr == squared.stderr
+        assert _count_cells([(value * value, count) for value, count in counts]) == _count_cells(squared)
 
     @pytest.mark.parametrize("offset", [1e5, 1e7])
     def test_spread_survives_large_offset(self, offset):
         # the sum-of-squares form cancels here: stderr 0 at 1e5, 256x too large at 1e7
         table = (offset - 1e-3, offset + 1e-3)
-        est = mc_mean(lambda xs: offset + 1e-3 * sign_pm(xs), PowerLawDistribution(0), 10**6, 1, table)
-        assert est.stderr == pytest.approx(1e-6, rel=0.01)
-        assert est.mean == pytest.approx(offset, abs=1e-5)
+        counts = mc_mean(lambda xs: offset + 1e-3 * sign_pm(xs), PowerLawDistribution(0), 10**6, 1, table)
+        mean, stderr = _count_cells(counts)
+        assert stderr == pytest.approx(1e-6, rel=0.01)
+        assert mean == pytest.approx(offset, abs=1e-5)
 
     def test_pair_streams_are_independent(self):
         dist = PowerLawDistribution(0)
-        est = mc_mean_pair(lambda x, y: np.sign(x) * np.sign(y), dist, dist, 400_000, 3, (-1.0, 0.0, 1.0))
-        assert abs(est.mean) < 5 * est.stderr
+        counts = mc_mean_pair(lambda x, y: np.sign(x) * np.sign(y), dist, dist, 400_000, 3, (-1.0, 0.0, 1.0))
+        mean, stderr = _count_cells(counts)
+        assert abs(mean) < 5 * stderr
 
     def test_worker_count_is_not_settable(self):
         # the engine is serial: blocks are drawn and merged in block order
@@ -346,14 +348,14 @@ class TestMcMean:
 
     def test_table_order_and_repeats_do_not_change_the_estimate(self):
         spec = SignFunctionSpec(0.3)
-        est = mc_mean(spec.evaluate, PowerLawDistribution(0), 50_000, 5, SIGNS)
-        assert mc_mean(spec.evaluate, PowerLawDistribution(0), 50_000, 5, (1.0, -1.0, 1.0, 7.0)) == est
+        cells = _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(0), 50_000, 5, SIGNS))
+        assert _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(0), 50_000, 5, (1.0, -1.0, 1.0, 7.0))) == cells
 
     @pytest.mark.parametrize("n", range(4))
     def test_mc_matches_analytic_mean(self, n):
         spec = SignFunctionSpec(-0.6, n=n, include_sign_prefactor=True)
-        est = mc_mean(spec.evaluate, PowerLawDistribution(n), 400_000, 21 + n, SIGNS)
-        assert abs(est.mean - (-0.6)) < 5 * est.stderr
+        mean, stderr = _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(n), 400_000, 21 + n, SIGNS))
+        assert abs(mean - (-0.6)) < 5 * stderr
 
 
 # Reference forms of the Monte Carlo block arithmetic, one temporary per
@@ -385,17 +387,11 @@ def _reference_counts(f, dists, lanes, samples, seed):
     return counts
 
 
-def _assert_engine_matches_reference(estimate, f, reference_f, dists, lanes, samples, seed, table):
-    """The engine's counts equal the reference counts, and its estimate is
-    formed from them: mean and stderr of the outcomes and of their squares."""
-    counts = _outcome_counts(f, dists, lanes, samples, seed, table)
+def _assert_engine_matches_reference(counts, reference_f, dists, lanes, samples, seed):
+    """The engine's counts equal the reference counts of whole-block draws."""
     expected = _reference_counts(reference_f, dists, lanes, samples, seed)
     assert {value: count for value, count in counts if count} == expected
     assert sum(count for _, count in counts) == samples
-    squares = [(value * value, count) for value, count in expected.items()]
-    assert (estimate.mean, estimate.stderr) == _count_cells(list(expected.items()))
-    assert (estimate.second_moment, estimate.second_stderr) == _count_cells(squares)
-    assert (estimate.samples, estimate.seed) == (samples, seed)
 
 
 def _bits(values):
@@ -441,10 +437,8 @@ class TestBlockArithmeticIsUnchanged:
         def outcome(sign):
             return lambda x, y: 1e3 + sign(a, x) - 2.0 * sign(b, y) * sign(a, x)
 
-        est = mc_mean_pair(outcome(SignFunctionSpec.evaluate), dist1, dist2, samples, seed, table)
-        _assert_engine_matches_reference(
-            est, outcome(SignFunctionSpec.evaluate), outcome(_reference_sign), (dist1, dist2), (1, 2), samples, seed, table
-        )
+        counts = mc_mean_pair(outcome(SignFunctionSpec.evaluate), dist1, dist2, samples, seed, table)
+        _assert_engine_matches_reference(counts, outcome(_reference_sign), (dist1, dist2), (1, 2), samples, seed)
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_mc_mean_matches_reference(self, seed):
@@ -456,19 +450,18 @@ class TestBlockArithmeticIsUnchanged:
             return lambda x: 3.0 * sign(spec, x) - sign_pm(x)
 
         for samples in [*ENGINE_SAMPLES, 3 * MC_BLOCK_SIZE + MC_CHUNK + 5]:
-            est = mc_mean(outcome(SignFunctionSpec.evaluate), dist, samples, seed, table)
-            _assert_engine_matches_reference(
-                est, outcome(SignFunctionSpec.evaluate), outcome(_reference_sign), (dist,), (0,), samples, seed, table
-            )
+            counts = mc_mean(outcome(SignFunctionSpec.evaluate), dist, samples, seed, table)
+            _assert_engine_matches_reference(counts, outcome(_reference_sign), (dist,), (0,), samples, seed)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_scalar_outcome_is_broadcast_and_exact(self, seed):
         samples = MC_BLOCK_SIZE + MC_CHUNK + 3
-        est = mc_mean(lambda xs: 2.5, PowerLawDistribution(1), samples, seed, (2.5,))
-        assert (est.mean, est.stderr, est.second_moment, est.second_stderr) == (2.5, 0.0, 6.25, 0.0)
+        assert mc_mean(lambda xs: 2.5, PowerLawDistribution(1), samples, seed, (2.5,)) == [(2.5, samples)]
         dist = PowerLawDistribution(0)
         pair = mc_mean_pair(lambda x, y: -0.75, dist, dist, samples, seed, (-0.75, 1.0))
-        assert (pair.mean, pair.stderr, pair.second_moment, pair.second_stderr) == (-0.75, 0.0, 0.5625, 0.0)
+        assert pair == [(-0.75, samples), (1.0, 0)]
+        assert _count_cells(pair) == (-0.75, 0.0)
+        assert _count_cells([(value * value, count) for value, count in pair]) == (0.5625, 0.0)
         assert _outcome_counts(lambda x: 2.5, (dist,), (0,), samples, seed, (1.0, 2.5)) == [(1.0, 0), (2.5, samples)]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvlab.distributions import mc_mean, mc_mean_pair
+from hvlab.distributions import _count_cells, mc_mean, mc_mean_pair
 from hvlab.ks import (
     SHARED_HIDDEN,
     DeformedKsModel,
@@ -89,13 +89,15 @@ class TestSquareOutcomes:
 
     def test_sum_averages_to_two_by_mc(self):
         model = KsModel((0.2, 0.5, 0.3))
-        est = mc_mean(lambda xs: sum(ks_square_outcomes(model, xs)), SHARED_HIDDEN, 1_000_000, 1, (0.0, 1.0, 2.0, 3.0))
-        assert abs(est.mean - 2.0) < 4 * est.stderr
+        counts = mc_mean(lambda xs: sum(ks_square_outcomes(model, xs)), SHARED_HIDDEN, 1_000_000, 1, (0.0, 1.0, 2.0, 3.0))
+        mean, stderr = _count_cells(counts)
+        assert abs(mean - 2.0) < 4 * stderr
 
     def test_zero_probability_matches_component_means(self):
         model = KsModel((0.1, 0.6, 0.3))
-        est = mc_mean(lambda xs: ks_square_outcomes(model, xs)[1], SHARED_HIDDEN, 500_000, 2, (0.0, 1.0))
-        assert abs(est.mean - (1.0 - 0.6)) < 4 * est.stderr
+        counts = mc_mean(lambda xs: ks_square_outcomes(model, xs)[1], SHARED_HIDDEN, 500_000, 2, (0.0, 1.0))
+        mean, stderr = _count_cells(counts)
+        assert abs(mean - (1.0 - 0.6)) < 4 * stderr
 
 
 class TestAverage:
@@ -173,10 +175,11 @@ class TestSecondMoment:
         for seed in range(5):
             probs = tuple(rng.dirichlet(np.ones(3)))
             model = KsModel(probs)
-            est = mc_mean(
+            counts = mc_mean(
                 lambda xs: sum(ks_square_outcomes(model, xs)) ** 2, SHARED_HIDDEN, 400_000, seed, (0.0, 1.0, 4.0, 9.0)
             )
-            assert abs(est.mean - ks_second_moment(model)) < 4 * est.stderr
+            mean, stderr = _count_cells(counts)
+            assert abs(mean - ks_second_moment(model)) < 4 * stderr
 
     def test_independent_hiddens_change_second_moment_not_mean(self):
         probs = (0.2, 0.5, 0.3)
@@ -328,10 +331,12 @@ class TestDeformedModel:
         # three-outcome distribution whose moments are checked
         model = DeformedKsModel(0.2, (0.25, 0.5, 0.25))
         formula = deformed_formula(model)
-        est = mc_mean_pair(formula.evaluate, *formula.hidden_distributions, 1_000_000, 12, formula._table)
+        counts = mc_mean_pair(formula.evaluate, *formula.hidden_distributions, 1_000_000, 12, formula._table)
+        mean, stderr = _count_cells(counts)
         stats = deformed_statistics(model)
-        assert abs(est.mean - stats.mean) < 4 * est.stderr
-        assert abs(est.second_moment - stats.second_moment) < 4 * est.second_stderr
+        assert abs(mean - stats.mean) < 4 * stderr
+        second, second_stderr = _count_cells([(value * value, count) for value, count in counts])
+        assert abs(second - stats.second_moment) < 4 * second_stderr
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
