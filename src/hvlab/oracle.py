@@ -55,13 +55,24 @@ DEGENERACY_TOL = 1e-8
 _ROUNDOFF_TOL = 1e-13
 
 
+def _frobenius_norm(m: np.ndarray) -> float:
+    """||m||_F, raising ValueError when it exceeds the float range: every
+    bound scaled by an infinite norm would accept anything."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m))
+    if not math.isfinite(norm):
+        raise ValueError("operator norm exceeds the float range")
+    return norm
+
+
 def require_hermitian(matrix: np.ndarray) -> np.ndarray:
     """Return the matrix as a complex array, raising if it is not Hermitian
     or has a non-finite entry.
 
     The bound is ``HERMITIAN_TOL * max(1, ||H||_F)``: floating-point
     products round in proportion to the entries, and the floor keeps it
-    absolute for density matrices.
+    absolute for density matrices.  A matrix outside the unit bound whose
+    norm exceeds the float range is rejected.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -69,7 +80,7 @@ def require_hermitian(matrix: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("operator has non-finite entries")
     gap = float(np.max(np.abs(m - m.conj().T)))
-    if gap > HERMITIAN_TOL and gap > HERMITIAN_TOL * float(np.linalg.norm(m)):
+    if gap > HERMITIAN_TOL and gap > HERMITIAN_TOL * _frobenius_norm(m):
         raise ValueError("operator is not Hermitian")
     return m
 
@@ -210,11 +221,12 @@ def spectral_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
     so components equal in exact arithmetic leave the output
     deterministic rather than to roundoff.
     The stopping and residual tests are relative to the Frobenius norm,
-    so a tiny observable keeps its relative accuracy.
+    so a tiny observable keeps its relative accuracy; a norm beyond the
+    float range raises ValueError.
     """
     h = require_hermitian(matrix)
     dim = h.shape[0]
-    scale = float(np.linalg.norm(h))
+    scale = _frobenius_norm(h)
     # the sweep runs on Python complex scalars: numpy's per-call overhead
     # dominates at this size
     a = h.tolist()

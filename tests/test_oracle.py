@@ -187,6 +187,23 @@ class TestRequireHermitian:
             with pytest.raises(ValueError, match="non-finite"):
                 check(h)
 
+    @pytest.mark.parametrize(
+        "check, h",
+        [
+            (require_hermitian, [[0.0, 1e200], [0.0, 0.0]]),
+            (spectral_decompose, [[0.0, 1.3e154], [1.3e154, 0.0]]),
+            (lambda h: born_distribution(h, QuantumState.maximally_mixed(2)), [[0.0, 1.3e154], [1.3e154, 0.0]]),
+        ],
+        ids=["require_hermitian", "spectral_decompose", "born_distribution"],
+    )
+    def test_norm_beyond_the_float_range_rejected(self, check, h):
+        # an infinite norm scaled every bound to accept anything: the first
+        # matrix passed as Hermitian, the spectrum +-1.3e154 came out as [0, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="norm exceeds the float range"):
+                check(np.array(h))
+
 
 class TestLinearObservable:
     def test_single_term_selects_operator(self, bases):
