@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -637,8 +638,14 @@ def main(argv=None) -> int:
         # does not repeat its checks
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if rows:
-        emit_rows(rows, args)
+    try:
+        if rows:
+            emit_rows(rows, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): send what is left, and the
+        # flush at exit, to devnull rather than fail on them
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if all(row.passed(args.tolerance_sigma) for row in rows) else 1
 
 

@@ -4,7 +4,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -206,6 +209,8 @@ class TestUsageErrors:
             (["spin-one", "--basis", "angular-momentum", "--beta", "0,0", "--state", "1,0,0"], "expected 8 or 3 coefficients"),
             (["spin-one", "--basis", "angular-momentum", "--beta", "0,0,1", "--state", "1,0"], "3-dimensional"),
             (["spin-one", "--lambdas", "1e100,2e100,3e100", "--probs", "0.2,0.5,0.3"], "exceed the float range"),
+            (["spin-one", "--beta", "1e154,0,0", "--state", "1,0,0"], "operator norm exceeds the float range"),
+            (["spin-one", "--beta", "1e160,0,0", "--state", "1,0,0"], "operator norm exceeds the float range"),
         ],
     )
     def test_input_the_library_rejects_exit_2(self, capsys, argv, message):
@@ -214,6 +219,16 @@ class TestUsageErrors:
         assert err.startswith("error: ")
         assert message in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["homogeneity", "--alpha", "1e308", "--beta", "1e308,0,0"], ["homogeneity", "--beta", "1e200,0,1e200"]]
+    )
+    def test_split_cells_beyond_the_float_range_exit_2(self, capsys, argv):
+        # these once ended in an OverflowError traceback from the cells of the split;
+        # numpy's norm of the direction overflows on the way, which it only warns about
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, out, err = run_cli(capsys, [*argv, *FAST])
+        assert (code, out, err) == (2, "", "error: the outcome moments exceed the float range\n")
 
     def test_invalid_samples_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, ["oracle-check", "--samples", "0"])
@@ -684,6 +699,19 @@ def test_readme_example_passes(capsys, argv):
     code, out, _ = run_cli(capsys, [*argv, "--samples", "20000"])
     assert code == 0
     assert out
+
+
+def test_a_reader_closing_the_pipe_early_gets_no_traceback():
+    # `hvlab ks-dispersion --scan --format csv | head -2` once ended in a
+    # BrokenPipeError traceback and exit 1; the scan is larger than a pipe buffer
+    src = str(Path(hvlab.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "hvlab.cli", "ks-dispersion", "--scan", "--format", "csv"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"experiment,params,analytic,mc,stderr,oracle,pass\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 class TestOracleBound:
