@@ -266,7 +266,7 @@ def _homogeneity_rows(
     samples: int = 0, seed: int | None = None,
 ) -> list[ReportRow]:
     """Means of offset + b.S either side of the outcome threshold, overall and recombined; with a
-    seed, mc cells counted on the block engine's draws, as its estimator gives no subensemble means."""
+    seed, mc cells from the counts of each (outcome value, side) pair of one pass."""
     bloch = bloch_vector(state, pauli)
     split = spin_half.homogeneity_split(offset, direction, bloch)
     counts = {} if seed is None else _split_counts(offset, direction, bloch, split.split_point, samples, seed)
