@@ -332,7 +332,7 @@ def _ks_rows(probs: tuple[float, float, float], params: str, samples: int = 0, s
 def _ks_scan_rows(step: float) -> list[ReportRow]:
     """Dispersion over the simplex grid, then its minimum and maximum."""
     table = ks.dispersion_scan(step)
-    rows = [ReportRow("ks-scan", f"p1={p1:.6g};p2={p2:.6g};p3={p3:.6g}", float(value)) for p1, p2, p3, value in table]
+    rows = [ReportRow("ks-scan", f"p1={p1:.6g};p2={p2:.6g};p3={p3:.6g}", value) for p1, p2, p3, value in table.tolist()]
     values = table[:, 3]
     rows.append(ReportRow("ks-scan-min", f"step={step}", float(values.min()), oracle=0.0))
     rows.append(ReportRow("ks-scan-max", f"step={step}", float(values.max()), oracle=2.0))
@@ -417,11 +417,10 @@ def _oracle_check_rows(seed: int) -> list[ReportRow]:
 
     recon = 0.0
     for basis in (bases[PAULI], gm):
-        for _ in range(20):
-            h = linear_observable(rng.normal(size=basis.size), basis)
-            vals, vecs = spectral_decompose(h)
-            rebuilt = (vecs * vals) @ vecs.conj().T
-            recon = max(recon, float(np.max(np.abs(rebuilt - h))))
+        hs = np.stack([linear_observable(rng.normal(size=basis.size), basis) for _ in range(20)])
+        vals, vecs = spectral_decompose(hs)
+        rebuilt = (vecs * vals[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        recon = max(recon, float(np.max(np.abs(rebuilt - hs))))
     rows.append(ReportRow("eigen-reconstruction", "trials=40", recon, oracle=0.0))
 
     born_dev = 0.0
@@ -432,12 +431,10 @@ def _oracle_check_rows(seed: int) -> list[ReportRow]:
         born_dev = max(born_dev, abs(dist.mean - expectation(h, state)))
     rows.append(ReportRow("born-vs-trace", "trials=20", born_dev, oracle=0.0))
 
-    spec_dev = 0.0
-    for _ in range(200):
-        beta = rng.normal(size=3)
-        mag = float(np.linalg.norm(beta))
-        vals, _ = spectral_decompose(linear_observable(beta, ang))
-        spec_dev = max(spec_dev, float(np.max(np.abs(vals - np.array([mag, 0.0, -mag])))))
+    betas = [rng.normal(size=3) for _ in range(200)]
+    vals, _ = spectral_decompose(np.stack([linear_observable(beta, ang) for beta in betas]))
+    exact = np.outer(np.linalg.norm(betas, axis=1), [1.0, 0.0, -1.0])
+    spec_dev = float(np.max(np.abs(vals - exact)))
     rows.append(ReportRow("direction-spectrum", "trials=200", spec_dev, oracle=0.0))
     return rows
 

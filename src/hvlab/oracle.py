@@ -53,16 +53,37 @@ DEGENERACY_TOL = 1e-8
 #: Floor of the merge gap relative to the Frobenius norm: eigenvalues this
 #: close are roundoff apart, however narrow the spectrum.
 _ROUNDOFF_TOL = 1e-13
+#: Jacobi sweeps stop once the off-diagonal norm is this small relative to
+#: ||H||_F, skip an entry this small relative to it, and number at most _MAX_SWEEPS.
+_STOP_TOL = 1e-15
+_SKIP_TOL = 1e-18
+_MAX_SWEEPS = 100
 
 
-def _frobenius_norm(m: np.ndarray) -> float:
-    """||m||_F, raising ValueError when it exceeds the float range: every
-    bound scaled by an infinite norm would accept anything."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(m))
-    if not math.isfinite(norm):
-        raise ValueError("operator norm exceeds the float range")
-    return norm
+def _frobenius_norms(m: np.ndarray) -> np.ndarray:
+    """||H||_F of each matrix of a (k, d, d) stack; inf beyond the float range."""
+    # einsum's sum of squares overflows to inf without a RuntimeWarning
+    parts = m.reshape(len(m), -1).view(float)
+    return np.sqrt(np.einsum("ki,ki->k", parts, parts))
+
+
+def _check_hermitian(m: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of a complex (k, d, d) stack
+    is finite and Hermitian within ``HERMITIAN_TOL * max(1, ||H||_F)``.
+
+    A matrix outside the unit bound whose norm exceeds the float range is
+    rejected: a bound scaled by an infinite norm would accept anything.
+    """
+    if not np.isfinite(m).all():
+        raise ValueError("operator has non-finite entries")
+    gaps = np.max(np.abs(m - m.conj().transpose(0, 2, 1)), axis=(1, 2))
+    outside = gaps > HERMITIAN_TOL
+    if outside.any():
+        norms = _frobenius_norms(m[outside])
+        if not np.isfinite(norms).all():
+            raise ValueError("operator norm exceeds the float range")
+        if (gaps[outside] > HERMITIAN_TOL * norms).any():
+            raise ValueError("operator is not Hermitian")
 
 
 def require_hermitian(matrix: np.ndarray) -> np.ndarray:
@@ -77,11 +98,7 @@ def require_hermitian(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("operator must be a square matrix")
-    if not np.isfinite(m).all():
-        raise ValueError("operator has non-finite entries")
-    gap = float(np.max(np.abs(m - m.conj().T)))
-    if gap > HERMITIAN_TOL and gap > HERMITIAN_TOL * _frobenius_norm(m):
-        raise ValueError("operator is not Hermitian")
+    _check_hermitian(m[None])
     return m
 
 
@@ -211,33 +228,23 @@ def linear_observable(coeffs, basis: OperatorBasis) -> np.ndarray:
     return np.einsum("k,kij->ij", full, basis.operators)
 
 
-def spectral_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a
-    Hermitian matrix via cyclic complex Jacobi rotations.
+def _sweep_scalar(h: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic complex Jacobi sweeps of one matrix, returning the rotated
+    matrix and the product of the rotations, each as a stack of one.
 
-    Returns (values, vectors) with vectors[:, k] the unit eigenvector of
-    values[k].  Each eigenvector's phase makes real and nonnegative its
-    first component within a factor 1 - 1e-12 of the largest magnitude,
-    so components equal in exact arithmetic leave the output
-    deterministic rather than to roundoff.
-    The stopping and residual tests are relative to the Frobenius norm,
-    so a tiny observable keeps its relative accuracy; a norm beyond the
-    float range raises ValueError.
+    The sweep runs on Python complex scalars: numpy's per-call overhead
+    dominates at this size.
     """
-    h = require_hermitian(matrix)
     dim = h.shape[0]
-    scale = _frobenius_norm(h)
-    # the sweep runs on Python complex scalars: numpy's per-call overhead
-    # dominates at this size
     a = h.tolist()
     v = np.eye(dim, dtype=complex).tolist()
     pairs = [(p, q) for p in range(dim - 1) for q in range(p + 1, dim)]
-    for _ in range(100):
-        if math.sqrt(sum(abs(a[p][q]) ** 2 for p, q in pairs)) <= 1e-15 * scale:
+    for _ in range(_MAX_SWEEPS):
+        if math.sqrt(sum(abs(a[p][q]) ** 2 for p, q in pairs)) <= _STOP_TOL * scale:
             break
         for p, q in pairs:
             mag = abs(a[p][q])
-            if not mag > 1e-18 * scale:
+            if not mag > _SKIP_TOL * scale:
                 continue
             phase = a[p][q] / mag
             tau = (a[q][q].real - a[p][p].real) / (2.0 * mag)
@@ -255,17 +262,96 @@ def spectral_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
             pq = list(zip(a[p], a[q]))
             a[p] = [c * x + rqp * y for x, y in pq]
             a[q] = [s * x + rqq * y for x, y in pq]
-    order = sorted(range(dim), key=lambda k: a[k][k].real, reverse=True)
-    values = np.array([a[k][k].real for k in order])
-    vecs = np.array(v)[:, order]
+    return np.array([a]), np.array([v])
+
+
+def _sweep_stack(h: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sweeps of ``_sweep_scalar`` over a (k, d, d) stack, each rotation
+    one numpy operation across the matrices it applies to.
+
+    Every matrix keeps its own stop and skip tests against its own scale,
+    and a matrix that has converged is not rotated again, so its result
+    does not depend on the other matrices of the stack.
+    """
+    dim = h.shape[1]
+    # rows 0..dim-1 hold A, rows dim..2*dim-1 hold V: a rotation changes
+    # columns p and q of both, then rows p and q of A
+    w = np.concatenate([h, np.broadcast_to(np.eye(dim, dtype=complex), h.shape)], axis=1)
+    rows, cols = np.triu_indices(dim, 1)
+    for _ in range(_MAX_SWEEPS):
+        off = np.sqrt(np.sum(np.abs(w[:, rows, cols]) ** 2, axis=1))
+        active = ~(off <= _STOP_TOL * scales)
+        if not active.any():
+            break
+        for p, q in zip(rows.tolist(), cols.tolist()):
+            mag = np.abs(w[:, p, q])
+            live = np.flatnonzero(active & (mag > _SKIP_TOL * scales))
+            if not live.size:
+                continue
+            sub, mag = w[live], mag[live, None]
+            phase = sub[:, p, q, None] / mag
+            tau = (sub[:, q, q, None].real - sub[:, p, p, None].real) / (2.0 * mag)
+            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+            t[tau == 0.0] = 1.0
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            rqp, rqq = -phase.conj() * s, phase.conj() * c
+            x, y = sub[:, :, p], sub[:, :, q].copy()
+            sub[:, :, q] = x * s + y * rqq
+            sub[:, :, p] = x * c + y * rqp
+            rqp, rqq = rqp.conj(), rqq.conj()
+            x, y = sub[:, p, :].copy(), sub[:, q, :]
+            sub[:, p, :] = c * x + rqp * y
+            sub[:, q, :] = s * x + rqq * y
+            w[live] = sub
+    return w[:, :dim], w[:, dim:]
+
+
+def spectral_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and orthonormal eigenvectors of a
+    Hermitian matrix via cyclic complex Jacobi rotations.
+
+    Returns (values, vectors) with vectors[:, k] the unit eigenvector of
+    values[k].  Each eigenvector's phase makes real and nonnegative its
+    first component within a factor 1 - 1e-12 of the largest magnitude,
+    so components equal in exact arithmetic leave the output
+    deterministic rather than to roundoff.
+    The stopping and residual tests are relative to the Frobenius norm,
+    so a tiny observable keeps its relative accuracy; a norm beyond the
+    float range raises ValueError.
+
+    A (k, d, d) stack gives (k, d) values and (k, d, d) vectors, each
+    matrix checked, stopped, ordered and phased as if decomposed alone.
+    The input's rank selects the sweep: one matrix sweeps on Python
+    scalars, a stack in one numpy sweep over its leading axis.
+    """
+    stacked = np.ndim(matrix) == 3
+    if stacked:
+        h = np.asarray(matrix, dtype=complex)
+        if h.shape[1] != h.shape[2]:
+            raise ValueError("operator must be a stack of square matrices")
+        _check_hermitian(h)
+    else:
+        h = require_hermitian(matrix)[None]
+    scales = _frobenius_norms(h)
+    if not np.isfinite(scales).all():
+        raise ValueError("operator norm exceeds the float range")
+    a, v = _sweep_stack(h, scales) if stacked else _sweep_scalar(h[0], float(scales[0]))
+    diag = np.diagonal(a, axis1=1, axis2=2).real
+    # a stable sort of the negated diagonal keeps equal values in index order
+    order = np.argsort(-diag, axis=1, kind="stable")
+    each = np.arange(len(h))[:, None]
+    values = diag[each, order]
+    vecs = v.transpose(0, 2, 1)[each, order].transpose(0, 2, 1)
     mags = np.abs(vecs)
-    lead = np.argmax(mags >= (1.0 - 1e-12) * mags.max(axis=0), axis=0)
-    pivots = vecs[lead, range(dim)]
-    vecs *= pivots.conj() / np.abs(pivots)
-    residual = np.max(np.abs(h @ vecs - vecs * values))
-    if residual > 1e-9 * scale:
-        raise RuntimeError(f"eigensolver residual {residual:.3e} too large")
-    return values, vecs
+    lead = np.argmax(mags >= (1.0 - 1e-12) * mags.max(axis=1, keepdims=True), axis=1)
+    pivots = vecs[each, lead, np.arange(h.shape[2])]
+    vecs *= (pivots.conj() / np.abs(pivots))[:, None, :]
+    residuals = np.max(np.abs(h @ vecs - vecs * values[:, None, :]), axis=(1, 2))
+    worst = np.flatnonzero(residuals > 1e-9 * scales)
+    if worst.size:
+        raise RuntimeError(f"eigensolver residual {residuals[worst[0]]:.3e} too large")
+    return (values, vecs) if stacked else (values[0], vecs[0])
 
 
 @dataclass(frozen=True)

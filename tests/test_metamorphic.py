@@ -88,3 +88,25 @@ def test_unitary_conjugation_keeps_the_eigenvalues(kind, seed, s, c):
     values, _ = spectral_decompose(a)
     rotated, _ = spectral_decompose(u @ a @ u.conj().T)
     assert np.max(np.abs(rotated - values)) <= _bound(h, s, c)
+
+
+# the same properties with both observables decomposed as one stack
+
+
+@EXAMPLES
+@given(kinds, seeds, scales, offsets)
+def test_offset_and_scale_map_the_eigenvalues_in_a_stack(kind, seed, s, c):
+    h, _ = _observable(kind, seed)
+    values, shifted = spectral_decompose(np.stack([h, s * h + c * np.eye(len(h))]))[0]
+    assert np.max(np.abs(shifted - (s * values + c))) <= _bound(h, s, c)
+
+
+@EXAMPLES
+@given(kinds, seeds, scales, offsets)
+def test_unitary_conjugation_keeps_the_eigenvalues_in_a_stack(kind, seed, s, c):
+    h, rng = _observable(kind, seed)
+    dim = len(h)
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    a = s * h + c * np.eye(dim)
+    values, rotated = spectral_decompose(np.stack([a, u @ a @ u.conj().T]))[0]
+    assert np.max(np.abs(rotated - values)) <= _bound(h, s, c)

@@ -330,6 +330,121 @@ class TestSpectralDecompose:
         np.testing.assert_array_equal(vecs, np.eye(3))
 
 
+#: Roundoff of one backward-stable eigensolve in units of ||H||_F, as in test_metamorphic.
+SOLVE_EPS = 100 * np.finfo(float).eps
+
+
+def _random_hermitian(dim, seed, count):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        out.append(raw + raw.conj().T)
+    return out
+
+
+def _observables(kind, seed, count, scale=1.0, size=None):
+    rng = np.random.default_rng(seed)
+    basis = build_basis(kind)
+    return [scale * linear_observable(rng.normal(size=size or basis.size), basis) for _ in range(count)]
+
+
+#: The matrices of each TestSpectralDecompose case and of the direction-spectrum
+#: law, each case decomposed once more as one stack.
+STACK_CASES = {
+    "fixed": lambda: [SIGMA_Z, 2.0 * np.eye(3), SIGMA_X, np.zeros((3, 3))],
+    "reconstruction-2": lambda: _random_hermitian(2, 2, 100),
+    "reconstruction-3": lambda: _random_hermitian(3, 3, 100),
+    "library-2": lambda: _random_hermitian(2, 19, 50),
+    "library-3": lambda: _random_hermitian(3, 20, 50),
+    "projectors-2": lambda: _random_hermitian(2, 43, 50),
+    "projectors-3": lambda: _random_hermitian(3, 44, 50),
+    "tied-components": lambda: _observables(ANGULAR_MOMENTUM, 5, 200, size=3),
+    "tiny-1e-09": lambda: _observables(GELL_MANN, 29, 20, 1e-9),
+    "tiny-1e-12": lambda: _observables(GELL_MANN, 29, 20, 1e-12),
+    "tiny-1e-14": lambda: _observables(GELL_MANN, 29, 20, 1e-14),
+    "direction-spectrum": lambda: _observables(ANGULAR_MOMENTUM, 123, 200, size=3),
+}
+
+
+class TestSpectralDecomposeStack:
+    @pytest.mark.parametrize("case", list(STACK_CASES))
+    def test_each_matrix_comes_out_as_if_alone(self, case):
+        hs = np.stack(STACK_CASES[case]())
+        values, vectors = spectral_decompose(hs)
+        assert values.shape == hs.shape[:2] and vectors.shape == hs.shape
+        for h, vals, vecs in zip(hs, values, vectors):
+            alone_vals, alone_vecs = spectral_decompose(h)
+            norm = np.linalg.norm(h)
+            assert np.max(np.abs(vals - alone_vals)) <= SOLVE_EPS * norm
+            for k in range(len(h)):
+                np.testing.assert_allclose(
+                    np.outer(vecs[:, k], vecs[:, k].conj()),
+                    np.outer(alone_vecs[:, k], alone_vecs[:, k].conj()),
+                    rtol=0.0,
+                    atol=1e-12 * max(1.0, norm),
+                )
+
+    def test_tied_components_put_the_phase_on_the_first(self):
+        rng = np.random.default_rng(5)
+        ns = rng.normal(size=(200, 3))
+        _, vectors = spectral_decompose(np.stack([linear_observable(n, build_basis(ANGULAR_MOMENTUM)) for n in ns]))
+        for n, vecs in zip(ns, vectors):
+            lead = 0 if n[2] ** 2 < (n[0] ** 2 + n[1] ** 2) / 2 else 1
+            pivot = vecs[lead, 1]
+            assert abs(pivot.imag) <= 1e-15 and pivot.real >= 0.0
+
+    def test_zero_matrix(self):
+        values, vectors = spectral_decompose(np.stack([SIGMA_X, np.zeros((3, 3)), SIGMA_Y]))
+        np.testing.assert_array_equal(values[1], np.zeros(3))
+        np.testing.assert_array_equal(vectors[1], np.eye(3))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_matrix_does_not_depend_on_its_stack_mates(self, dim):
+        hs = _random_hermitian(dim, 61, 20)
+        mates = [np.diag(np.arange(dim, dtype=float)), 1e8 * hs[0], 1e-14 * hs[1], np.zeros((dim, dim)), *hs[2:]]
+        for h in hs:
+            twice = spectral_decompose(np.stack([h, h]))
+            for g in mates:
+                paired = spectral_decompose(np.stack([h, g]))
+                np.testing.assert_array_equal(paired[0][0], twice[0][0])
+                np.testing.assert_array_equal(paired[1][0], twice[1][0])
+
+    def test_each_matrix_meets_its_own_bound_across_scales(self):
+        # a stop or skip test scaled by the stack's largest norm would leave
+        # the tiny matrix unrotated
+        h, g = _observables(GELL_MANN, 67, 2)
+        tiny, large = 1e-14 * h, 1e8 * g
+        values, _ = spectral_decompose(np.stack([tiny, large, tiny]))
+        for m, vals in zip((tiny, large, tiny), values):
+            exact = np.linalg.eigvalsh(m)[::-1]
+            assert np.max(np.abs(vals - exact)) <= SOLVE_EPS * np.linalg.norm(m)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[1e8, 1.0, 0.0], [0.0, 1e8, 0.0], [0.0, 0.0, 1e8]]),
+            np.diag([np.nan, 0.0, -1.0]),
+            np.diag([1.0, np.inf, -1.0]),
+            np.array([[0.0, 1.3e154, 0.0], [1.3e154, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            np.array([[0.0, 1e200, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        ],
+        ids=["not-hermitian", "nan", "inf", "norm-hermitian", "norm-not-hermitian"],
+    )
+    def test_a_bad_member_raises_as_it_does_alone(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as alone:
+                spectral_decompose(bad)
+            with pytest.raises(ValueError) as stacked:
+                spectral_decompose(np.stack([SIGMA_X, bad, SIGMA_Z]))
+        assert str(stacked.value) == str(alone.value)
+
+    def test_rejects_a_stack_of_non_square_matrices(self):
+        with pytest.raises(ValueError, match="square"):
+            spectral_decompose(np.zeros((2, 2, 3)))
+
+
 class TestQuantumState:
     def test_pure_state_requires_normalisation(self):
         with pytest.raises(ValueError):
