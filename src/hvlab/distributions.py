@@ -263,7 +263,14 @@ def _count_cells(counts: list[tuple[float, int]]) -> tuple[float | None, float |
         if n == 1:
             return float(mean), 0.0
         spread = sum(count * (value - mean) ** 2 for value, count in exact)
-        return float(mean), math.sqrt(spread / (n - 1) / n)
+        var = spread / (n - 1) / n
+        try:
+            return float(mean), math.sqrt(var)
+        except OverflowError:
+            # a variance beyond the float range can still have a root within
+            # it: scale by an exact power of 4 and take its root back
+            half = (var.numerator.bit_length() - var.denominator.bit_length()) // 2
+            return float(mean), math.ldexp(math.sqrt(var / 4**half), half)
     except OverflowError as exc:
         raise ValueError("the outcome moments exceed the float range") from exc
 

@@ -476,6 +476,11 @@ class TestCountCells:
         assert _count_cells([]) == (None, None)
         assert _count_cells([(1.0, 0)]) == (None, None)
 
+    def test_stderr_within_the_float_range_whose_variance_is_not(self):
+        mean, stderr = _count_cells([(1.41e200, 10000), (-1.41e200, 10000)])
+        assert mean == 0.0
+        assert stderr == pytest.approx(1.41e200 / math.sqrt(19999), rel=1e-15)
+
     @given(
         st.lists(st.tuples(st.floats(-1e6, 1e6), st.integers(0, 10**6)), min_size=1, max_size=5),
         st.floats(-1e8, 1e8),
