@@ -332,7 +332,12 @@ def _ks_rows(probs: tuple[float, float, float], params: str, samples: int = 0, s
 def _ks_scan_rows(step: float) -> list[ReportRow]:
     """Dispersion over the simplex grid, then its minimum and maximum."""
     table = ks.dispersion_scan(step)
-    rows = [ReportRow("ks-scan", f"p1={p1:.6g};p2={p2:.6g};p3={p3:.6g}", value) for p1, p2, p3, value in table.tolist()]
+    # one row of Python floats at a time: formats faster than numpy scalars,
+    # and a whole-table tolist() would hold every float at once
+    rows = [
+        ReportRow("ks-scan", f"p1={p1:.6g};p2={p2:.6g};p3={p3:.6g}", value)
+        for p1, p2, p3, value in map(np.ndarray.tolist, table)
+    ]
     values = table[:, 3]
     rows.append(ReportRow("ks-scan-min", f"step={step}", float(values.min()), oracle=0.0))
     rows.append(ReportRow("ks-scan-max", f"step={step}", float(values.max()), oracle=2.0))
