@@ -385,10 +385,10 @@ class TestSpectralDecomposeStack:
                     atol=1e-12 * max(1.0, norm),
                 )
 
-    def test_tied_components_put_the_phase_on_the_first(self):
+    def test_tied_components_put_the_phase_on_the_first(self, bases):
         rng = np.random.default_rng(5)
         ns = rng.normal(size=(200, 3))
-        _, vectors = spectral_decompose(np.stack([linear_observable(n, build_basis(ANGULAR_MOMENTUM)) for n in ns]))
+        _, vectors = spectral_decompose(np.stack([linear_observable(n, bases[ANGULAR_MOMENTUM]) for n in ns]))
         for n, vecs in zip(ns, vectors):
             lead = 0 if n[2] ** 2 < (n[0] ** 2 + n[1] ** 2) / 2 else 1
             pivot = vecs[lead, 1]
@@ -403,7 +403,7 @@ class TestSpectralDecomposeStack:
     def test_a_matrix_does_not_depend_on_its_stack_mates(self, dim):
         hs = _random_hermitian(dim, 61, 20)
         mates = [np.diag(np.arange(dim, dtype=float)), 1e8 * hs[0], 1e-14 * hs[1], np.zeros((dim, dim)), *hs[2:]]
-        for h in hs:
+        for h in hs[:5]:
             twice = spectral_decompose(np.stack([h, h]))
             for g in mates:
                 paired = spectral_decompose(np.stack([h, g]))
