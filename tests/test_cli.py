@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -208,6 +209,7 @@ class TestUsageErrors:
             (["spin-one", "--basis", "pauli", "--beta", "0,0,1", "--state", "1,0,0"], "3x3 observable"),
             (["spin-one", "--basis", "angular-momentum", "--beta", "0,0", "--state", "1,0,0"], "expected 8 or 3 coefficients"),
             (["spin-one", "--basis", "angular-momentum", "--beta", "0,0,1", "--state", "1,0"], "3-dimensional"),
+            (["spin-one", "--basis", "angular-momentum", "--beta", "1e160,0,0", "--state", "1,0,0"], "operator norm exceeds the float range"),
             (["spin-one", "--beta", "1e154,0,0", "--state", "1,0,0"], "operator norm exceeds the float range"),
             (["spin-one", "--beta", "1e160,0,0", "--state", "1,0,0"], "operator norm exceeds the float range"),
         ],
@@ -344,6 +346,9 @@ class TestStreamedHomogeneity:
         peaks = []
         for samples in (1_000_000, 4_000_000):
             self.rows(1.5, samples)
+            # a full collection empties the float, tuple and list freelists, so
+            # each traced run allocates alike whatever tests ran before it
+            gc.collect()
             tracemalloc.start()
             try:
                 self.rows(1.5, samples)
