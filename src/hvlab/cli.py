@@ -167,26 +167,20 @@ def _row_seed(args: argparse.Namespace, index: int) -> int:
 # their outcome counts are empty, and so are the mc and stderr cells.
 
 
-def _spin_half_outcomes(direction: np.ndarray) -> tuple[float, float]:
-    """-|b| and +|b|, the outcome table of both spin-half rules, with |b| as the rules compute it."""
-    mag = float(np.linalg.norm(direction))
-    return -mag, mag
-
-
 def _select(rows: list[ReportRow], *names: str) -> list[ReportRow]:
     return [row for row in rows if row.experiment in names]
 
 
 def _sgn_mean_row(n: int, xi: float, samples: int, seed: int) -> ReportRow:
     spec = SignFunctionSpec(xi, n=n)
-    counts = mc_mean(spec.evaluate, spec.distribution, samples, seed, (-1.0, 1.0))
+    counts = mc_mean(spec.evaluate, spec.distribution, samples, seed, (-1.0, 1.0), (spec.cut,))
     return ReportRow("sgn-mean", f"n={n};xi={xi}", sign_mean_analytic(spec), *_count_cells(counts), sign_mean_quadrature(spec))
 
 
 def _sgn_product_row(n: int, b1: float, b2: float, samples: int, seed: int) -> ReportRow:
     s1 = SignFunctionSpec(b1, n=n, include_sign_prefactor=True)
     s2 = SignFunctionSpec(b2, n=n, include_sign_prefactor=True)
-    counts = mc_mean(lambda xs: s1.evaluate(xs) * s2.evaluate(xs), s1.distribution, samples, seed, (-1.0, 1.0))
+    counts = mc_mean(lambda xs: s1.evaluate(xs) * s2.evaluate(xs), s1.distribution, samples, seed, (-1.0, 1.0), (s1.cut, s2.cut))
     analytic, quadrature = sign_product_mean_analytic(s1, s2), sign_product_mean_quadrature(s1, s2)
     return ReportRow("sgn-product-mean", f"n={n};xi1={b1};xi2={b2}", analytic, *_count_cells(counts), quadrature)
 
@@ -215,7 +209,8 @@ def _spin_half_rows(
     bloch = bloch_vector(state, pauli)
     stats = spin_half.hv_statistics(direction, bloch)
     outcome = functools.partial(spin_half.bell_outcome_modified, direction, bloch)
-    counts = mc_mean(outcome, PowerLawDistribution(0), samples, seed, _spin_half_outcomes(direction))
+    cuts = (spin_half.modified_sign_function(direction, bloch).cut,)
+    counts = mc_mean(outcome, PowerLawDistribution(0), samples, seed, spin_half.outcome_table(direction), cuts)
     oracle = _operator_moments(linear_observable(direction, pauli), state)
     return _moment_rows("spin-half", params, stats, oracle, counts)
 
@@ -231,7 +226,8 @@ def _spin_half_original_rows(
     counts = []
     if seed is not None:
         outcome = functools.partial(spin_half.bell_outcome_original, direction)
-        counts = mc_mean(outcome, PowerLawDistribution(0), samples, seed, _spin_half_outcomes(direction))
+        cuts = (spin_half.original_sign_function(direction).cut,)
+        counts = mc_mean(outcome, PowerLawDistribution(0), samples, seed, spin_half.outcome_table(direction), cuts)
     return [
         ReportRow("spin-half-original-mean", params, mean, *_count_cells(counts), oracle.mean),
         ReportRow("spin-half-original-variance", params, spread, oracle=oracle.variance),
@@ -244,8 +240,8 @@ def _split_counts(
     """How many of ``samples`` seeded draws of offset + b.S take each
     (outcome value, upper side) pair, counted by ``mc_mean`` as the four
     values of one table, so the hidden values are those ``mc_mean`` of the
-    rule itself draws."""
-    minus, plus = _spin_half_outcomes(direction)
+    rule itself draws.  The pair changes at the rule's cut and at the split."""
+    minus, plus = spin_half.outcome_table(direction)
     low, high = offset + minus, offset + plus
 
     def cell(hidden):
@@ -255,7 +251,8 @@ def _split_counts(
             raise RuntimeError("the outcome rule took a value other than offset -+ |b|")
         return 2 * is_high + (hidden >= split_point)
 
-    cells = mc_mean(cell, PowerLawDistribution(0), samples, seed, range(4))
+    cuts = (spin_half.modified_sign_function(direction, bloch).cut, split_point)
+    cells = mc_mean(cell, PowerLawDistribution(0), samples, seed, range(4), cuts)
     # when high == low every draw is high, so the low cells are empty
     keys = ((low, False), (low, True), (high, False), (high, True))
     return {key: count for key, (_, count) in zip(keys, cells) if count}
@@ -286,7 +283,9 @@ def _formula_rows(
     kind: str, formula: spin_one.OutcomeFormula, params: str, stats: Moments, oracle: Moments, samples: int, seed: int | None
 ) -> list[ReportRow]:
     """Moment rows of a two-sign-function rule; with a seed, mc cells from one two-variable pass."""
-    counts = [] if seed is None else mc_mean_pair(formula.evaluate, *formula.hidden_distributions, samples, seed, formula._table)
+    counts = [] if seed is None else mc_mean_pair(
+        formula.evaluate, *formula.hidden_distributions, samples, seed, formula._table, *formula.hidden_cuts
+    )
     return _moment_rows(kind, params, stats, oracle, counts)
 
 
@@ -317,7 +316,8 @@ def _ks_rows(probs: tuple[float, float, float], params: str, samples: int = 0, s
     2 from the squared outcomes plus twice the three pairwise cross terms."""
     model = ks.KsModel(probs)
     counts = [] if seed is None else mc_mean(
-        lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, samples, seed, (0.0, 1.0, 2.0, 3.0)
+        lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, samples, seed, (0.0, 1.0, 2.0, 3.0),
+        [spec.cut for spec in ks.ks_sign_specs(model)],
     )
     squares = [(value * value, count) for value, count in counts]
     p1, p2, p3 = model.probabilities

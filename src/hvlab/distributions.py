@@ -8,11 +8,23 @@ distribution, an exact Gauss-Legendre quadrature, an inverse-CDF sampler
 and a seeded, block-deterministic Monte Carlo estimator that counts how
 often each value of an outcome table is drawn.
 
+The estimator takes, with the rule and its outcome table, the rule's cut
+points for each hidden variable: the rule may change value only where a
+draw x crosses a cut c, that is where x >= c flips, the one comparison
+`SignFunctionSpec.evaluate` makes at its `cut`.  So the cuts split the
+draws into cells on which the rule is constant.  The rule is evaluated
+once per cell end, before any draw, and two checks guard the cuts: a
+value off the outcome table (NaN included) raises ValueError, and so do
+two ends of one cell that disagree, a rule changing value inside a
+declared cell.  The draws themselves are only compared with the cuts and
+counted.
+
 The sign convention is sign(0) = +1, applied uniformly by `sign_pm`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,9 +50,9 @@ __all__ = [
 # size fixes which numbers are drawn.
 MC_BLOCK_SIZE = 1 << 17
 
-# Samples per call of the estimated function within a block: small
-# enough that a chunk's draws, outcomes and temporaries stay in cache
-# and in memory the allocator reuses, large enough to amortise each call.
+# Samples per draw of each variable within a block: small enough that a
+# chunk's draws and comparisons stay in cache and in memory the allocator
+# reuses, large enough to amortise each call.
 MC_CHUNK = 1 << 14
 
 _BIAS_SLACK = 1e-9
@@ -146,15 +158,21 @@ class SignFunctionSpec:
         level = min(abs(self.bias), 1.0) / (2.0 * self.norm)
         return level ** (1.0 / (2 * self.n + 1))
 
+    @property
+    def cut(self) -> float:
+        """-threshold: the value changes only where x >= cut flips."""
+        return -self.threshold
+
     def evaluate(self, x):
         """The +/-1 value at x (vectorised over arrays).
 
-        x + threshold >= 0 exactly when x >= -threshold (a sum of two
-        floats rounds to zero only when it is zero), so one comparison
-        builds the values; NaN maps to -1 times the prefactor.
+        x + threshold >= 0 exactly when x >= cut (a sum of two floats
+        rounds to zero only when it is zero), so one comparison, the one
+        the Monte Carlo engine counts, builds the values; NaN maps to -1
+        times the prefactor.
         """
         up = sign_pm(self.bias) if self.include_sign_prefactor else 1.0
-        out = (np.asarray(x, dtype=float) >= -self.threshold).astype(float)
+        out = (np.asarray(x, dtype=float) >= self.cut).astype(float)
         out *= 2.0 * up
         out -= up
         return float(out) if np.ndim(x) == 0 else out
@@ -195,11 +213,16 @@ class Moments:
     def of(cls, values, weights) -> "Moments":
         """Moments of the outcomes ``values`` taken with probabilities
         ``weights``; the variance is summed about the mean, so a common
-        offset of the values does not cancel it."""
+        offset of the values does not cancel it.  Moments beyond the float
+        range raise ValueError."""
         values = np.asarray(values, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        mean = float(weights @ values)
-        return cls(mean, float(weights @ np.square(values)), float(weights @ np.square(values - mean)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(weights @ values)
+            moments = cls(mean, float(weights @ np.square(values)), float(weights @ np.square(values - mean)))
+        if not all(map(math.isfinite, (moments.mean, moments.second_moment, moments.variance))):
+            raise ValueError("the outcome moments exceed the float range")
+        return moments
 
 
 def _panel_integral(dist: PowerLawDistribution, lo: float, hi: float) -> float:
@@ -275,37 +298,89 @@ def _count_cells(counts: list[tuple[float, int]]) -> tuple[float | None, float |
         raise ValueError("the outcome moments exceed the float range") from exc
 
 
+def _lane_cells(cuts: Iterable[float]) -> tuple[list[float], np.ndarray]:
+    """The sorted distinct cuts of one variable and the ends of its cells:
+    cell j holds the x with exactly j cuts c at or below it (x >= c), its
+    lower end is -inf or its cut, its upper end the largest float below
+    the next cut or +inf.  The ends are interleaved, lower first."""
+    points = sorted(set(np.ravel(np.asarray(cuts, dtype=float)).tolist()))
+    if not all(map(math.isfinite, points)):
+        raise ValueError(f"cuts must be finite, got {points}")
+    lower = [-math.inf, *points]
+    upper = [*(math.nextafter(cut, -math.inf) for cut in points), math.inf]
+    return points, np.array([end for pair in zip(lower, upper) for end in pair])
+
+
+def _cell_outcomes(f: Callable[..., np.ndarray], ends: list[np.ndarray], values: list[float]) -> np.ndarray:
+    """Index into ``values`` of the rule's value on every cell, one call of
+    f at every corner of every cell.  A value off the table (NaN included)
+    or a cell whose corners disagree raises ValueError."""
+    grids = [grid.ravel() for grid in np.meshgrid(*ends, indexing="ij")]
+    ys = np.broadcast_to(np.asarray(f(*grids), dtype=float), grids[0].shape)
+    hits = ys[:, None] == np.array(values)
+    if not hits.any(axis=1).all():
+        raise ValueError(f"the rule takes {sorted(set(ys[~hits.any(axis=1)].tolist()))} outside the outcome table {values}")
+    shape = [size for lane in ends for size in (lane.size // 2, 2)]
+    corners = ys.reshape(shape)
+    lower = corners[(slice(None), 0) * len(ends)]
+    if not np.all(corners == lower.reshape([size if k % 2 == 0 else 1 for k, size in enumerate(shape)])):
+        raise ValueError("the rule changes value inside a cell of its cuts")
+    return hits.argmax(axis=1).reshape(shape)[(slice(None), 0) * len(ends)]
+
+
 def _outcome_counts(
     f: Callable[..., np.ndarray], dists: tuple, lanes: tuple[int, ...], samples: int, seed: int,
-    outcomes: Iterable[float],
+    outcomes: Iterable[float], cuts: tuple[Iterable[float], ...],
 ) -> list[tuple[float, int]]:
     """How many of ``samples`` draws of f take each value of its finite
     outcome table ``outcomes``: (value, count) pairs, one per distinct
     value, in table order.
 
+    ``cuts`` holds, for each variable, the points where f may change
+    value: f may depend on a draw x only through the comparisons x >= c.
+    So the cuts split the draws into cells on which f is constant.  f is
+    called once, before any draw, at both ends of every cell (every
+    corner, for two variables); the lower end gives the cell's value.  A
+    value the table does not cover (NaN or an off-table value) or two
+    ends that disagree raise ValueError.  f may return a scalar, which is
+    broadcast.
+
     Each variable of a block is drawn from its own RNG derived from
-    (seed, lane, block index).  ``f`` takes one draw from each of
-    ``dists`` and is called on consecutive chunks of at most ``MC_CHUNK``
-    samples, so each outcome must depend only on its own sample(s); it
-    may return a scalar, which is broadcast.  A chunk's draws continue
-    the block's generators, so the counts are those of whole-block draws.
-    Outcomes the table does not cover (NaN or an off-table value) raise
-    ValueError.
+    (seed, lane, block index), in chunks of at most ``MC_CHUNK`` samples
+    that continue the block's generators.  Per chunk the engine counts
+    the draws at or above each cut, jointly over the variables, and the
+    differences of these counts are the cell counts, so the counts are
+    those of the rule evaluated on every whole-block draw.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if len(cuts) != len(dists):
+        raise ValueError(f"{len(dists)} variables need {len(dists)} lists of cuts, got {len(cuts)}")
     values = list(dict.fromkeys(np.ravel(outcomes).astype(float).tolist()))
-    counts = [0] * len(values)
+    points, ends = zip(*map(_lane_cells, cuts))
+    outcome_of_cell = _cell_outcomes(f, list(ends), values)
+    # above[i1, i2, ...]: draws at or above the i-th cut of every variable
+    # whose index i is nonzero; the index one past the last cut stays 0
+    above = np.zeros([len(lane) + 2 for lane in points], dtype=np.int64)
+    above[(0,) * len(points)] = samples
+    joints = [index for index in np.ndindex(*[len(lane) + 1 for lane in points]) if any(index)]
     for index, start in enumerate(range(0, samples, MC_BLOCK_SIZE)):
         size = min(MC_BLOCK_SIZE, samples - start)
         rngs = [_block_rng(seed, index, lane) for lane in lanes]
         for lo in range(0, size, MC_CHUNK):
             chunk = min(MC_CHUNK, size - lo)
-            ys = np.broadcast_to(f(*[dist.sample(chunk, rng) for dist, rng in zip(dists, rngs)]), (chunk,))
-            hits = [np.count_nonzero(ys == value) for value in values]
-            if sum(hits) != chunk:
-                raise ValueError(f"{chunk - sum(hits)} outcomes outside the outcome table {values}")
-            counts = [total + hit for total, hit in zip(counts, hits)]
+            # row i: draws x with cut_i <= x, that is x >= cut_i; each draw
+            # is freed once compared, before the next variable is drawn
+            flags = [np.less_equal.outer(lane, dist.sample(chunk, rng)) for dist, rng, lane in zip(dists, rngs, points)]
+            for joint in joints:
+                parts = [flags[var][i - 1] for var, i in enumerate(joint) if i]
+                above[joint] += np.count_nonzero(functools.reduce(np.logical_and, parts))
+    cells = above
+    for axis in range(len(points)):
+        cells = -np.diff(cells, axis=axis)
+    counts = [0] * len(values)
+    for value, count in zip(outcome_of_cell.ravel().tolist(), cells.ravel().tolist()):
+        counts[value] += count
     return list(zip(values, counts))
 
 
@@ -315,6 +390,7 @@ def mc_mean(
     samples: int,
     seed: int,
     outcomes: Iterable[float],
+    cuts: Iterable[float],
 ) -> list[tuple[float, int]]:
     """How many of ``samples`` seeded draws of f(x) under ``dist`` take
     each value of its finite outcome table ``outcomes``: (value, count)
@@ -322,11 +398,11 @@ def mc_mean(
     the pairs gives the estimate of E[f(x)] and its standard error, and
     of the squared pairs that of E[f(x)**2].
 
-    ``f`` is called on chunks of each block of draws, so each value of
-    f(x) must depend only on its own x; the counts do not depend on the
-    chunking.
+    f must be a step function whose value changes only where x >= c
+    flips for one of its ``cuts`` c; it is evaluated once per cell end,
+    never per draw.
     """
-    return _outcome_counts(f, (dist,), (0,), samples, seed, outcomes)
+    return _outcome_counts(f, (dist,), (0,), samples, seed, outcomes, (cuts,))
 
 
 def mc_mean_pair(
@@ -336,13 +412,15 @@ def mc_mean_pair(
     samples: int,
     seed: int,
     outcomes: Iterable[float],
+    cuts1: Iterable[float],
+    cuts2: Iterable[float],
 ) -> list[tuple[float, int]]:
     """How many of ``samples`` seeded draws of f(x1, x2), for two
     independent variables, take each value of the finite table
     ``outcomes``: (value, count) pairs, as ``mc_mean`` gives them.
 
-    ``f`` is called on chunks of each block of draws, so each value of
-    f(x1, x2) must depend only on its own pair; the counts do not
-    depend on the chunking.
+    f may change value only where x1 >= c flips for one of ``cuts1`` or
+    x2 >= c for one of ``cuts2``; it is evaluated once per cell corner,
+    never per draw.
     """
-    return _outcome_counts(f, (dist1, dist2), (1, 2), samples, seed, outcomes)
+    return _outcome_counts(f, (dist1, dist2), (1, 2), samples, seed, outcomes, (cuts1, cuts2))

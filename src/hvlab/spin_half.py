@@ -11,6 +11,7 @@ The single hidden variable is uniform on (-1/2, 1/2) throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,9 @@ from .distributions import Moments, SignFunctionSpec, sign_mean_analytic, sign_p
 
 __all__ = [
     "HomogeneitySplit",
+    "outcome_table",
+    "original_sign_function",
+    "modified_sign_function",
     "bell_outcome_original",
     "bell_original_mean_analytic",
     "bell_outcome_modified",
@@ -28,11 +32,20 @@ __all__ = [
 ]
 
 
+# Below this largest component the squares of b and their sum stay finite.
+_SQUARES_FIT = 1e150
+
+
 def _direction(vec) -> tuple[np.ndarray, float]:
+    """b as three floats and |b|: sqrt(b.b), bit for bit as np.linalg.norm
+    computes it, or math.hypot where b.b would overflow."""
     b = np.asarray(vec, dtype=float).reshape(-1)
     if b.shape != (3,):
         raise ValueError("direction must have three components")
-    mag = float(np.linalg.norm(b))
+    if float(np.max(np.abs(b))) < _SQUARES_FIT:
+        mag = math.sqrt(float(b.dot(b)))
+    else:
+        mag = math.hypot(*b.tolist())
     if mag == 0.0:
         raise ValueError("direction must be nonzero")
     return b, mag
@@ -58,6 +71,24 @@ def _modified_rule(direction, bloch) -> tuple[float, float, SignFunctionSpec]:
         raise ValueError("Bloch vector must have length at most 1")
     overlap = float(np.dot(b, e))
     return mag, overlap, SignFunctionSpec(overlap / mag, include_sign_prefactor=True)
+
+
+def outcome_table(direction) -> tuple[float, float]:
+    """-|b| and +|b|, the outcome table of both rules."""
+    _, mag = _direction(direction)
+    return -mag, mag
+
+
+def original_sign_function(direction) -> SignFunctionSpec:
+    """The sign function of the original rule: its value, and so the
+    rule's, changes only at its cut."""
+    return _original_rule(direction)[1]
+
+
+def modified_sign_function(direction, bloch) -> SignFunctionSpec:
+    """The sign function of the Bloch-vector rule: its value, and so the
+    rule's, changes only at its cut."""
+    return _modified_rule(direction, bloch)[2]
 
 
 def bell_outcome_original(direction, hidden):

@@ -220,6 +220,14 @@ class OutcomeFormula:
             raise ValueError("formula has no sign-function realisation")
         return self.sign1.distribution, self.sign2.distribution
 
+    @property
+    def hidden_cuts(self) -> tuple[tuple[float], tuple[float]]:
+        """The cut of each hidden variable: the rule changes value only
+        where a variable crosses its sign function's cut."""
+        if self.sign1 is None or self.sign2 is None:
+            raise ValueError("formula has no sign-function realisation")
+        return (self.sign1.cut,), (self.sign2.cut,)
+
 
 def build_formula(
     case_id: str,

@@ -24,6 +24,7 @@ from hvlab.ks import (
     ks_dispersion,
     ks_model_from_state,
     ks_second_moment,
+    ks_sign_specs,
     ks_square_outcomes,
 )
 from hvlab.oracle import (
@@ -44,6 +45,7 @@ from hvlab.spin_half import (
     bell_outcome_original,
     homogeneity_split,
     hv_statistics as spin_half_statistics,
+    original_sign_function,
 )
 from hvlab.spin_one import (
     CASE_IDS,
@@ -132,7 +134,8 @@ def test_criterion_2_bell_spin_half():
     flat = PowerLawDistribution(0)
     for seed, beta in enumerate(([0.6, -0.8, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])):
         table = (-np.linalg.norm(beta), np.linalg.norm(beta))
-        counts = mc_mean(lambda xs: bell_outcome_original(beta, xs), flat, 1_000_000, 2000 + seed, table)
+        cuts = (original_sign_function(beta).cut,)
+        counts = mc_mean(lambda xs: bell_outcome_original(beta, xs), flat, 1_000_000, 2000 + seed, table, cuts)
         mean, stderr = _count_cells(counts)
         assert abs(mean - beta[2]) <= max(4.0 * stderr, 1e-12)
 
@@ -266,6 +269,7 @@ def test_criterion_7_ks_dispersion():
             1_000_000,
             7000 + seed,
             (0.0, 1.0, 4.0, 9.0),
+            [spec.cut for spec in ks_sign_specs(model)],
         )
         mean, stderr = _count_cells(counts)
         assert abs(mean - ks_second_moment(model)) <= max(4.0 * stderr, 1e-12)

@@ -5,11 +5,13 @@ import dataclasses
 import gc
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,15 +223,18 @@ class TestUsageErrors:
         assert message in err
         assert out == ""
 
-    @pytest.mark.parametrize(
-        "argv", [["homogeneity", "--alpha", "1e308", "--beta", "1e308,0,0"], ["homogeneity", "--beta", "1e200,0,1e200"]]
-    )
+    @pytest.mark.parametrize("argv", [["homogeneity", "--alpha", "1e308", "--beta", "1e308,0,0"]])
     def test_split_cells_beyond_the_float_range_exit_2(self, capsys, argv):
-        # these once ended in an OverflowError traceback from the cells of the split;
-        # numpy's norm of the direction overflows on the way, which it only warns about
+        # this once ended in an OverflowError traceback from the cells of the split;
+        # numpy's sum of the offset and the outcome overflows on the way, which it only warns about
         with pytest.warns(RuntimeWarning, match="overflow"):
             code, out, err = run_cli(capsys, [*argv, *FAST])
         assert (code, out, err) == (2, "", "error: the outcome moments exceed the float range\n")
+
+    def test_moments_beyond_the_float_range_exit_2(self, capsys):
+        # the squared spectrum overflows: the float-range error alone, no numpy warning before it
+        argv = ["spin-one", "--lambdas", "1e160,2e160,3e160", "--probs", "0.2,0.5,0.3", *FAST]
+        assert run_cli(capsys, argv) == (2, "", "error: the outcome moments exceed the float range\n")
 
     def test_invalid_samples_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, ["oracle-check", "--samples", "0"])
@@ -397,6 +402,7 @@ class TestStreamedHomogeneity:
         counts = mc_mean(
             lambda xs: offset + spin_half.bell_outcome_modified(self.DIRECTION, bloch, xs),
             PowerLawDistribution(0), samples, self.SEED, offset + np.array([-1.0, 1.0]) * np.linalg.norm(self.DIRECTION),
+            (spin_half.modified_sign_function(self.DIRECTION, bloch).cut,),
         )
         mean, stderr = _count_cells(counts)
         whole = self.rows(offset, samples)["homogeneity-whole"]
@@ -652,6 +658,20 @@ class TestLargeOffsets:
         code, rows = run_json(capsys, ["spin-one", *FAST, "--lambdas", "1e100,2e100,3e100", "--probs", "0.2,0.5,0.3"])
         assert code == 0
         assert [row["pass"] for row in rows] == [True, True, True]
+
+
+    def test_direction_beyond_the_root_of_the_float_range(self, capsys):
+        # |b| = 1.414e200 fits in a float although b.b does not: no overflow
+        # warning, and the outcome table is -|b| and +|b|, not -inf and +inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, rows = run_json(capsys, ["homogeneity", *FAST, "--beta", "1e200,0,1e200"])
+        magnitude = math.hypot(1e200, 0.0, 1e200)
+        assert spin_half.outcome_table([1e200, 0.0, 1e200]) == (-magnitude, magnitude)
+        assert code == 0
+        cells = {row["experiment"]: (row["analytic"], row["mc"]) for row in rows}
+        assert cells["homogeneity-mean-plus"] == (magnitude, magnitude)
+        assert cells["homogeneity-mean-minus"] == (-magnitude, -magnitude)
 
 
 class TestSmallVariances:

@@ -1,5 +1,6 @@
 """Tests for the power-law densities, sign functions and MC estimator."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hvlab import ks, spin_one
 from hvlab.distributions import (
     MC_BLOCK_SIZE,
     MC_CHUNK,
+    Moments,
     PowerLawDistribution,
     SignFunctionSpec,
     _count_cells,
@@ -275,26 +277,26 @@ class TestProductMean:
 
 class TestMcMean:
     def test_constant_function_is_exact(self):
-        mean, stderr = _count_cells(mc_mean(lambda xs: np.ones_like(xs), PowerLawDistribution(0), 10_000, 42, (1.0,)))
+        mean, stderr = _count_cells(mc_mean(lambda xs: np.ones_like(xs), PowerLawDistribution(0), 10_000, 42, (1.0,), ()))
         assert mean == 1.0
         assert stderr == 0.0
 
     def test_sign_mean_within_band(self):
         spec = SignFunctionSpec(0.5)
-        mean, stderr = _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(0), 1_000_000, 42, SIGNS))
+        mean, stderr = _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(0), 1_000_000, 42, SIGNS, (spec.cut,)))
         assert abs(mean - 0.5) < 4 * stderr
 
     def test_product_within_band(self):
         a = SignFunctionSpec(0.8, include_sign_prefactor=True)
         b = SignFunctionSpec(0.3, include_sign_prefactor=True)
-        counts = mc_mean(lambda xs: a.evaluate(xs) * b.evaluate(xs), PowerLawDistribution(0), 1_000_000, 7, SIGNS)
+        counts = mc_mean(lambda xs: a.evaluate(xs) * b.evaluate(xs), PowerLawDistribution(0), 1_000_000, 7, SIGNS, (a.cut, b.cut))
         mean, stderr = _count_cells(counts)
         assert abs(mean - 0.5) < 4 * stderr
 
     def test_seed_determinism(self):
         spec = SignFunctionSpec(0.3)
-        a = mc_mean(spec.evaluate, PowerLawDistribution(0), 300_000, 5, SIGNS)
-        b = mc_mean(spec.evaluate, PowerLawDistribution(0), 300_000, 5, SIGNS)
+        a = mc_mean(spec.evaluate, PowerLawDistribution(0), 300_000, 5, SIGNS, (spec.cut,))
+        b = mc_mean(spec.evaluate, PowerLawDistribution(0), 300_000, 5, SIGNS, (spec.cut,))
         assert a == b
 
     def test_second_moment_is_the_squared_pass(self):
@@ -304,22 +306,25 @@ class TestMcMean:
         def f(xs):
             return 2.0 * spec.evaluate(xs) + sign_pm(xs)
 
-        counts = mc_mean(f, dist, 300_000, 9, (-3.0, -1.0, 1.0, 3.0))
-        squared = mc_mean(lambda xs: f(xs) ** 2, dist, 300_000, 9, (1.0, 9.0))
+        cuts = (spec.cut, 0.0)
+        counts = mc_mean(f, dist, 300_000, 9, (-3.0, -1.0, 1.0, 3.0), cuts)
+        squared = mc_mean(lambda xs: f(xs) ** 2, dist, 300_000, 9, (1.0, 9.0), cuts)
         assert _count_cells([(value * value, count) for value, count in counts]) == _count_cells(squared)
 
     @pytest.mark.parametrize("offset", [1e5, 1e7])
     def test_spread_survives_large_offset(self, offset):
         # the sum-of-squares form cancels here: stderr 0 at 1e5, 256x too large at 1e7
         table = (offset - 1e-3, offset + 1e-3)
-        counts = mc_mean(lambda xs: offset + 1e-3 * sign_pm(xs), PowerLawDistribution(0), 10**6, 1, table)
+        counts = mc_mean(lambda xs: offset + 1e-3 * sign_pm(xs), PowerLawDistribution(0), 10**6, 1, table, (0.0,))
         mean, stderr = _count_cells(counts)
         assert stderr == pytest.approx(1e-6, rel=0.01)
         assert mean == pytest.approx(offset, abs=1e-5)
 
     def test_pair_streams_are_independent(self):
         dist = PowerLawDistribution(0)
-        counts = mc_mean_pair(lambda x, y: np.sign(x) * np.sign(y), dist, dist, 400_000, 3, (-1.0, 0.0, 1.0))
+        # np.sign is 0 at 0 alone: cuts at 0 and at the least float above it
+        cuts = (0.0, math.nextafter(0.0, 1.0))
+        counts = mc_mean_pair(lambda x, y: np.sign(x) * np.sign(y), dist, dist, 400_000, 3, (-1.0, 0.0, 1.0), cuts, cuts)
         mean, stderr = _count_cells(counts)
         assert abs(mean) < 5 * stderr
 
@@ -327,34 +332,72 @@ class TestMcMean:
         # the engine is serial: blocks are drawn and merged in block order
         dist = PowerLawDistribution(0)
         with pytest.raises(TypeError):
-            mc_mean(sign_pm, dist, 1000, 1, SIGNS, workers=2)
+            mc_mean(sign_pm, dist, 1000, 1, SIGNS, (0.0,), workers=2)
         with pytest.raises(TypeError):
-            mc_mean_pair(lambda x, y: sign_pm(x), dist, dist, 1000, 1, SIGNS, workers=2)
+            mc_mean_pair(lambda x, y: sign_pm(x), dist, dist, 1000, 1, SIGNS, (0.0,), (), workers=2)
+
+    def test_cuts_are_required(self):
+        # no fallback to evaluating the rule on every draw
+        dist = PowerLawDistribution(0)
+        with pytest.raises(TypeError):
+            mc_mean(sign_pm, dist, 1000, 1, SIGNS)
+        with pytest.raises(TypeError):
+            mc_mean_pair(lambda x, y: sign_pm(x), dist, dist, 1000, 1, SIGNS, (0.0,))
+
+    @pytest.mark.parametrize("cut", [np.nan, np.inf])
+    def test_rejects_non_finite_cuts(self, cut):
+        with pytest.raises(ValueError, match="cuts must be finite"):
+            mc_mean(sign_pm, PowerLawDistribution(0), 1000, 1, SIGNS, (0.0, cut))
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
-            mc_mean(sign_pm, PowerLawDistribution(0), 0, 1, SIGNS)
+            mc_mean(sign_pm, PowerLawDistribution(0), 0, 1, SIGNS, (0.0,))
 
     @pytest.mark.parametrize("bad", [0.5, np.nan])
     def test_outcome_off_the_table_raises(self, bad):
-        # one bad outcome in the last chunk of the second block
-        samples = MC_BLOCK_SIZE + MC_CHUNK + 3
+        # the cell [0.25, inf) takes the bad value: found before any draw
         dist = PowerLawDistribution(0)
-        flagged = dist.sample(MC_CHUNK + 3, np.random.default_rng([1, 0, 1]))[-1]
         with pytest.raises(ValueError, match="outcome table"):
-            mc_mean(lambda xs: np.where(xs == flagged, bad, sign_pm(xs)), dist, samples, 1, SIGNS)
+            mc_mean(lambda xs: np.where(xs >= 0.25, bad, sign_pm(xs)), dist, 1000, 1, SIGNS, (0.0, 0.25))
         with pytest.raises(ValueError, match="outcome table"):
-            mc_mean(lambda xs: np.full(xs.shape, np.nan), dist, 10, 1, (np.nan, 1.0))
+            mc_mean(lambda xs: np.full(xs.shape, np.nan), dist, 10, 1, (np.nan, 1.0), ())
+        # a bad value at the upper end of a cell alone is off the table too
+        with pytest.raises(ValueError, match="outcome table"):
+            mc_mean(lambda xs: np.where(xs == np.inf, bad, 1.0), dist, 10, 1, SIGNS, ())
+
+    @pytest.mark.parametrize(
+        "cuts1, cuts2", [((), ()), ((0.1,), ()), ((0.0,), ()), ((0.0,), (0.1,)), ((-0.3, 0.2), (0.19,))]
+    )
+    def test_a_rule_that_changes_inside_a_cell_raises(self, cuts1, cuts2):
+        # the rule steps at x1 = 0 and at x2 = 0.2: some declared cell holds a step
+        dist = PowerLawDistribution(0)
+        with pytest.raises(ValueError, match="changes value inside a cell"):
+            mc_mean_pair(lambda x1, x2: sign_pm(x1) * sign_pm(x2 - 0.2), dist, dist, 1000, 1, SIGNS, cuts1, cuts2)
+        with pytest.raises(ValueError, match="changes value inside a cell"):
+            mc_mean(sign_pm, dist, 1000, 1, SIGNS, cuts1[1:] + cuts2)
+
+    def test_the_rule_is_called_once_at_the_cell_ends(self):
+        calls = []
+        spec = SignFunctionSpec(0.3, include_sign_prefactor=True)
+
+        def rule(xs):
+            calls.append(np.array(xs))
+            return spec.evaluate(xs)
+
+        counts = mc_mean(rule, PowerLawDistribution(0), 3 * MC_BLOCK_SIZE + 5, 1, SIGNS, (spec.cut,))
+        assert sum(count for _, count in counts) == 3 * MC_BLOCK_SIZE + 5
+        (ends,) = calls
+        np.testing.assert_array_equal(ends, [-np.inf, np.nextafter(spec.cut, -np.inf), spec.cut, np.inf])
 
     def test_table_order_and_repeats_do_not_change_the_estimate(self):
         spec = SignFunctionSpec(0.3)
-        cells = _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(0), 50_000, 5, SIGNS))
-        assert _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(0), 50_000, 5, (1.0, -1.0, 1.0, 7.0))) == cells
+        cells = _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(0), 50_000, 5, SIGNS, (spec.cut,)))
+        assert _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(0), 50_000, 5, (1.0, -1.0, 1.0, 7.0), (spec.cut,))) == cells
 
     @pytest.mark.parametrize("n", range(4))
     def test_mc_matches_analytic_mean(self, n):
         spec = SignFunctionSpec(-0.6, n=n, include_sign_prefactor=True)
-        mean, stderr = _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(n), 400_000, 21 + n, SIGNS))
+        mean, stderr = _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(n), 400_000, 21 + n, SIGNS, (spec.cut,)))
         assert abs(mean - (-0.6)) < 5 * stderr
 
 
@@ -437,7 +480,7 @@ class TestBlockArithmeticIsUnchanged:
         def outcome(sign):
             return lambda x, y: 1e3 + sign(a, x) - 2.0 * sign(b, y) * sign(a, x)
 
-        counts = mc_mean_pair(outcome(SignFunctionSpec.evaluate), dist1, dist2, samples, seed, table)
+        counts = mc_mean_pair(outcome(SignFunctionSpec.evaluate), dist1, dist2, samples, seed, table, (a.cut,), (b.cut,))
         _assert_engine_matches_reference(counts, outcome(_reference_sign), (dist1, dist2), (1, 2), samples, seed)
 
     @pytest.mark.parametrize("seed", [1, 4])
@@ -450,19 +493,66 @@ class TestBlockArithmeticIsUnchanged:
             return lambda x: 3.0 * sign(spec, x) - sign_pm(x)
 
         for samples in [*ENGINE_SAMPLES, 3 * MC_BLOCK_SIZE + MC_CHUNK + 5]:
-            counts = mc_mean(outcome(SignFunctionSpec.evaluate), dist, samples, seed, table)
+            counts = mc_mean(outcome(SignFunctionSpec.evaluate), dist, samples, seed, table, (spec.cut, 0.0))
             _assert_engine_matches_reference(counts, outcome(_reference_sign), (dist,), (0,), samples, seed)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_scalar_outcome_is_broadcast_and_exact(self, seed):
         samples = MC_BLOCK_SIZE + MC_CHUNK + 3
-        assert mc_mean(lambda xs: 2.5, PowerLawDistribution(1), samples, seed, (2.5,)) == [(2.5, samples)]
+        assert mc_mean(lambda xs: 2.5, PowerLawDistribution(1), samples, seed, (2.5,), ()) == [(2.5, samples)]
         dist = PowerLawDistribution(0)
-        pair = mc_mean_pair(lambda x, y: -0.75, dist, dist, samples, seed, (-0.75, 1.0))
+        pair = mc_mean_pair(lambda x, y: -0.75, dist, dist, samples, seed, (-0.75, 1.0), (), ())
         assert pair == [(-0.75, samples), (1.0, 0)]
         assert _count_cells(pair) == (-0.75, 0.0)
         assert _count_cells([(value * value, count) for value, count in pair]) == (0.5625, 0.0)
-        assert _outcome_counts(lambda x: 2.5, (dist,), (0,), samples, seed, (1.0, 2.5)) == [(1.0, 0), (2.5, samples)]
+        assert _outcome_counts(lambda x: 2.5, (dist,), (0,), samples, seed, (1.0, 2.5), ((),)) == [(1.0, 0), (2.5, samples)]
+
+
+# biases whose cuts sit at the support edge (+-1), at -0.0 and 0.0, far
+# below any draw's spacing (1e-300), or anywhere
+BIASES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _lane(draw, max_specs):
+    """One hidden variable: its distribution and the sign functions of it that the rule uses."""
+    n, norm = draw(st.integers(0, 3)), draw(st.sampled_from([1.0, 0.37, 5.0, 1e-3]))
+    spec = st.builds(lambda bias, prefactor: SignFunctionSpec(bias, n=n, norm=norm, include_sign_prefactor=prefactor),
+                     BIASES, st.booleans())
+    return PowerLawDistribution(n, norm), draw(st.lists(spec, min_size=1, max_size=max_specs))
+
+
+class TestCellCountsMatchTheDraws:
+    @given(
+        lanes=st.one_of(st.tuples(_lane(3)), st.tuples(_lane(3), _lane(1))),
+        samples=st.one_of(st.sampled_from([1, 2, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, MC_BLOCK_SIZE - 1,
+                                           MC_BLOCK_SIZE, MC_BLOCK_SIZE + 1]), st.integers(1, 3 * MC_CHUNK)),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_engine_counts_equal_the_reference_counts(self, lanes, samples, seed):
+        # the rule sums its sign functions with weights 1, 2, 4, ...: one value per sign pattern
+        specs = [(var, spec) for var, (_, lane_specs) in enumerate(lanes) for spec in lane_specs]
+        weighted = [(var, spec, 2.0**k) for k, (var, spec) in enumerate(specs)]
+        table = sorted({sum(signs) for signs in itertools.product(*[(-w, w) for _, _, w in weighted])})
+
+        def rule(sign):
+            return lambda *xs: sum(w * sign(spec, xs[var]) for var, spec, w in weighted)
+
+        dists = tuple(dist for dist, _ in lanes)
+        cuts = [[spec.cut for spec in specs] for _, specs in lanes]
+        if len(lanes) == 1:
+            counts, lane_ids = mc_mean(rule(SignFunctionSpec.evaluate), *dists, samples, seed, table, *cuts), (0,)
+        else:
+            counts, lane_ids = mc_mean_pair(rule(SignFunctionSpec.evaluate), *dists, samples, seed, table, *cuts), (1, 2)
+        _assert_engine_matches_reference(counts, rule(_reference_sign), dists, lane_ids, samples, seed)
+
+
+def test_moments_beyond_the_float_range_raise():
+    with pytest.raises(ValueError, match="exceed the float range"):
+        Moments.of([1e160, 2e160, 3e160], [0.2, 0.5, 0.3])
+    moments = Moments.of([1e100, 2e100], [0.5, 0.5])
+    assert (moments.mean, moments.second_moment, moments.variance) == pytest.approx((1.5e100, 2.5e200, 0.25e200), rel=1e-15)
 
 
 class TestCountCells:
@@ -503,12 +593,13 @@ class TestCountCells:
 
 def _case_iii_pair():
     formula = spin_one.build_formula("III", spin_one.SpectralTriple((0.0, 1.0, -1.0), (0.3, 0.5, 0.2)))
-    return mc_mean_pair(formula.evaluate, *formula.hidden_distributions, 1_000_000, 5, formula._table)
+    return mc_mean_pair(formula.evaluate, *formula.hidden_distributions, 1_000_000, 5, formula._table, *formula.hidden_cuts)
 
 
 def _ks_sum():
     model = ks.KsModel((0.2, 0.5, 0.3))
-    return mc_mean(lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, 1_000_000, 5, (0.0, 1.0, 2.0, 3.0))
+    cuts = [spec.cut for spec in ks.ks_sign_specs(model)]
+    return mc_mean(lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, 1_000_000, 5, (0.0, 1.0, 2.0, 3.0), cuts)
 
 
 @pytest.mark.parametrize("estimate", [_case_iii_pair, _ks_sum])

@@ -1,5 +1,7 @@
 """Tests for the spin-1/2 deterministic outcome models."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,10 @@ from hvlab.spin_half import (
     bell_outcome_original,
     homogeneity_split,
     hv_statistics,
+    modified_sign_function,
+    original_sign_function,
     outcome_probabilities,
+    outcome_table,
 )
 
 FLAT = PowerLawDistribution(0)
@@ -30,6 +35,19 @@ def _random_direction(rng, scale=2.0):
 def _outcomes(beta):
     # both rules take the values -|b| and +|b|
     return -np.linalg.norm(beta), np.linalg.norm(beta)
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3).filter(lambda b: np.linalg.norm(b) > 0.0))
+@settings(max_examples=300, deadline=None)
+def test_outcome_table_is_numpys_norm_at_unit_scale(direction):
+    magnitude = float(np.linalg.norm(direction))
+    assert outcome_table(direction) == (-magnitude, magnitude)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+def test_outcome_table_does_not_overflow(scale):
+    # b.b overflows above about 1.3e154; |b| stays inside the float range
+    assert outcome_table([scale, -scale, 0.0]) == (-math.hypot(scale, scale), math.hypot(scale, scale))
 
 
 class TestOriginalRule:
@@ -69,7 +87,8 @@ class TestOriginalRule:
 
     def test_mc_average_matches_z_component(self):
         beta = np.array([0.6, -0.8, 0.5])
-        counts = mc_mean(lambda xs: bell_outcome_original(beta, xs), FLAT, 1_000_000, 42, _outcomes(beta))
+        cuts = (original_sign_function(beta).cut,)
+        counts = mc_mean(lambda xs: bell_outcome_original(beta, xs), FLAT, 1_000_000, 42, _outcomes(beta), cuts)
         mean, stderr = _count_cells(counts)
         assert abs(mean - beta[2]) < 4 * stderr
 
@@ -114,7 +133,8 @@ class TestModifiedRule:
     def test_mc_mean_matches_overlap(self):
         beta = np.array([0.8, -0.2, 0.5])
         bloch = np.array([0.3, 0.4, -0.6])
-        counts = mc_mean(lambda xs: bell_outcome_modified(beta, bloch, xs), FLAT, 1_000_000, 5, _outcomes(beta))
+        cuts = (modified_sign_function(beta, bloch).cut,)
+        counts = mc_mean(lambda xs: bell_outcome_modified(beta, bloch, xs), FLAT, 1_000_000, 5, _outcomes(beta), cuts)
         mean, stderr = _count_cells(counts)
         assert abs(mean - float(np.dot(beta, bloch))) < 4 * stderr
 
@@ -182,7 +202,8 @@ class TestHvStatistics:
         beta = _random_direction(rng)
         state = random_pure_state(2, rng)
         bloch = bloch_vector(state, PAULI_BASIS)
-        counts = mc_mean(lambda xs: bell_outcome_modified(beta, bloch, xs), FLAT, 1_000_000, 10, _outcomes(beta))
+        cuts = (modified_sign_function(beta, bloch).cut,)
+        counts = mc_mean(lambda xs: bell_outcome_modified(beta, bloch, xs), FLAT, 1_000_000, 10, _outcomes(beta), cuts)
         mean, stderr = _count_cells(counts)
         matrix = linear_observable(beta, PAULI_BASIS)
         assert abs(mean - expectation(matrix, state)) < 4 * stderr
