@@ -312,20 +312,22 @@ def _lane_cells(cuts: Iterable[float]) -> tuple[list[float], np.ndarray]:
 
 
 def _cell_outcomes(f: Callable[..., np.ndarray], ends: list[np.ndarray], values: list[float]) -> np.ndarray:
-    """Index into ``values`` of the rule's value on every cell, one call of
-    f at every corner of every cell.  A value off the table (NaN included)
-    or a cell whose corners disagree raises ValueError."""
+    """Index into ``values`` of the rule's value on every cell, in C order,
+    from one call of f at every corner of every cell.  A value off the
+    table (NaN included) or a cell whose corners disagree raises
+    ValueError."""
     grids = [grid.ravel() for grid in np.meshgrid(*ends, indexing="ij")]
     ys = np.broadcast_to(np.asarray(f(*grids), dtype=float), grids[0].shape)
     hits = ys[:, None] == np.array(values)
-    if not hits.any(axis=1).all():
-        raise ValueError(f"the rule takes {sorted(set(ys[~hits.any(axis=1)].tolist()))} outside the outcome table {values}")
+    on_table = hits.any(axis=1)
+    if not on_table.all():
+        raise ValueError(f"the rule takes {sorted(set(ys[~on_table].tolist()))} outside the outcome table {values}")
+    # axes (cell, end) per variable; end 0 is the lower end
     shape = [size for lane in ends for size in (lane.size // 2, 2)]
-    corners = ys.reshape(shape)
-    lower = corners[(slice(None), 0) * len(ends)]
-    if not np.all(corners == lower.reshape([size if k % 2 == 0 else 1 for k, size in enumerate(shape)])):
+    lower = (slice(None), slice(0, 1)) * len(ends)
+    if not np.all(ys.reshape(shape) == ys.reshape(shape)[lower]):
         raise ValueError("the rule changes value inside a cell of its cuts")
-    return hits.argmax(axis=1).reshape(shape)[(slice(None), 0) * len(ends)]
+    return hits.argmax(axis=1).reshape(shape)[lower].ravel()
 
 
 def _outcome_counts(
@@ -354,8 +356,6 @@ def _outcome_counts(
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if len(cuts) != len(dists):
-        raise ValueError(f"{len(dists)} variables need {len(dists)} lists of cuts, got {len(cuts)}")
     values = list(dict.fromkeys(np.ravel(outcomes).astype(float).tolist()))
     points, ends = zip(*map(_lane_cells, cuts))
     outcome_of_cell = _cell_outcomes(f, list(ends), values)
@@ -379,8 +379,8 @@ def _outcome_counts(
     for axis in range(len(points)):
         cells = -np.diff(cells, axis=axis)
     counts = [0] * len(values)
-    for value, count in zip(outcome_of_cell.ravel().tolist(), cells.ravel().tolist()):
-        counts[value] += count
+    for table_index, count in zip(outcome_of_cell.tolist(), cells.ravel().tolist()):
+        counts[table_index] += count
     return list(zip(values, counts))
 
 

@@ -547,6 +547,19 @@ class TestCellCountsMatchTheDraws:
             counts, lane_ids = mc_mean_pair(rule(SignFunctionSpec.evaluate), *dists, samples, seed, table, *cuts), (1, 2)
         _assert_engine_matches_reference(counts, rule(_reference_sign), dists, lane_ids, samples, seed)
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_a_draw_at_a_cut_counts_at_or_above_it(self, n):
+        # cut exactly at drawn values: the engine must compare x >= c, as the rule does
+        dist, samples, seed = PowerLawDistribution(n), MC_CHUNK + 3, 11
+        drawn = dist.sample(samples, np.random.default_rng([seed, 0, 0]))
+        cuts = (float(drawn[0]), float(drawn[-1]))
+
+        def rule(xs):
+            return (np.asarray(xs) >= cuts[0]) + 2.0 * (np.asarray(xs) >= cuts[1])
+
+        counts = mc_mean(rule, dist, samples, seed, (0.0, 1.0, 2.0, 3.0), cuts)
+        _assert_engine_matches_reference(counts, rule, (dist,), (0,), samples, seed)
+
 
 def test_moments_beyond_the_float_range_raise():
     with pytest.raises(ValueError, match="exceed the float range"):
