@@ -13,11 +13,11 @@ points for each hidden variable: the rule may change value only where a
 draw x crosses a cut c, that is where x >= c flips, the one comparison
 `SignFunctionSpec.evaluate` makes at its `cut`.  So the cuts split the
 draws into cells on which the rule is constant.  The rule is evaluated
-once per cell end, before any draw, and two checks guard the cuts: a
-value off the outcome table (NaN included) raises ValueError, and so do
-two ends of one cell that disagree, a rule changing value inside a
-declared cell.  The draws themselves are only compared with the cuts and
-counted.
+once per cell end (per corner of a two-variable cell) before any draw,
+never per draw, and two checks guard the cuts: a value off the outcome
+table (NaN included) raises ValueError, and so do two ends of one cell
+that disagree, a rule changing value inside a declared cell.  The draws
+themselves are only compared with the cuts and counted.
 
 The sign convention is sign(0) = +1, applied uniformly by `sign_pm`.
 """
@@ -338,14 +338,10 @@ def _outcome_counts(
     outcome table ``outcomes``: (value, count) pairs, one per distinct
     value, in table order.
 
-    ``cuts`` holds, for each variable, the points where f may change
-    value: f may depend on a draw x only through the comparisons x >= c.
-    So the cuts split the draws into cells on which f is constant.  f is
-    called once, before any draw, at both ends of every cell (every
-    corner, for two variables); the lower end gives the cell's value.  A
-    value the table does not cover (NaN or an off-table value) or two
-    ends that disagree raise ValueError.  f may return a scalar, which is
-    broadcast.
+    ``cuts`` holds the cut points of each variable (see the module
+    docstring).  f is called once, before any draw, at every corner of
+    every cell, both ends for one variable; the lower corner gives the
+    cell's value.  f may return a scalar, which is broadcast.
 
     Each variable of a block is drawn from its own RNG derived from
     (seed, lane, block index), in chunks of at most ``MC_CHUNK`` samples

@@ -659,7 +659,6 @@ class TestLargeOffsets:
         assert code == 0
         assert [row["pass"] for row in rows] == [True, True, True]
 
-
     def test_direction_beyond_the_root_of_the_float_range(self, capsys):
         # |b| = 1.414e200 fits in a float although b.b does not: no overflow
         # warning, and the outcome table is -|b| and +|b|, not -inf and +inf
