@@ -198,8 +198,11 @@ def _moment_rows(kind: str, params: str, stats: Moments, oracle: Moments, counts
 
 
 def _operator_moments(matrix: np.ndarray, state: QuantumState) -> Moments:
-    """Moments of an observable in a state, the variance centred."""
-    return Moments(expectation(matrix, state), expectation(matrix @ matrix, state), variance(matrix, state))
+    """Moments of an observable in a state, the variance centred; a square
+    beyond the float range is rejected by `expectation` as non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = matrix @ matrix
+    return Moments(expectation(matrix, state), expectation(square, state), variance(matrix, state))
 
 
 def _spin_half_rows(
@@ -239,23 +242,27 @@ def _split_counts(
 ) -> dict[tuple[float, bool], int]:
     """How many of ``samples`` seeded draws of offset + b.S take each
     (outcome value, upper side) pair, counted by ``mc_mean`` as the four
-    values of one table, so the hidden values are those ``mc_mean`` of the
-    rule itself draws.  The pair changes at the rule's cut and at the split."""
+    (rule value, side) pairs of one table, so the hidden values are those
+    ``mc_mean`` of the rule itself draws.  The pair changes at the rule's
+    cut and at the split.  The offset is added to the counted values only,
+    and the counts of values it rounds together are summed."""
     minus, plus = spin_half.outcome_table(direction)
-    low, high = offset + minus, offset + plus
 
     def cell(hidden):
-        outcomes = offset + spin_half.bell_outcome_modified(direction, bloch, hidden)
-        is_high = outcomes == high
-        if not np.all(is_high | (outcomes == low)):
-            raise RuntimeError("the outcome rule took a value other than offset -+ |b|")
+        outcomes = spin_half.bell_outcome_modified(direction, bloch, hidden)
+        is_high = outcomes == plus
+        if not np.all(is_high | (outcomes == minus)):
+            raise RuntimeError("the outcome rule took a value other than -+ |b|")
         return 2 * is_high + (hidden >= split_point)
 
     cuts = (spin_half.modified_sign_function(direction, bloch).cut, split_point)
     cells = mc_mean(cell, PowerLawDistribution(0), samples, seed, range(4), cuts)
-    # when high == low every draw is high, so the low cells are empty
-    keys = ((low, False), (low, True), (high, False), (high, True))
-    return {key: count for key, (_, count) in zip(keys, cells) if count}
+    keys = [(offset + value, side) for value in (minus, plus) for side in (False, True)]
+    counts = {}
+    for key, (_, count) in zip(keys, cells):
+        if count:
+            counts[key] = counts.get(key, 0) + count
+    return counts
 
 
 def _homogeneity_rows(

@@ -172,9 +172,7 @@ class SignFunctionSpec:
         times the prefactor.
         """
         up = sign_pm(self.bias) if self.include_sign_prefactor else 1.0
-        out = (np.asarray(x, dtype=float) >= self.cut).astype(float)
-        out *= 2.0 * up
-        out -= up
+        out = np.where(np.asarray(x, dtype=float) >= self.cut, up, -up)
         return float(out) if np.ndim(x) == 0 else out
 
 
@@ -287,13 +285,10 @@ def _count_cells(counts: list[tuple[float, int]]) -> tuple[float | None, float |
             return float(mean), 0.0
         spread = sum(count * (value - mean) ** 2 for value, count in exact)
         var = spread / (n - 1) / n
-        try:
-            return float(mean), math.sqrt(var)
-        except OverflowError:
-            # a variance beyond the float range can still have a root within
-            # it: scale by an exact power of 4 and take its root back
-            half = (var.numerator.bit_length() - var.denominator.bit_length()) // 2
-            return float(mean), math.ldexp(math.sqrt(var / 4**half), half)
+        # the root of var / 4**half, near 1, scaled back by 2**half: a root
+        # within the float range stays exact when var overflows or underflows
+        half = (var.numerator.bit_length() - var.denominator.bit_length()) // 2
+        return float(mean), math.ldexp(math.sqrt(var / Fraction(4) ** half), half)
     except OverflowError as exc:
         raise ValueError("the outcome moments exceed the float range") from exc
 

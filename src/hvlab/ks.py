@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import Moments, PowerLawDistribution, SignFunctionSpec, _sign_product_mean
 from .oracle import QuantumState, _born_weights, _probability_vector, simultaneous_eigenbasis
-from .spin_one import CaseAssignment, OutcomeFormula, SpectralTriple, build_formula, solve_coefficients
+from .spin_one import OutcomeFormula, SpectralTriple, build_formula
 
 __all__ = [
     "KsModel",
@@ -36,7 +36,6 @@ __all__ = [
     "deformed_outcomes",
     "deformed_statistics",
     "deformed_formula",
-    "deformed_square_formula",
 ]
 
 #: The flat distribution of the single shared hidden variable.
@@ -181,19 +180,3 @@ def deformed_formula(model: DeformedKsModel) -> OutcomeFormula:
     (plus, zero, minus), (p_plus, p_zero, p_minus) = deformed_outcomes(model), model.probabilities
     return build_formula("III", SpectralTriple((zero, plus, minus), (p_zero, p_plus, p_minus)))
 
-
-def deformed_square_formula() -> OutcomeFormula:
-    """Coefficient structure (3/4, -1/4, 1/4, 1/4) of the squared spin
-    component in the deformed model.
-
-    This is the four-pattern solve for the spectrum (1, 0, 1) under the
-    assignment whose pattern puts the zero outcome at (+, -); it carries
-    no sign-function realisation of its own.
-    """
-    assignment = CaseAssignment("I")
-    values = (1.0, 0.0, 1.0)
-    return OutcomeFormula(
-        values=values,
-        coefficients=solve_coefficients(assignment, values),
-        assignment=assignment,
-    )

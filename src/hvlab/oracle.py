@@ -333,9 +333,13 @@ def spectral_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
         _check_hermitian(h)
     else:
         h = require_hermitian(matrix)[None]
-    scales = _frobenius_norms(h)
-    if not np.isfinite(scales).all():
+    if not np.isfinite(_frobenius_norms(h)).all():
         raise ValueError("operator norm exceeds the float range")
+    # each matrix divided exactly by the 2**k putting its largest entry in
+    # [1/2, 1), so no square underflows; the values are multiplied back
+    k = np.frexp(np.max(np.abs(h), axis=(1, 2)))[1]
+    h = np.ldexp(h.reshape(len(h), -1).view(float), -k[:, None]).view(complex).reshape(h.shape)
+    scales = _frobenius_norms(h)
     a, v = _sweep_stack(h, scales) if stacked else _sweep_scalar(h[0], float(scales[0]))
     diag = np.diagonal(a, axis1=1, axis2=2).real
     # a stable sort of the negated diagonal keeps equal values in index order
@@ -351,6 +355,7 @@ def spectral_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
     worst = np.flatnonzero(residuals > 1e-9 * scales)
     if worst.size:
         raise RuntimeError(f"eigensolver residual {residuals[worst[0]]:.3e} too large")
+    values = np.ldexp(values, k[:, None])
     return (values, vecs) if stacked else (values[0], vecs[0])
 
 

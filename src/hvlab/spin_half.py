@@ -27,25 +27,21 @@ __all__ = [
     "bell_original_mean_analytic",
     "bell_outcome_modified",
     "hv_statistics",
-    "outcome_probabilities",
     "homogeneity_split",
 ]
 
 
-# Below this largest component the squares of b and their sum stay finite.
-_SQUARES_FIT = 1e150
-
-
 def _direction(vec) -> tuple[np.ndarray, float]:
-    """b as three floats and |b|: sqrt(b.b), bit for bit as np.linalg.norm
-    computes it, or math.hypot where b.b would overflow."""
+    """b as three floats and |b|: sqrt(u.u) * 2**k for u = b / 2**k, the
+    power of two k putting the largest component in [1/2, 1), so no square
+    overflows or underflows; bit for bit np.linalg.norm wherever b.b is a
+    normal float."""
     b = np.asarray(vec, dtype=float).reshape(-1)
     if b.shape != (3,):
         raise ValueError("direction must have three components")
-    if float(np.max(np.abs(b))) < _SQUARES_FIT:
-        mag = math.sqrt(float(b.dot(b)))
-    else:
-        mag = math.hypot(*b.tolist())
+    k = math.frexp(float(np.max(np.abs(b))))[1]
+    unit = np.ldexp(b, -k)
+    mag = math.ldexp(math.sqrt(float(unit.dot(unit))), k)
     if mag == 0.0:
         raise ValueError("direction must be nonzero")
     return b, mag
@@ -127,16 +123,10 @@ def hv_statistics(direction, bloch) -> Moments:
     """
     mag, overlap, _ = _modified_rule(direction, bloch)
     b, e = (np.asarray(v, dtype=float).reshape(-1) for v in (direction, bloch))
-    spread = float(np.square(np.cross(b, e)).sum()) + mag * mag * (1.0 - float(e @ e))
+    # in Python floats, which overflow to inf without a warning: the
+    # quantum reference rejects an observable whose square overflows
+    spread = sum(x * x for x in np.cross(b, e).tolist()) + mag * mag * (1.0 - float(e @ e))
     return Moments(mean=overlap, second_moment=mag * mag, variance=spread)
-
-
-def outcome_probabilities(direction, bloch) -> tuple[float, float]:
-    """Probabilities of the outcomes +|b| and -|b| under the modified
-    rule; their difference is the sign function's mean b.e / |b|."""
-    _, _, spec = _modified_rule(direction, bloch)
-    p_plus = 0.5 + sign_mean_analytic(spec) / 2.0
-    return p_plus, 1.0 - p_plus
 
 
 @dataclass(frozen=True)

@@ -171,16 +171,15 @@ class OutcomeFormula:
     Construction checks that the coefficients give the assigned outcome
     at each of the four sign patterns; evaluation reads that table.
     ``sign1``/``sign2`` carry the hidden-variable realisation of the two
-    sign factors; they are None for bare coefficient structures that are
-    only evaluated over explicit sign patterns.
+    sign factors.
     """
 
     values: tuple[float, float, float]
     coefficients: tuple[float, float, float, float]
     assignment: CaseAssignment
-    sign1: SignFunctionSpec | None = None
-    sign2: SignFunctionSpec | None = None
-    probabilities: tuple[float, float, float] | None = None
+    sign1: SignFunctionSpec
+    sign2: SignFunctionSpec
+    probabilities: tuple[float, float, float]
     _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -201,31 +200,23 @@ class OutcomeFormula:
         s2 = np.asarray(s2, dtype=float)
         if not (np.all(np.abs(s1) == 1.0) and np.all(np.abs(s2) == 1.0)):
             raise ValueError("sign arguments must be +1 or -1")
-        code = (s1 < 0).view(np.uint8) << 1
-        code |= (s2 < 0).view(np.uint8)
-        out = self._table.take(code)
+        out = self._table[2 * (s1 < 0) + (s2 < 0)]
         return float(out) if out.ndim == 0 else out
 
     def evaluate(self, hidden1, hidden2):
         """Outcome at a pair of hidden-variable values."""
-        if self.sign1 is None or self.sign2 is None:
-            raise ValueError("formula has no sign-function realisation")
         s1 = self.sign1.evaluate(hidden1)
         s2 = self.sign2.evaluate(hidden2)
         return self.evaluate_signs(s1, s2)
 
     @property
     def hidden_distributions(self) -> tuple[PowerLawDistribution, PowerLawDistribution]:
-        if self.sign1 is None or self.sign2 is None:
-            raise ValueError("formula has no sign-function realisation")
         return self.sign1.distribution, self.sign2.distribution
 
     @property
     def hidden_cuts(self) -> tuple[tuple[float], tuple[float]]:
         """The cut of each hidden variable: the rule changes value only
         where a variable crosses its sign function's cut."""
-        if self.sign1 is None or self.sign2 is None:
-            raise ValueError("formula has no sign-function realisation")
         return (self.sign1.cut,), (self.sign2.cut,)
 
 
@@ -262,8 +253,6 @@ def hv_statistics(formula: OutcomeFormula) -> Moments:
     ((1 + s2*t2)/2); the moments are weighted sums over the outcome
     table, and the variance is taken about the mean.
     """
-    if formula.sign1 is None or formula.sign2 is None:
-        raise ValueError("formula has no sign-function realisation")
     t1 = sign_mean_analytic(formula.sign1)
     t2 = sign_mean_analytic(formula.sign2)
     weights = [(1.0 + s1 * t1) / 2.0 * ((1.0 + s2 * t2) / 2.0) for s1, s2 in SIGN_PATTERNS]

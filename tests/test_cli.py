@@ -214,6 +214,8 @@ class TestUsageErrors:
             (["spin-one", "--basis", "angular-momentum", "--beta", "1e160,0,0", "--state", "1,0,0"], "operator norm exceeds the float range"),
             (["spin-one", "--beta", "1e154,0,0", "--state", "1,0,0"], "operator norm exceeds the float range"),
             (["spin-one", "--beta", "1e160,0,0", "--state", "1,0,0"], "operator norm exceeds the float range"),
+            # the square of the observable overflows: rejected with no numpy warning
+            (["spin-half", "--beta", "1e200,0,1e200"], "operator has non-finite entries"),
         ],
     )
     def test_input_the_library_rejects_exit_2(self, capsys, argv, message):
@@ -225,10 +227,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [["homogeneity", "--alpha", "1e308", "--beta", "1e308,0,0"]])
     def test_split_cells_beyond_the_float_range_exit_2(self, capsys, argv):
-        # this once ended in an OverflowError traceback from the cells of the split;
-        # numpy's sum of the offset and the outcome overflows on the way, which it only warns about
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code, out, err = run_cli(capsys, [*argv, *FAST])
+        # the offset meets only the counted values, as Python floats: the float-range
+        # error alone, with no numpy overflow warning before it
+        code, out, err = run_cli(capsys, [*argv, *FAST])
         assert (code, out, err) == (2, "", "error: the outcome moments exceed the float range\n")
 
     def test_moments_beyond_the_float_range_exit_2(self, capsys):
@@ -672,6 +673,20 @@ class TestLargeOffsets:
         assert cells["homogeneity-mean-plus"] == (magnitude, magnitude)
         assert cells["homogeneity-mean-minus"] == (-magnitude, -magnitude)
 
+    def test_an_offset_that_swamps_both_outcomes(self, capsys):
+        # offset -+ |b| round to one value, so both outcomes count toward it
+        argv = ["homogeneity", "--alpha", "1e20", "--beta", "0,0,1", "--epsilon", "0,0,0.5", "--samples", "20000"]
+        assert run_cli(capsys, argv) == (0, """\
+experiment              params                  analytic  mc     stderr  oracle  pass
+homogeneity-mean-plus   alpha=1e+20;beta=0,0,1  1e+20     1e+20  0               pass
+homogeneity-mean-minus  alpha=1e+20;beta=0,0,1  1e+20     1e+20  0               pass
+homogeneity-whole       alpha=1e+20;beta=0,0,1  1e+20     1e+20  0       1e+20   pass
+homogeneity-recombined  alpha=1e+20;beta=0,0,1  1e+20                    1e+20   pass
+""", "")
+        # split at 0, above the rule's cut -1/4, both outcomes fall below the split
+        counts = hvlab.cli._split_counts(1e20, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.5]), 0.0, 20000, 42)
+        assert set(counts) == {(1e20, False), (1e20, True)} and sum(counts.values()) == 20000
+
 
 class TestSmallVariances:
     @pytest.mark.parametrize(
@@ -689,6 +704,16 @@ class TestSmallVariances:
         (row,) = [row for row in rows if row["experiment"] == name]
         assert row["analytic"] == pytest.approx(1e-8, rel=1e-12)
         assert row["oracle"] == pytest.approx(1e-8, rel=1e-9)
+
+    @pytest.mark.parametrize("argv", [["spin-one", "--state", "1,0,0"], ["spin-half"]], ids=lambda argv: argv[0])
+    def test_tiny_observables_pass(self, capsys, argv):
+        # the squares of 1e-200 underflow; |b| and the eigensolver scale by a power of two first
+        code, rows = run_json(capsys, [*argv, *FAST, "--beta", "1e-200,0,1e-200"])
+        assert code == 0
+        (row,) = [row for row in rows if row["experiment"] == f"{argv[0]}-mean"]
+        assert row["analytic"] == pytest.approx(1e-200, rel=1e-12, abs=0.0)
+        assert row["oracle"] == pytest.approx(1e-200, rel=1e-12, abs=0.0)
+        assert row["stderr"] > 0.0
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -584,6 +585,11 @@ class TestCountCells:
         assert mean == 0.0
         assert stderr == pytest.approx(1.41e200 / math.sqrt(19999), rel=1e-15)
 
+    def test_stderr_within_the_float_range_whose_variance_underflows(self):
+        mean, stderr = _count_cells([(1e-200, 10000), (-1e-200, 10000)])
+        assert mean == 0.0
+        assert stderr == pytest.approx(1e-200 / math.sqrt(19999), rel=1e-15, abs=0.0)
+
     @given(
         st.lists(st.tuples(st.floats(-1e6, 1e6), st.integers(0, 10**6)), min_size=1, max_size=5),
         st.floats(-1e8, 1e8),
@@ -598,7 +604,13 @@ class TestCountCells:
         exact = sum(Fraction(value) * count for value, count in pairs) / n
         assert mean == float(exact)
         spread = sum(count * (Fraction(value) - exact) ** 2 for value, count in pairs)
-        assert stderr == (math.sqrt(spread / (n - 1) / n) if n > 1 else 0.0)
+        var = spread / (n - 1) / n if n > 1 else Fraction(0)
+        if not var or float(var) >= sys.float_info.min:
+            # one rounding of the variance, one of its root
+            assert stderr == math.sqrt(var)
+        else:
+            # the variance underflows a float, its root need not
+            assert stderr == pytest.approx(math.sqrt(var * 4**600) / 2**600, rel=1e-15, abs=5e-324)
         shifted = [(offset + value, count) for value, count in pairs]
         if all(offset + value - offset == value for value, _ in pairs):
             assert _count_cells(shifted)[1] == pytest.approx(stderr, rel=1e-12, abs=0.0)

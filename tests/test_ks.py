@@ -12,7 +12,6 @@ from hvlab.ks import (
     KsModel,
     deformed_formula,
     deformed_outcomes,
-    deformed_square_formula,
     deformed_statistics,
     dispersion_scan,
     ks_average,
@@ -24,7 +23,7 @@ from hvlab.ks import (
     ks_square_outcomes,
 )
 from hvlab.oracle import ANGULAR_MOMENTUM, QuantumState, build_basis, random_pure_state, variance
-from hvlab.spin_one import SIGN_PATTERNS, hv_statistics
+from hvlab.spin_one import SIGN_PATTERNS, CaseAssignment, hv_statistics, solve_coefficients
 
 ANG = build_basis(ANGULAR_MOMENTUM)
 KS_MATRIX = sum(op @ op for op in ANG.operators[:3])
@@ -376,21 +375,23 @@ class TestDeformedFormula:
 
 
 class TestDeformedSquareFormula:
+    """The squared spin component of the deformed model: the four-pattern
+    solve for the spectrum (1, 0, 1) under the assignment that puts the
+    zero outcome at (+, -)."""
+
+    ASSIGNMENT = CaseAssignment("I")
+    VALUES = (1.0, 0.0, 1.0)
+
     def test_coefficients(self):
-        formula = deformed_square_formula()
-        assert formula.coefficients == (0.75, -0.25, 0.25, 0.25)
+        assert solve_coefficients(self.ASSIGNMENT, self.VALUES) == (0.75, -0.25, 0.25, 0.25)
 
     def test_sign_patterns(self):
-        formula = deformed_square_formula()
-        outs = [formula.evaluate_signs(s1, s2) for s1, s2 in SIGN_PATTERNS]
-        assert outs == [1.0, 0.0, 1.0, 1.0]
+        assert self.ASSIGNMENT.outcomes(self.VALUES) == (1.0, 0.0, 1.0, 1.0)
 
     def test_outcome_set_is_binary(self):
-        formula = deformed_square_formula()
-        assert set(formula.values) == {0.0, 1.0}
+        assert set(self.ASSIGNMENT.outcomes(self.VALUES)) == {0.0, 1.0}
 
     def test_cross_checked_against_solver(self):
-        from hvlab.spin_one import solve_coefficients
-
-        formula = deformed_square_formula()
-        assert formula.coefficients == solve_coefficients(formula.assignment, formula.values)
+        a, b, c, d = solve_coefficients(self.ASSIGNMENT, self.VALUES)
+        outs = tuple(a + b * s1 + c * s2 + d * s1 * s2 for s1, s2 in SIGN_PATTERNS)
+        assert outs == self.ASSIGNMENT.outcomes(self.VALUES)

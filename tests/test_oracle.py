@@ -315,7 +315,7 @@ class TestSpectralDecompose:
             pivot = vecs[lead, 1]
             assert abs(pivot.imag) <= 1e-15 and pivot.real >= 0.0
 
-    @pytest.mark.parametrize("scale", [1e-9, 1e-12, 1e-14])
+    @pytest.mark.parametrize("scale", [1e-9, 1e-12, 1e-14, 1e-200])
     def test_tiny_observables_keep_relative_accuracy(self, bases, scale):
         rng = np.random.default_rng(29)
         for _ in range(20):
@@ -419,6 +419,14 @@ class TestSpectralDecomposeStack:
         for m, vals in zip((tiny, large, tiny), values):
             exact = np.linalg.eigvalsh(m)[::-1]
             assert np.max(np.abs(vals - exact)) <= SOLVE_EPS * np.linalg.norm(m)
+
+    def test_tiny_observables_keep_relative_accuracy(self):
+        # the squared entries of 1e-200 underflow: each matrix is scaled by a power of two first
+        hs = [*_observables(GELL_MANN, 29, 20, 1e-200), SIGMA_X]
+        values, _ = spectral_decompose(np.stack(hs))
+        for h, vals in zip(hs, values):
+            exact = np.linalg.eigvalsh(h)[::-1]
+            assert np.max(np.abs(vals - exact)) <= 1e-12 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize(
         "bad",

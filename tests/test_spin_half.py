@@ -1,13 +1,14 @@
 """Tests for the spin-1/2 deterministic outcome models."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hvlab.distributions import PowerLawDistribution, _count_cells, mc_mean
+from hvlab.distributions import PowerLawDistribution, _count_cells, mc_mean, sign_mean_analytic
 from hvlab.oracle import PAULI, QuantumState, bloch_vector, build_basis, expectation, linear_observable, random_pure_state, variance
 from hvlab.spin_half import (
     bell_original_mean_analytic,
@@ -17,7 +18,6 @@ from hvlab.spin_half import (
     hv_statistics,
     modified_sign_function,
     original_sign_function,
-    outcome_probabilities,
     outcome_table,
 )
 
@@ -37,7 +37,12 @@ def _outcomes(beta):
     return -np.linalg.norm(beta), np.linalg.norm(beta)
 
 
-@given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3).filter(lambda b: np.linalg.norm(b) > 0.0))
+#: Directions whose largest component is not tiny: below about 1.5e-154 for
+#: every component, b.b is subnormal and np.linalg.norm loses relative accuracy.
+UNIT_SCALE_DIRECTIONS = st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3).filter(lambda b: max(map(abs, b)) >= 1e-100)
+
+
+@given(UNIT_SCALE_DIRECTIONS)
 @settings(max_examples=300, deadline=None)
 def test_outcome_table_is_numpys_norm_at_unit_scale(direction):
     magnitude = float(np.linalg.norm(direction))
@@ -48,6 +53,21 @@ def test_outcome_table_is_numpys_norm_at_unit_scale(direction):
 def test_outcome_table_does_not_overflow(scale):
     # b.b overflows above about 1.3e154; |b| stays inside the float range
     assert outcome_table([scale, -scale, 0.0]) == (-math.hypot(scale, scale), math.hypot(scale, scale))
+
+
+def test_outcome_table_does_not_underflow():
+    # b.b underflows below about 1.5e-154; |b| stays a normal float
+    magnitude = math.hypot(1e-200, 1e-200)
+    assert outcome_table([1e-200, 0.0, 1e-200]) == (-magnitude, magnitude)
+
+
+@given(UNIT_SCALE_DIRECTIONS, st.integers(0, 900))
+@settings(max_examples=300, deadline=None)
+def test_outcome_table_scales_exactly_with_powers_of_two(direction, shift):
+    # down to directions whose b.b is subnormal or 0
+    small = np.ldexp(direction, -shift)
+    assume(all(x == 0.0 or abs(x) >= sys.float_info.min for x in small.tolist()))
+    assert outcome_table(small)[1] == math.ldexp(outcome_table(direction)[1], -shift)
 
 
 class TestOriginalRule:
@@ -141,9 +161,8 @@ class TestModifiedRule:
     def test_negative_overlap_probabilities(self):
         beta = np.array([0.0, 0.0, 1.0])
         bloch = np.array([0.0, 0.0, -0.5])
-        p_plus, p_minus = outcome_probabilities(beta, bloch)
-        assert p_plus == pytest.approx(0.25, abs=1e-12)
-        assert p_plus + p_minus == pytest.approx(1.0, abs=1e-15)
+        # the outcome +|b| has probability (1 + b.e / |b|) / 2 = 1/4
+        assert sign_mean_analytic(modified_sign_function(beta, bloch)) == -0.5
 
 
 class TestHvStatistics:
@@ -182,9 +201,8 @@ class TestHvStatistics:
             beta = _random_direction(rng)
             state = random_pure_state(2, rng)
             bloch = bloch_vector(state, PAULI_BASIS)
-            p_plus, p_minus = outcome_probabilities(beta, bloch)
-            assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
-            assert p_plus - p_minus == pytest.approx(
+            # the outcome probabilities (1 +- b.e / |b|) / 2 of +-|b| differ by the sign function's mean
+            assert sign_mean_analytic(modified_sign_function(beta, bloch)) == pytest.approx(
                 float(np.dot(beta, bloch)) / np.linalg.norm(beta), abs=1e-12
             )
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvlab.distributions import _count_cells, mc_mean_pair
+from hvlab.distributions import SignFunctionSpec, _count_cells, mc_mean_pair
 from hvlab.oracle import (
     ANGULAR_MOMENTUM,
     GELL_MANN,
@@ -251,9 +251,11 @@ class TestBuildFormulaAndEvaluate:
     def test_coefficients_missing_the_table_rejected(self):
         assignment = CaseAssignment("III")
         values = (0.0, 1.0, -1.0)
+        probs = (0.25, 0.5, 0.25)
         a, b, c, d = solve_coefficients(assignment, values)
+        sign1, sign2 = (SignFunctionSpec(t, include_sign_prefactor=True) for t in sign_targets("III", probs))
         with pytest.raises(RuntimeError):
-            OutcomeFormula(values=values, coefficients=(a, b, c, d + 1e-6), assignment=assignment)
+            OutcomeFormula(values, (a, b, c, d + 1e-6), assignment, sign1, sign2, probs)
 
     def test_large_outcomes_build(self):
         # the quarter sums round at about 1e-16 of the outcome magnitude
