@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -61,7 +62,7 @@ class CliError(Exception):
     """A usage-level problem with the provided arguments."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ReportRow:
     experiment: str
     params: str
@@ -149,10 +150,14 @@ def _parse_state(text: str) -> QuantumState:
         raise CliError("--state needs 2 or 3 comma-separated amplitudes")
     if not np.all(np.isfinite(amps)):
         raise CliError("--state amplitudes must be finite")
-    norm = np.linalg.norm(amps)
+    # normalise amps / 2**k, the power of two k putting the largest modulus
+    # in [1/2, 1), so no square underflows or overflows
+    k = math.frexp(float(np.max(np.abs(amps))))[1]
+    unit = np.ldexp(amps.view(float), -k).view(complex)
+    norm = np.linalg.norm(unit)
     if norm == 0.0:
         raise CliError("--state must be a nonzero vector")
-    return QuantumState.from_pure(amps / norm)
+    return QuantumState.from_pure(unit / norm)
 
 
 def _row_seed(args: argparse.Namespace, index: int) -> int:
@@ -630,9 +635,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in this process: built once, as
+    argparse keeps no state between `parse_args` calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.samples < 1:
             raise CliError("--samples must be at least 1")

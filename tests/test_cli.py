@@ -715,6 +715,14 @@ class TestSmallVariances:
         assert row["oracle"] == pytest.approx(1e-200, rel=1e-12, abs=0.0)
         assert row["stderr"] > 0.0
 
+    @pytest.mark.parametrize("command, zeros", [("spin-one", ",0,0"), ("spin-half", ",0")])
+    def test_a_tiny_state_is_the_unit_state(self, capsys, command, zeros):
+        # the squared amplitudes of 1e-200 underflow; the norm scales by a power of two first
+        argv = [command, *FAST, "--beta", "0,0,1", "--state"]
+        tiny = run_cli(capsys, [*argv, "1e-200" + zeros])
+        assert tiny == run_cli(capsys, [*argv, "1" + zeros])
+        assert tiny[0] == 0
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -755,13 +763,17 @@ def test_readme_example_passes(capsys, argv):
     assert out
 
 
+def cli_process_env() -> dict[str, str]:
+    """The environment of a fresh ``python -m hvlab.cli`` on these sources."""
+    src = str(Path(hvlab.cli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_a_reader_closing_the_pipe_early_gets_no_traceback():
     # `hvlab ks-dispersion --scan --format csv | head -2` once ended in a
     # BrokenPipeError traceback and exit 1; the scan is larger than a pipe buffer
-    src = str(Path(hvlab.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [sys.executable, "-m", "hvlab.cli", "ks-dispersion", "--scan", "--format", "csv"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_process_env()) as proc:
         assert proc.stdout.readline() == b"experiment,params,analytic,mc,stderr,oracle,pass\n"
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
@@ -778,3 +790,34 @@ class TestOracleBound:
         # one ulp of 1e8 is 1.49e-8, above the absolute 1e-9
         assert ReportRow("x", "", 1e8, oracle=np.nextafter(1e8, 2e8)).passed(4.0)
         assert not ReportRow("x", "", 1e8, oracle=1e8 + 0.2).passed(4.0)
+
+
+class TestOneParserPerProcess:
+    def test_main_leaves_no_cyclic_garbage(self, capsys):
+        # a parser built per call leaves its cyclic objects to the collector
+        argv = ["spin-one", *FAST, "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25"]
+        main(argv)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                main(argv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        capsys.readouterr()
+
+    def test_a_call_sees_nothing_of_the_calls_before(self, capsys):
+        swapped = ["spin-one", *FAST, "--case", "I", "--lambdas", "0,1,-1", "--probs", "0.6,0.1,0.3", "--swap"]
+        sequence = [swapped, ["spin-one", *FAST, "--case", "VII"], ["ks-dispersion", *FAST, "--scan"], swapped[:-1]]
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "hvlab.cli", *argv], capture_output=True, text=True, env=cli_process_env(), timeout=120
+            )
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == 0 and "case=I;" in out

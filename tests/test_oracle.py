@@ -1,5 +1,6 @@
 """Tests for the exact quantum reference layer."""
 
+import math
 import warnings
 
 import numpy as np
@@ -343,6 +344,13 @@ def _random_hermitian(dim, seed, count):
     return out
 
 
+def _scaled_norm(h):
+    """||H||_F taken on H / 2**k, the largest modulus in [1/2, 1), and scaled
+    back: no square underflows, so a tiny observable keeps a nonzero bound."""
+    k = math.frexp(float(np.max(np.abs(h))))[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(np.abs(h), -k))), k)
+
+
 def _observables(kind, seed, count, scale=1.0, size=None):
     rng = np.random.default_rng(seed)
     basis = build_basis(kind)
@@ -363,6 +371,7 @@ STACK_CASES = {
     "tiny-1e-09": lambda: _observables(GELL_MANN, 29, 20, 1e-9),
     "tiny-1e-12": lambda: _observables(GELL_MANN, 29, 20, 1e-12),
     "tiny-1e-14": lambda: _observables(GELL_MANN, 29, 20, 1e-14),
+    "tiny-1e-200": lambda: _observables(GELL_MANN, 29, 20, 1e-200),
     "direction-spectrum": lambda: _observables(ANGULAR_MOMENTUM, 123, 200, size=3),
 }
 
@@ -375,7 +384,7 @@ class TestSpectralDecomposeStack:
         assert values.shape == hs.shape[:2] and vectors.shape == hs.shape
         for h, vals, vecs in zip(hs, values, vectors):
             alone_vals, alone_vecs = spectral_decompose(h)
-            norm = np.linalg.norm(h)
+            norm = _scaled_norm(h)
             assert np.max(np.abs(vals - alone_vals)) <= SOLVE_EPS * norm
             for k in range(len(h)):
                 np.testing.assert_allclose(
