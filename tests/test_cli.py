@@ -805,11 +805,11 @@ class TestOneParserPerProcess:
             assert gc.collect() == 0
         finally:
             gc.enable()
-        capsys.readouterr()
 
     def test_a_call_sees_nothing_of_the_calls_before(self, capsys):
-        swapped = ["spin-one", *FAST, "--case", "I", "--lambdas", "0,1,-1", "--probs", "0.6,0.1,0.3", "--swap"]
-        sequence = [swapped, ["spin-one", *FAST, "--case", "VII"], ["ks-dispersion", *FAST, "--scan"], swapped[:-1]]
+        # in case I, --swap changes the printed numbers
+        case_i = ["spin-one", *FAST, "--case", "I", "--lambdas", "0,1,-1", "--probs", "0.6,0.1,0.3"]
+        sequence = [[*case_i, "--swap"], ["spin-one", *FAST, "--case", "VII"], ["ks-dispersion", *FAST, "--scan"], case_i]
         for argv in sequence:
             try:
                 code = main(argv)
