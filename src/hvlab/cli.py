@@ -440,12 +440,9 @@ def _oracle_check_rows(seed: int) -> list[ReportRow]:
         recon = max(recon, float(np.max(np.abs(rebuilt - hs))))
     rows.append(ReportRow("eigen-reconstruction", "trials=40", recon, oracle=0.0))
 
-    born_dev = 0.0
-    for _ in range(20):
-        h = linear_observable(rng.normal(size=8), gm)
-        state = random_pure_state(3, rng)
-        dist = born_distribution(h, state)
-        born_dev = max(born_dev, abs(dist.mean - expectation(h, state)))
+    hs, states = zip(*[(linear_observable(rng.normal(size=8), gm), random_pure_state(3, rng)) for _ in range(20)])
+    dists = born_distribution(np.stack(hs), states)
+    born_dev = max(abs(dist.mean - expectation(h, state)) for dist, h, state in zip(dists, hs, states))
     rows.append(ReportRow("born-vs-trace", "trials=20", born_dev, oracle=0.0))
 
     betas = [rng.normal(size=3) for _ in range(200)]
@@ -613,7 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spin-one", parents=[common])
     p.add_argument("--n", type=int, default=0, help="power-law distribution index")
     p.add_argument("--case", default="III", choices=spin_one.CASE_IDS)
-    p.add_argument("--swap", action="store_true")
+    p.add_argument("--swap", action="store_true", help="swap the two non-repeated outcomes: cases I and II take the other "
+                   "root; III-VI print the same unless their probabilities tie, where sign(0) = +1 negates the mean")
     p.add_argument("--lambdas", help="three outcome values, repeated one first")
     p.add_argument("--probs", help="three probabilities")
     p.add_argument("--beta", help="basis coefficients for operator mode")
@@ -647,8 +645,8 @@ def main(argv=None) -> int:
     try:
         if args.samples < 1:
             raise CliError("--samples must be at least 1")
-        if not args.tolerance_sigma > 0.0:
-            raise CliError("--tolerance-sigma must be positive")
+        if not 0.0 < args.tolerance_sigma < math.inf:  # an infinite band times stderr 0 is nan
+            raise CliError("--tolerance-sigma must be positive and finite")
         rows = _DISPATCH[args.command](args)
     except spin_one.InfeasibleCaseError as exc:  # a finding, not a usage error; also a ValueError
         print(f"infeasible: {exc.reason}")

@@ -13,7 +13,6 @@ models must reproduce.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,46 +227,10 @@ def linear_observable(coeffs, basis: OperatorBasis) -> np.ndarray:
     return np.einsum("k,kij->ij", full, basis.operators)
 
 
-def _sweep_scalar(h: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic complex Jacobi sweeps of one matrix, returning the rotated
-    matrix and the product of the rotations, each as a stack of one.
-
-    The sweep runs on Python complex scalars: numpy's per-call overhead
-    dominates at this size.
-    """
-    dim = h.shape[0]
-    a = h.tolist()
-    v = np.eye(dim, dtype=complex).tolist()
-    pairs = [(p, q) for p in range(dim - 1) for q in range(p + 1, dim)]
-    for _ in range(_MAX_SWEEPS):
-        if math.sqrt(sum(abs(a[p][q]) ** 2 for p, q in pairs)) <= _STOP_TOL * scale:
-            break
-        for p, q in pairs:
-            mag = abs(a[p][q])
-            if not mag > _SKIP_TOL * scale:
-                continue
-            phase = a[p][q] / mag
-            tau = (a[q][q].real - a[p][p].real) / (2.0 * mag)
-            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau)) if tau != 0.0 else 1.0
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            # A <- R^H A R and V <- V R, with R the identity but for
-            # R[p,p] = c, R[p,q] = s, R[q,p] = -conj(phase) s, R[q,q] = conj(phase) c:
-            # only columns p and q, then rows p and q, change
-            rqp, rqq = -phase.conjugate() * s, phase.conjugate() * c
-            for row in a + v:
-                x, y = row[p], row[q]
-                row[p], row[q] = x * c + y * rqp, x * s + y * rqq
-            rqp, rqq = rqp.conjugate(), rqq.conjugate()
-            pq = list(zip(a[p], a[q]))
-            a[p] = [c * x + rqp * y for x, y in pq]
-            a[q] = [s * x + rqq * y for x, y in pq]
-    return np.array([a]), np.array([v])
-
-
 def _sweep_stack(h: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sweeps of ``_sweep_scalar`` over a (k, d, d) stack, each rotation
-    one numpy operation across the matrices it applies to.
+    """Cyclic complex Jacobi sweeps of a (k, d, d) stack, returning the
+    rotated matrices and the products of their rotations, each rotation one
+    numpy operation across the matrices it applies to.
 
     Every matrix keeps its own stop and skip tests against its own scale,
     and a matrix that has converged is not rotated again, so its result
@@ -295,6 +258,9 @@ def _sweep_stack(h: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndar
             t[tau == 0.0] = 1.0
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
+            # A <- R^H A R and V <- V R, with R the identity but for
+            # R[p,p] = c, R[p,q] = s, R[q,p] = -conj(phase) s, R[q,q] = conj(phase) c:
+            # only columns p and q, then rows p and q, change
             rqp, rqq = -phase.conj() * s, phase.conj() * c
             x, y = sub[:, :, p], sub[:, :, q].copy()
             sub[:, :, q] = x * s + y * rqq
@@ -320,10 +286,10 @@ def spectral_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
     so a tiny observable keeps its relative accuracy; a norm beyond the
     float range raises ValueError.
 
-    A (k, d, d) stack gives (k, d) values and (k, d, d) vectors, each
-    matrix checked, stopped, ordered and phased as if decomposed alone.
-    The input's rank selects the sweep: one matrix sweeps on Python
-    scalars, a stack in one numpy sweep over its leading axis.
+    A (k, d, d) stack gives (k, d) values and (k, d, d) vectors from one
+    numpy sweep over its leading axis, each matrix checked, stopped,
+    ordered and phased on its own.  A single matrix is a stack of one, so
+    a matrix of a stack comes out bit for bit as it would alone.
     """
     stacked = np.ndim(matrix) == 3
     if stacked:
@@ -340,7 +306,7 @@ def spectral_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
     k = np.frexp(np.max(np.abs(h), axis=(1, 2)))[1]
     h = np.ldexp(h.reshape(len(h), -1).view(float), -k[:, None]).view(complex).reshape(h.shape)
     scales = _frobenius_norms(h)
-    a, v = _sweep_stack(h, scales) if stacked else _sweep_scalar(h[0], float(scales[0]))
+    a, v = _sweep_stack(h, scales)
     diag = np.diagonal(a, axis1=1, axis2=2).real
     # a stable sort of the negated diagonal keeps equal values in index order
     order = np.argsort(-diag, axis=1, kind="stable")
@@ -447,31 +413,43 @@ class BornDistribution:
         return float(np.dot(np.square(self.outcomes), self.probabilities))
 
 
-def born_distribution(matrix, state: QuantumState) -> BornDistribution:
+def born_distribution(matrix, state) -> BornDistribution | list[BornDistribution]:
     """Born rule: outcome probabilities are traces of the state against
     the eigenprojectors, with eigenvalues within ``DEGENERACY_TOL`` times
     the spectrum width (at least roundoff of the Frobenius norm) merged
     into a single outcome.  The gap ignores a constant offset of the
-    observable, so distinct eigenvalues of H + c*I stay distinct."""
-    values, vecs = spectral_decompose(matrix)
-    # the Frobenius norm of a Hermitian matrix is that of its spectrum
-    merge_gap = max(DEGENERACY_TOL * float(values[0] - values[-1]), _ROUNDOFF_TOL * float(np.linalg.norm(values)))
-    slot_probs = _born_weights(vecs, state)
+    observable, so distinct eigenvalues of H + c*I stay distinct.
 
-    outcomes: list[float] = []
-    probs: list[float] = []
-    start = 0
-    for k in range(1, len(values) + 1):
-        if k == len(values) or values[start] - values[k] > merge_gap:
-            group = slice(start, k)
-            outcomes.append(float(np.mean(values[group])))
-            probs.append(float(np.sum(slot_probs[group])))
-            start = k
-    out = np.asarray(outcomes)
-    pr = np.asarray(probs)
-    out.setflags(write=False)
-    pr.setflags(write=False)
-    return BornDistribution(outcomes=out, probabilities=pr)
+    A (k, d, d) stack takes a sequence of exactly k states and returns a
+    list of k distributions from one stacked decomposition; a single
+    matrix and its state are a stack of one and give one distribution.
+    """
+    values, vecs = spectral_decompose(matrix)
+    if values.ndim == 1:
+        values, vecs, state = values[None], vecs[None], [state]
+    states = list(state)
+    if len(states) != len(values):
+        raise ValueError(f"a stack of {len(values)} observables needs as many states, got {len(states)}")
+    dists = []
+    for vals, eigvecs, st in zip(values, vecs, states):
+        # the Frobenius norm of a Hermitian matrix is that of its spectrum
+        merge_gap = max(DEGENERACY_TOL * float(vals[0] - vals[-1]), _ROUNDOFF_TOL * float(np.linalg.norm(vals)))
+        slot_probs = _born_weights(eigvecs, st)
+        outcomes: list[float] = []
+        probs: list[float] = []
+        start = 0
+        for k in range(1, len(vals) + 1):
+            if k == len(vals) or vals[start] - vals[k] > merge_gap:
+                group = slice(start, k)
+                outcomes.append(float(np.mean(vals[group])))
+                probs.append(float(np.sum(slot_probs[group])))
+                start = k
+        out = np.asarray(outcomes)
+        pr = np.asarray(probs)
+        out.setflags(write=False)
+        pr.setflags(write=False)
+        dists.append(BornDistribution(outcomes=out, probabilities=pr))
+    return dists if np.ndim(matrix) == 3 else dists[0]
 
 
 def expectation(matrix, state: QuantumState) -> float:

@@ -189,6 +189,9 @@ class TestUsageErrors:
             ["homogeneity", "--alpha", "nan", "--beta", "0,0,1"],
             ["ks-dispersion", "--probs", "0.2,nan,0.3"],
             ["ks-epsilon", "--eps", "inf", "--probs", "0.25,0.5,0.25"],
+            # rows with stderr 0 would get the band inf * 0 = nan and fail
+            ["sgn-averages", "--tolerance-sigma", "inf"],
+            ["sgn-averages", "--tolerance-sigma", "nan"],
         ],
     )
     def test_non_finite_input_exit_2(self, capsys, argv):
@@ -316,6 +319,34 @@ class TestFailureExitCode:
         )
         assert code == 1
         assert "FAIL" in out
+
+
+#: What --swap changes: (case, --probs, effect)
+SWAP_EFFECTS = [
+    *[(case, "0.2,0.5,0.3", "none") for case in ("III", "IV", "V", "VI")],
+    *[(case, "0.5,0.25,0.25", "mean-negated") for case in spin_one.CASE_IDS],
+    ("I", "0.6,0.1,0.3", "other-root"),
+    ("II", "0.6,0.1,0.3", "other-root"),
+]
+
+
+@pytest.mark.parametrize("case, probs, effect", SWAP_EFFECTS)
+def test_what_swap_changes(capsys, case, probs, effect):
+    # in cases III-VI --swap negates one sign target and interchanges the two
+    # outcomes its sign function separates, so each draw keeps its outcome,
+    # except at target 0 (a tie), where sign(0) = +1 both ways
+    argv = ["spin-one", *FAST, "--case", case, "--lambdas", "0,1,-1", "--probs", probs]
+    (code, plain), (swap_code, swapped) = run_json(capsys, argv), run_json(capsys, [*argv, "--swap"])
+    assert code == swap_code == 0
+    if effect == "none":
+        assert plain == swapped
+    elif effect == "mean-negated":
+        assert plain[0]["experiment"] == "spin-one-mean" and plain[0]["mc"] != 0.0
+        assert swapped[0] == {**plain[0], "mc": -plain[0]["mc"]}
+        assert swapped[1:] == plain[1:]
+    else:
+        assert [row["mc"] for row in swapped] != [row["mc"] for row in plain]
+        assert [row["analytic"] for row in swapped] == pytest.approx([row["analytic"] for row in plain], abs=1e-12)
 
 
 class TestOracleCheckRows:

@@ -4,8 +4,12 @@ Each file under ``tests/golden/`` holds one group of commands.  A record
 is the line ``$ hvlab <argv>``, the line ``exit <status>`` and the
 command's stdout as printed.  A ``--scan`` command's stdout, some
 300 KB of CSV, is kept as its sha256; every other command prints the
-table format, whose ``%.10g`` cells absorb last-bit differences between
-hosts.  The argv are read from the files, so the set that is checked
+table format, whose ``%.10g`` cells absorb last-bit differences in a
+value.  They do not absorb them in a value that is itself roundoff:
+oracle-check's deviation rows, such as ``born-vs-trace`` (about 1e-15),
+print the rounding error of the exact reference, so any change to the
+eigensolver's arithmetic, or a host whose numpy rounds otherwise, moves
+them.  The argv are read from the files, so the set that is checked
 changes only when a file does.
 
 - ``readme.txt``: the README's command-line examples as written;

@@ -344,13 +344,6 @@ def _random_hermitian(dim, seed, count):
     return out
 
 
-def _scaled_norm(h):
-    """||H||_F taken on H / 2**k, the largest modulus in [1/2, 1), and scaled
-    back: no square underflows, so a tiny observable keeps a nonzero bound."""
-    k = math.frexp(float(np.max(np.abs(h))))[1]
-    return math.ldexp(float(np.linalg.norm(np.ldexp(np.abs(h), -k))), k)
-
-
 def _observables(kind, seed, count, scale=1.0, size=None):
     rng = np.random.default_rng(seed)
     basis = build_basis(kind)
@@ -379,20 +372,14 @@ STACK_CASES = {
 class TestSpectralDecomposeStack:
     @pytest.mark.parametrize("case", list(STACK_CASES))
     def test_each_matrix_comes_out_as_if_alone(self, case):
+        # one sweep, and a single matrix is a stack of one: bit for bit
         hs = np.stack(STACK_CASES[case]())
         values, vectors = spectral_decompose(hs)
         assert values.shape == hs.shape[:2] and vectors.shape == hs.shape
         for h, vals, vecs in zip(hs, values, vectors):
             alone_vals, alone_vecs = spectral_decompose(h)
-            norm = _scaled_norm(h)
-            assert np.max(np.abs(vals - alone_vals)) <= SOLVE_EPS * norm
-            for k in range(len(h)):
-                np.testing.assert_allclose(
-                    np.outer(vecs[:, k], vecs[:, k].conj()),
-                    np.outer(alone_vecs[:, k], alone_vecs[:, k].conj()),
-                    rtol=0.0,
-                    atol=1e-12 * max(1.0, norm),
-                )
+            assert vals.tobytes() == alone_vals.tobytes()
+            assert vecs.tobytes() == alone_vecs.tobytes()
 
     def test_tied_components_put_the_phase_on_the_first(self, bases):
         rng = np.random.default_rng(5)
@@ -559,6 +546,24 @@ class TestBornDistribution:
         assert formula.probabilities[0] == pytest.approx(weight, rel=1e-9, abs=0.0)
         # the (0, 1, 0) vector of the common eigenbasis is slot p3
         assert ks_model_from_state(state).probabilities[2] == pytest.approx(weight, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("kind", [PAULI, GELL_MANN])
+    def test_a_stack_gives_each_single_call_bit_for_bit(self, bases, kind):
+        rng = np.random.default_rng(13)
+        basis = bases[kind]
+        hs = [linear_observable(rng.normal(size=basis.size), basis) for _ in range(20)]
+        # a merged outcome, a zero matrix, tiny and offset spectra
+        hs += [np.eye(basis.dim), np.zeros((basis.dim, basis.dim)), 1e-200 * hs[0], hs[1] + 1e8 * np.eye(basis.dim)]
+        states = [random_pure_state(basis.dim, rng) for _ in hs]
+        for stacked, h, state in zip(born_distribution(np.stack(hs), states), hs, states, strict=True):
+            alone = born_distribution(h, state)
+            assert stacked.outcomes.tobytes() == alone.outcomes.tobytes()
+            assert stacked.probabilities.tobytes() == alone.probabilities.tobytes()
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_a_stack_needs_one_state_per_observable(self, count):
+        with pytest.raises(ValueError, match="a stack of 2 observables needs as many states"):
+            born_distribution(np.stack([SIGMA_X, SIGMA_Z]), [QuantumState.maximally_mixed(3)] * count)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
