@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,23 +89,40 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def emit_rows(rows: list[ReportRow], args: argparse.Namespace, stream=None) -> None:
+def _json_number(value: float | None) -> str:
+    # what json.dumps writes for a cell; a finite float is its repr
+    if value is None:
+        return "null"
+    return float.__repr__(value) if isinstance(value, float) and math.isfinite(value) else json.dumps(value)
+
+
+# one element of json.dumps(rows, indent=2): each row's seven values go in its %s slots
+_JSON_ROW = "{\n    " + ",\n    ".join(f'"{name}": %s' for name in _CSV_COLUMNS) + "\n  }"
+
+
+def emit_rows(rows: Iterable[ReportRow], args: argparse.Namespace, stream=None) -> bool:
+    """Write the rows as they are read, judging each once; True when every row passed."""
     stream = stream if stream is not None else sys.stdout
     tol = args.tolerance_sigma
+    all_passed = True
     if args.format == "json":
-        payload = [
-            dict(zip(_CSV_COLUMNS, (row.experiment, row.params, row.analytic, row.mc, row.stderr, row.oracle, row.passed(tol))))
-            for row in rows
-        ]
-        stream.write(json.dumps(payload, indent=2) + "\n")
+        separator = "[\n  "
+        for row in rows:
+            all_passed &= (ok := row.passed(tol))
+            strings = map(json.encoder.encode_basestring_ascii, (row.experiment, row.params))
+            numbers = map(_json_number, (row.analytic, row.mc, row.stderr, row.oracle))
+            stream.write(separator + _JSON_ROW % (*strings, *numbers, "true" if ok else "false"))
+            separator = ",\n  "
+        stream.write("[]\n" if separator == "[\n  " else "\n]\n")
     elif args.format == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         for row in rows:
+            all_passed &= (ok := row.passed(tol))
             numbers = [_fmt(value) for value in (row.analytic, row.mc, row.stderr, row.oracle)]
-            writer.writerow([row.experiment, row.params, *numbers, "true" if row.passed(tol) else "false"])
+            writer.writerow([row.experiment, row.params, *numbers, "true" if ok else "false"])
     else:
-        cells = [_CSV_COLUMNS] + [
+        lines = [_CSV_COLUMNS] + [
             (
                 row.experiment,
                 row.params,
@@ -116,9 +134,11 @@ def emit_rows(rows: list[ReportRow], args: argparse.Namespace, stream=None) -> N
             )
             for row in rows
         ]
-        widths = [max(len(line[k]) for line in cells) for k in range(len(_CSV_COLUMNS))]
-        for line in cells:
+        all_passed = not any(line[-1] == "FAIL" for line in lines)
+        widths = [max(len(line[k]) for line in lines) for k in range(len(_CSV_COLUMNS))]
+        for line in lines:
             stream.write("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n")
+    return all_passed
 
 
 def _parse_floats(text: str, count: int | None = None, flag: str = "") -> list[float]:
@@ -341,19 +361,23 @@ def _ks_rows(probs: tuple[float, float, float], params: str, samples: int = 0, s
     ]
 
 
-def _ks_scan_rows(step: float) -> list[ReportRow]:
-    """Dispersion over the simplex grid, then its minimum and maximum."""
-    table = ks.dispersion_scan(step)
-    # one row of Python floats at a time: formats faster than numpy scalars,
-    # and a whole-table tolist() would hold every float at once
-    rows = [
-        ReportRow("ks-scan", f"p1={p1:.6g};p2={p2:.6g};p3={p3:.6g}", value)
-        for p1, p2, p3, value in map(np.ndarray.tolist, table)
-    ]
-    values = table[:, 3]
-    rows.append(ReportRow("ks-scan-min", f"step={step}", float(values.min()), oracle=0.0))
-    rows.append(ReportRow("ks-scan-max", f"step={step}", float(values.max()), oracle=2.0))
-    return rows
+@dataclass(frozen=True)
+class _ScanRows:
+    """The rows of a dispersion table, built as they are read, then its minimum and maximum."""
+
+    table: np.ndarray
+    step: float
+
+    def __len__(self) -> int:
+        return len(self.table) + 2
+
+    def __iter__(self) -> Iterator[ReportRow]:
+        # one row of Python floats at a time: formats faster than numpy scalars,
+        # and a whole-table tolist() would hold every float at once
+        for p1, p2, p3, value in map(np.ndarray.tolist, self.table):
+            yield ReportRow("ks-scan", f"p1={p1:.6g};p2={p2:.6g};p3={p3:.6g}", value)
+        yield ReportRow("ks-scan-min", f"step={self.step}", float(self.table[:, 3].min()), oracle=0.0)
+        yield ReportRow("ks-scan-max", f"step={self.step}", float(self.table[:, 3].max()), oracle=2.0)
 
 
 def _ks_epsilon_rows(
@@ -527,9 +551,10 @@ def run_spin_one(args: argparse.Namespace) -> list[ReportRow]:
     return _operator_rows("spin-one", coeffs, basis, state, params, args.samples, _row_seed(args, 3), **rule)
 
 
-def run_ks_dispersion(args: argparse.Namespace) -> list[ReportRow]:
-    if args.scan:
-        return _ks_scan_rows(0.01 if args.grid_step is None else args.grid_step)
+def run_ks_dispersion(args: argparse.Namespace) -> list[ReportRow] | _ScanRows:
+    if args.scan:  # the table is computed now: a bad step exits 2 before any row is written
+        step = 0.01 if args.grid_step is None else args.grid_step
+        return _ScanRows(ks.dispersion_scan(step), step)
     if args.probs is None:
         raise CliError("ks-dispersion needs --probs or --scan")
     if args.grid_step is not None:
@@ -657,14 +682,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if rows:
-            emit_rows(rows, args)
+        all_passed = emit_rows(rows, args) if rows else True
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed the pipe (`| head`): send what is left, and the
-        # flush at exit, to devnull rather than fail on them
+        # the reader closed the pipe (`| head`): send the rest, and the flush at
+        # exit, to devnull rather than fail on them; judge the unwritten rows too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0 if all(row.passed(args.tolerance_sigma) for row in rows) else 1
+        all_passed = all(row.passed(args.tolerance_sigma) for row in rows)
+    return 0 if all_passed else 1
 
 
 if __name__ == "__main__":

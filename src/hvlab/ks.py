@@ -123,15 +123,10 @@ def dispersion_scan(step: float = 0.01) -> np.ndarray:
     """
     if not 0.0 < step <= 0.5:
         raise ValueError("step must lie in (0, 0.5]")
-    count = int(round(1.0 / step))
-    points = []
-    for i in range(count + 1):
-        for j in range(count - i + 1):
-            p1 = i * step
-            p2 = j * step
-            points.append((p1, p2, 1.0 - p1 - p2))
-    points.append((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
-    grid = np.asarray(points)
+    # points (i, j) with i + j <= count, i major: the upper triangle's (row, col - row)
+    i, col = np.triu_indices(int(round(1.0 / step)) + 1)
+    p1, p2 = i * step, (col - i) * step
+    grid = np.append(np.column_stack([p1, p2, 1.0 - p1 - p2]), [[1.0 / 3.0] * 3], axis=0)
     return np.column_stack([grid, 0.5 * (1.0 + _pair_sum(2.0 * grid - 1.0))])
 
 

@@ -771,7 +771,7 @@ class TestSmallVariances:
 )
 def test_every_subcommand_returns_report_rows(argv):
     args = build_parser().parse_args([*argv, *FAST])
-    rows = getattr(hvlab.cli, "run_" + argv[0].replace("-", "_"))(args)
+    rows = list(getattr(hvlab.cli, "run_" + argv[0].replace("-", "_"))(args))
     assert isinstance(rows, list) and rows
     assert all(isinstance(row, ReportRow) for row in rows)
 
@@ -809,6 +809,126 @@ def test_a_reader_closing_the_pipe_early_gets_no_traceback():
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, b"")
+
+
+class Discard(io.TextIOBase):
+    """A stdout that keeps nothing of what is written to it."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+class BreakingPipe(Discard):
+    """A stdout whose reader goes away after its first write."""
+
+    def __init__(self, fd: int) -> None:
+        self.fd, self.writes = fd, 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError
+        return len(text)
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+def verdicts(fmt: str, out: str) -> list[bool]:
+    """The printed verdict of every row."""
+    if fmt == "json":
+        return [row["pass"] for row in json.loads(out)]
+    if fmt == "csv":
+        return [row["pass"] == "true" for row in csv.DictReader(io.StringIO(out))]
+    return [line.split()[-1] == "pass" for line in out.splitlines()[1:]]
+
+
+@pytest.fixture
+def judgements(monkeypatch) -> list[str]:
+    """The experiment of every `ReportRow.passed` call, in call order."""
+    calls = []
+    passed = ReportRow.passed
+
+    def counted(row, tolerance_sigma):
+        calls.append(row.experiment)
+        return passed(row, tolerance_sigma)
+
+    monkeypatch.setattr(ReportRow, "passed", counted)
+    return calls
+
+
+class TestStreamedRows:
+    SCAN = ["ks-dispersion", "--scan", "--grid-step", "0.1"]
+
+    def test_scan_peak_memory_is_the_table(self, monkeypatch):
+        # the rows are written as they are built, so the peak is the table
+        # and its temporaries (at most three more of its size) plus a
+        # fixed allowance; every row held at once is about 0.95 MB
+        argv = ["ks-dispersion", "--scan", "--format", "csv"]
+        monkeypatch.setattr(sys, "stdout", Discard())
+        main(argv)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * hvlab.ks.dispersion_scan(0.01).nbytes + 128_000
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(SCAN, 0), (["sgn-averages", *FAST], 0), (["sgn-averages", *FAST, "--tolerance-sigma", "1e-9"], 1)],
+        ids=["scan", "sgn-averages", "sgn-averages-failing"],
+    )
+    def test_each_row_is_judged_once(self, capsys, judgements, fmt, argv, code):
+        status, out, _ = run_cli(capsys, [*argv, "--format", fmt])
+        printed = verdicts(fmt, out)
+        assert len(judgements) == len(printed)
+        assert status == code == (0 if all(printed) else 1)
+
+    @pytest.mark.parametrize("failing, code", [(None, 0), ("ks-scan-max", 1)])
+    def test_a_broken_pipe_still_judges_every_row(self, monkeypatch, failing, code):
+        # the pipe breaks at the second write, before the last row is built
+        passed = ReportRow.passed
+        monkeypatch.setattr(ReportRow, "passed", lambda row, tol: row.experiment != failing and passed(row, tol))
+        fd = os.open(os.devnull, os.O_WRONLY)
+        try:
+            monkeypatch.setattr(sys, "stdout", BreakingPipe(fd))
+            assert main([*self.SCAN, "--format", "csv"]) == code
+        finally:
+            os.close(fd)
+
+    def test_scan_rows_can_be_read_again(self):
+        rows = hvlab.cli.run_ks_dispersion(build_parser().parse_args(self.SCAN))
+        first = list(rows)
+        assert len(rows) == len(first) == 69
+        assert list(rows) == first
+        assert [row.experiment for row in first[-2:]] == ["ks-scan-min", "ks-scan-max"]
+
+    @pytest.mark.parametrize("argv", [["verify-all", *FAST], SCAN], ids=["verify-all", "scan"])
+    def test_json_is_json_dumps(self, capsys, argv):
+        _, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_json_cells_are_json_dumps(self):
+        # values no command prints today: each spliced cell must still be json.dumps's
+        rows = [
+            ReportRow("odd \"name\"\n", "p=\u00e9\u2192", math.nan, math.inf, -math.inf, 2),
+            ReportRow("numpy", "", np.float64(0.1), np.float64(-0.0), 1e-310, 1e300),
+        ]
+        args = build_parser().parse_args(["oracle-check", "--format", "json"])
+        stream = io.StringIO()
+        assert not hvlab.cli.emit_rows(rows, args, stream)
+        payload = [
+            dict(zip(hvlab.cli._CSV_COLUMNS, (r.experiment, r.params, r.analytic, r.mc, r.stderr, r.oracle, r.passed(4.0))))
+            for r in rows
+        ]
+        assert stream.getvalue() == json.dumps(payload, indent=2) + "\n"
+        stream = io.StringIO()
+        assert hvlab.cli.emit_rows([], args, stream)
+        assert stream.getvalue() == json.dumps([], indent=2) + "\n"
 
 
 class TestOracleBound:

@@ -10,6 +10,7 @@ from hvlab.ks import (
     SHARED_HIDDEN,
     DeformedKsModel,
     KsModel,
+    _pair_sum,
     deformed_formula,
     deformed_outcomes,
     deformed_statistics,
@@ -224,6 +225,13 @@ class TestDispersion:
         assert np.all(values <= 2.0 + 1e-12)
         assert values.min() == pytest.approx(0.0, abs=1e-4)
         assert values.max() == pytest.approx(2.0, abs=1e-4)
+
+    @pytest.mark.parametrize("step", [0.5, 0.3, 0.1, 0.07, 0.01, 0.002])
+    def test_scan_matches_the_double_loop(self, step):
+        # the grid point by point in loop order, then the same closed form
+        grid = np.array([*simplex_grid(step), (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)])
+        expected = np.column_stack([grid, 0.5 * (1.0 + _pair_sum(2.0 * grid - 1.0))])
+        assert np.array_equal(dispersion_scan(step), expected)
 
     def test_scan_matches_pointwise_dispersion(self):
         table = dispersion_scan(0.1)
