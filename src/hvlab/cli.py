@@ -25,7 +25,6 @@ import numpy as np
 from . import ks, spin_half, spin_one
 from .distributions import (
     Moments,
-    PowerLawDistribution,
     SignFunctionSpec,
     _count_cells,
     mc_mean,
@@ -141,23 +140,23 @@ def emit_rows(rows: Iterable[ReportRow], args: argparse.Namespace, stream=None) 
     return all_passed
 
 
-def _parse_floats(text: str, count: int | None = None, flag: str = "") -> list[float]:
+def _parse_floats(text: str, count: int | None, flag: str) -> list[float]:
     try:
         vals = [float(tok) for tok in text.split(",") if tok != ""]
     except ValueError as exc:
-        raise CliError(f"could not parse {flag or 'list'}: {exc}") from None
+        raise CliError(f"could not parse {flag}: {exc}") from None
     if count is not None and len(vals) != count:
-        raise CliError(f"{flag or 'list'} needs {count} comma-separated values")
+        raise CliError(f"{flag} needs {count} comma-separated values")
     if not np.all(np.isfinite(vals)):
-        raise CliError(f"{flag or 'list'} values must be finite")
+        raise CliError(f"{flag} values must be finite")
     return vals
 
 
-def _parse_probs(text: str, flag: str = "--probs") -> tuple[float, float, float]:
-    vals = _parse_floats(text, 3, flag)
+def _parse_probs(text: str) -> tuple[float, float, float]:
+    vals = _parse_floats(text, 3, "--probs")
     total = sum(vals)
     if abs(total - 1.0) > 1e-6:
-        raise CliError(f"{flag} must sum to 1 (got {total})")
+        raise CliError(f"--probs must sum to 1 (got {total})")
     return tuple(v / total for v in vals)
 
 
@@ -237,8 +236,8 @@ def _spin_half_rows(
     bloch = bloch_vector(state, pauli)
     stats = spin_half.hv_statistics(direction, bloch)
     outcome = functools.partial(spin_half.bell_outcome_modified, direction, bloch)
-    cuts = (spin_half.modified_sign_function(direction, bloch).cut,)
-    counts = mc_mean(outcome, PowerLawDistribution(0), samples, seed, spin_half.outcome_table(direction), cuts)
+    spec = spin_half.modified_sign_function(direction, bloch)
+    counts = mc_mean(outcome, spec.distribution, samples, seed, spin_half.outcome_table(direction), (spec.cut,))
     oracle = _operator_moments(linear_observable(direction, pauli), state)
     return _moment_rows("spin-half", params, stats, oracle, counts)
 
@@ -251,11 +250,11 @@ def _spin_half_original_rows(
     mean = spin_half.bell_original_mean_analytic(direction)
     # |b|^2 - b_z^2 without the cancellation: the outcomes are +-|b|, the mean is +-|b_z|
     spread = float(direction[0] ** 2 + direction[1] ** 2)
-    counts = []
-    if seed is not None:
-        outcome = functools.partial(spin_half.bell_outcome_original, direction)
-        cuts = (spin_half.original_sign_function(direction).cut,)
-        counts = mc_mean(outcome, PowerLawDistribution(0), samples, seed, spin_half.outcome_table(direction), cuts)
+    spec = spin_half.original_sign_function(direction)
+    counts = [] if seed is None else mc_mean(
+        functools.partial(spin_half.bell_outcome_original, direction), spec.distribution, samples, seed,
+        spin_half.outcome_table(direction), (spec.cut,),
+    )
     return [
         ReportRow("spin-half-original-mean", params, mean, *_count_cells(counts), oracle.mean),
         ReportRow("spin-half-original-variance", params, spread, oracle=oracle.variance),
@@ -264,13 +263,14 @@ def _spin_half_original_rows(
 
 def _split_counts(
     offset: float, direction: np.ndarray, bloch: np.ndarray, split_point: float, samples: int, seed: int
-) -> dict[tuple[float, bool], int]:
+) -> tuple[list[tuple[float, int]], list[tuple[float, int]]]:
     """How many of ``samples`` seeded draws of offset + b.S take each
-    (outcome value, upper side) pair, counted by ``mc_mean`` as the four
-    (rule value, side) pairs of one table, so the hidden values are those
-    ``mc_mean`` of the rule itself draws.  The pair changes at the rule's
-    cut and at the split.  The offset is added to the counted values only,
-    and the counts of values it rounds together are summed."""
+    outcome value below the split and at or above it: the (value, count)
+    pairs [(offset - |b|, n), (offset + |b|, n)] of each side, counted by
+    ``mc_mean`` as the four (rule value, side) pairs of one table, so the
+    hidden values are those ``mc_mean`` of the rule itself draws.  The pair
+    changes at the rule's cut and at the split.  The offset is added to the
+    counted values only; values it rounds together stay two pairs."""
     minus, plus = spin_half.outcome_table(direction)
 
     def cell(hidden):
@@ -280,14 +280,10 @@ def _split_counts(
             raise RuntimeError("the outcome rule took a value other than -+ |b|")
         return 2 * is_high + (hidden >= split_point)
 
-    cuts = (spin_half.modified_sign_function(direction, bloch).cut, split_point)
-    cells = mc_mean(cell, PowerLawDistribution(0), samples, seed, range(4), cuts)
-    keys = [(offset + value, side) for value in (minus, plus) for side in (False, True)]
-    counts = {}
-    for key, (_, count) in zip(keys, cells):
-        if count:
-            counts[key] = counts.get(key, 0) + count
-    return counts
+    spec = spin_half.modified_sign_function(direction, bloch)
+    counts = [count for _, count in mc_mean(cell, spec.distribution, samples, seed, range(4), (spec.cut, split_point))]
+    values = (offset + minus, offset + plus)
+    return list(zip(values, counts[0::2])), list(zip(values, counts[1::2]))
 
 
 def _homogeneity_rows(
@@ -295,12 +291,10 @@ def _homogeneity_rows(
     samples: int = 0, seed: int | None = None,
 ) -> list[ReportRow]:
     """Means of offset + b.S either side of the outcome threshold, overall and recombined; with a
-    seed, mc cells from the counts of each (outcome value, side) pair of one pass."""
+    seed, mc cells from the counts of each outcome value on each side, from one pass."""
     bloch = bloch_vector(state, pauli)
     split = spin_half.homogeneity_split(offset, direction, bloch)
-    counts = {} if seed is None else _split_counts(offset, direction, bloch, split.split_point, samples, seed)
-    upper = [(value, count) for (value, side), count in counts.items() if side]
-    lower = [(value, count) for (value, side), count in counts.items() if not side]
+    lower, upper = ([], []) if seed is None else _split_counts(offset, direction, bloch, split.split_point, samples, seed)
     recombined = split.weight_plus * split.mean_plus + split.weight_minus * split.mean_minus
     whole_oracle = offset + expectation(linear_observable(direction, pauli), state)
     return [
@@ -322,8 +316,8 @@ def _formula_rows(
 
 
 def _spin_one_rows(
-    values: tuple[float, float, float], probs: tuple[float, float, float], params: str, samples: int = 0,
-    seed: int | None = None, case_id: str = "III", n: int = 0, swap: bool = False,
+    values: tuple[float, float, float], probs: tuple[float, float, float], params: str, samples: int,
+    seed: int, case_id: str = "III", n: int = 0, swap: bool = False,
 ) -> list[ReportRow]:
     """A case's rule for an explicit spectrum against the spectrum's own moments."""
     formula = spin_one.build_formula(case_id, spin_one.SpectralTriple(values, probs), n=n, swap=swap)
@@ -404,9 +398,13 @@ def _ks_epsilon_sweep_rows(probs: tuple[float, float, float], label: str) -> lis
     return rows
 
 
-def _oracle_check_rows(seed: int) -> list[ReportRow]:
+# ---------------------------------------------------------------------------
+# subcommands: each parses its flags and calls builders
+
+
+def run_oracle_check(args: argparse.Namespace) -> list[ReportRow]:
     """Self-checks of the quantum reference on fixed and seeded random inputs."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     rows: list[ReportRow] = []
     bases = {kind: build_basis(kind) for kind in BASIS_KINDS}
 
@@ -475,14 +473,6 @@ def _oracle_check_rows(seed: int) -> list[ReportRow]:
     spec_dev = float(np.max(np.abs(vals - exact)))
     rows.append(ReportRow("direction-spectrum", "trials=200", spec_dev, oracle=0.0))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# subcommands: each parses its flags and calls builders
-
-
-def run_oracle_check(args: argparse.Namespace) -> list[ReportRow]:
-    return _oracle_check_rows(args.seed)
 
 
 def run_sgn_averages(args: argparse.Namespace) -> list[ReportRow]:
@@ -569,7 +559,7 @@ def run_ks_epsilon(args: argparse.Namespace) -> list[ReportRow]:
 
 
 def run_verify_all(args: argparse.Namespace) -> list[ReportRow]:
-    rows = _oracle_check_rows(args.seed)
+    rows = run_oracle_check(args)
     for n in (0, 3):
         for idx, xi in enumerate((-0.7, 0.0, 0.7)):
             rows.append(_sgn_mean_row(n, xi, args.samples, _row_seed(args, 200 + 10 * n + idx)))
@@ -682,7 +672,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        all_passed = emit_rows(rows, args) if rows else True
+        all_passed = emit_rows(rows, args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe (`| head`): send the rest, and the flush at

@@ -52,7 +52,8 @@ MC_BLOCK_SIZE = 1 << 17
 
 # Samples per draw of each variable within a block: small enough that a
 # chunk's draws and comparisons stay in cache and in memory the allocator
-# reuses, large enough to amortise each call.
+# reuses, large enough to amortise each call.  It must divide MC_BLOCK_SIZE,
+# so that every block starts a chunk and no chunk spans two blocks.
 MC_CHUNK = 1 << 14
 
 _BIAS_SLACK = 1e-9
@@ -79,8 +80,9 @@ class PowerLawDistribution:
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 0:
             raise ValueError("n must be a nonnegative integer")
-        if not self.norm > 0.0:
-            raise ValueError("norm must be positive")
+        # below about 1/max_float, 2 scale overflows and every draw is +-inf
+        if not (self.norm > 0.0 and 2.0 * self.scale < math.inf):
+            raise ValueError(f"norm must be positive with a finite reciprocal, got {self.norm}")
 
     @property
     def scale(self) -> float:
@@ -109,22 +111,18 @@ class PowerLawDistribution:
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF draws: sign(t) * (|t| * scale)^(1/(2n+1)), t = 2u-1.
 
-        At n = 0 the inverse CDF is linear, (u - 1/2) * 2 scale, which
-        equals the general form bit for bit: u - 1/2, 2u - 1 and 2 scale
-        are exact for the 53-bit uniforms, so both round the one product
-        t * scale, and x^1 = x.
+        x = (u - 1/2) * 2 scale rounds the one product t * scale, as u - 1/2
+        and 2 scale are exact for the 53-bit uniforms and every accepted
+        norm, and keeps the sign of t; at n = 0 it is the draw, x^1 = x.
         """
         u = rng.random(size)
-        if self.n == 0:
-            u -= 0.5
-            u *= 2.0 * self.scale
-            return u
-        u *= 2.0
-        u -= 1.0
-        out = np.abs(u)
-        out *= self.scale
-        np.power(out, 1.0 / (2 * self.n + 1), out=out)
-        return np.copysign(out, u, out=out)
+        u -= 0.5
+        u *= 2.0 * self.scale
+        if self.n:
+            out = np.abs(u)
+            np.power(out, 1.0 / (2 * self.n + 1), out=out)
+            np.copysign(out, u, out=u)
+        return u
 
 
 @dataclass(frozen=True)
@@ -263,11 +261,6 @@ def sign_product_mean_quadrature(first: SignFunctionSpec, second: SignFunctionSp
     return _sign_quadrature(first, second)
 
 
-def _block_rng(seed: int, block_index: int, lane: int) -> np.random.Generator:
-    key = int(seed) & 0xFFFFFFFFFFFFFFFF
-    return np.random.default_rng([key, lane, block_index])
-
-
 def _count_cells(counts: list[tuple[float, int]]) -> tuple[float | None, float | None]:
     """Mean and standard error of draws given as (value, count) pairs:
     the mc and stderr cells of every Monte Carlo row.  Both are summed
@@ -355,17 +348,17 @@ def _outcome_counts(
     above = np.zeros([len(lane) + 2 for lane in points], dtype=np.int64)
     above[(0,) * len(points)] = samples
     joints = [index for index in np.ndindex(*[len(lane) + 1 for lane in points]) if any(index)]
-    for index, start in enumerate(range(0, samples, MC_BLOCK_SIZE)):
-        size = min(MC_BLOCK_SIZE, samples - start)
-        rngs = [_block_rng(seed, index, lane) for lane in lanes]
-        for lo in range(0, size, MC_CHUNK):
-            chunk = min(MC_CHUNK, size - lo)
-            # row i: draws x with cut_i <= x, that is x >= cut_i; each draw
-            # is freed once compared, before the next variable is drawn
-            flags = [np.less_equal.outer(lane, dist.sample(chunk, rng)) for dist, rng, lane in zip(dists, rngs, points)]
-            for joint in joints:
-                parts = [flags[var][i - 1] for var, i in enumerate(joint) if i]
-                above[joint] += np.count_nonzero(functools.reduce(np.logical_and, parts))
+    for start in range(0, samples, MC_CHUNK):
+        block, offset = divmod(start, MC_BLOCK_SIZE)
+        if not offset:
+            rngs = [np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, lane, block]) for lane in lanes]
+        # row i: draws x with cut_i <= x, that is x >= cut_i; each draw
+        # is freed once compared, before the next variable is drawn
+        chunk = min(MC_CHUNK, samples - start)
+        flags = [np.less_equal.outer(lane, dist.sample(chunk, rng)) for dist, rng, lane in zip(dists, rngs, points)]
+        for joint in joints:
+            parts = [flags[var][i - 1] for var, i in enumerate(joint) if i]
+            above[joint] += np.count_nonzero(functools.reduce(np.logical_and, parts))
     cells = above
     for axis in range(len(points)):
         cells = -np.diff(cells, axis=axis)

@@ -123,8 +123,9 @@ def dispersion_scan(step: float = 0.01) -> np.ndarray:
     """
     if not 0.0 < step <= 0.5:
         raise ValueError("step must lie in (0, 0.5]")
-    # points (i, j) with i + j <= count, i major: the upper triangle's (row, col - row)
-    i, col = np.triu_indices(int(round(1.0 / step)) + 1)
+    # points (i, j) with i + j <= count, i major: the upper triangle's (row, col - row);
+    # count is the number of whole steps in 1, the allowance keeping 1 / (1/3) at 3
+    i, col = np.triu_indices(int(1.0 / step + 1e-9) + 1)
     p1, p2 = i * step, (col - i) * step
     grid = np.append(np.column_stack([p1, p2, 1.0 - p1 - p2]), [[1.0 / 3.0] * 3], axis=0)
     return np.column_stack([grid, 0.5 * (1.0 + _pair_sum(2.0 * grid - 1.0))])

@@ -91,8 +91,7 @@ def bell_outcome_original(direction, hidden):
     """Original deterministic rule for the outcome of b . S: always +|b|
     or -|b|, averaging to b_z over the flat hidden variable."""
     mag, spec, side = _original_rule(direction)
-    out = mag * spec.evaluate(hidden) * side
-    return float(out) if np.ndim(hidden) == 0 else out
+    return mag * spec.evaluate(hidden) * side
 
 
 def bell_original_mean_analytic(direction) -> float:
@@ -109,8 +108,7 @@ def bell_outcome_modified(direction, bloch, hidden):
     """Bloch-vector outcome rule: +|b| sign(b.e) above the threshold
     hidden value -|b.e| / (2|b|) and the negative below it."""
     mag, _, spec = _modified_rule(direction, bloch)
-    out = mag * spec.evaluate(hidden)
-    return float(out) if np.ndim(hidden) == 0 else out
+    return mag * spec.evaluate(hidden)
 
 
 def hv_statistics(direction, bloch) -> Moments:

@@ -408,11 +408,15 @@ class TestStreamedHomogeneity:
             PowerLawDistribution(0).sample(min(MC_BLOCK_SIZE, samples - start), np.random.default_rng([self.SEED, 0, index]))
             for index, start in enumerate(range(0, samples, MC_BLOCK_SIZE))
         ])
-        outcomes = offset + spin_half.bell_outcome_modified(self.DIRECTION, bloch, hidden)
+        raw = spin_half.bell_outcome_modified(self.DIRECTION, bloch, hidden)
+        outcomes = offset + raw
         upper = hidden >= split.split_point
-        expected = {}
-        for value, side in zip(outcomes.tolist(), upper.tolist()):
-            expected[value, side] = expected.get((value, side), 0) + 1
+        # (below, at or above the split), each [(offset - |b|, n), (offset + |b|, n)]
+        table = spin_half.outcome_table(self.DIRECTION)
+        expected = tuple(
+            [(offset + value, int(np.count_nonzero((raw == value) & (upper == side)))) for value in table]
+            for side in (False, True)
+        )
         counts = hvlab.cli._split_counts(offset, self.DIRECTION, bloch, split.split_point, samples, self.SEED)
         assert counts == expected
 
@@ -715,8 +719,10 @@ homogeneity-whole       alpha=1e+20;beta=0,0,1  1e+20     1e+20  0       1e+20  
 homogeneity-recombined  alpha=1e+20;beta=0,0,1  1e+20                    1e+20   pass
 """, "")
         # split at 0, above the rule's cut -1/4, both outcomes fall below the split
-        counts = hvlab.cli._split_counts(1e20, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.5]), 0.0, 20000, 42)
-        assert set(counts) == {(1e20, False), (1e20, True)} and sum(counts.values()) == 20000
+        below, above = hvlab.cli._split_counts(1e20, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.5]), 0.0, 20000, 42)
+        assert [value for value, _ in below + above] == [1e20] * 4
+        assert all(sum(count for _, count in side) for side in (below, above))
+        assert sum(count for _, count in below + above) == 20000
 
 
 class TestSmallVariances:

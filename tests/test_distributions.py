@@ -88,6 +88,9 @@ class TestPowerLawDistribution:
             PowerLawDistribution(-1)
         with pytest.raises(ValueError):
             PowerLawDistribution(0, 0.0)
+        # 1/norm overflows: every draw would be +-inf
+        with pytest.raises(ValueError):
+            PowerLawDistribution(1, 4e-309)
 
 
 class TestSampler:
@@ -447,8 +450,8 @@ ENGINE_SAMPLES = [1, MC_CHUNK - 1, MC_CHUNK + 1, MC_BLOCK_SIZE - 1, MC_BLOCK_SIZ
 
 
 class TestBlockArithmeticIsUnchanged:
-    @pytest.mark.parametrize("n", [0, 1, 3])
-    @pytest.mark.parametrize("norm", [1.0, 0.37, 5.0])
+    @pytest.mark.parametrize("n", [0, 1, 3, 6])
+    @pytest.mark.parametrize("norm", [1.0, 0.37, 5.0, 1e300])
     @pytest.mark.parametrize("seed", [0, 17])
     def test_sample_matches_reference(self, n, norm, seed):
         dist = PowerLawDistribution(n, norm)

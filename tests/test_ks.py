@@ -31,7 +31,7 @@ KS_MATRIX = sum(op @ op for op in ANG.operators[:3])
 
 
 def simplex_grid(step):
-    count = int(round(1.0 / step))
+    count = int(1.0 / step + 1e-9)
     for i in range(count + 1):
         for j in range(count - i + 1):
             yield (i * step, j * step, 1.0 - i * step - j * step)
@@ -232,6 +232,13 @@ class TestDispersion:
         grid = np.array([*simplex_grid(step), (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)])
         expected = np.column_stack([grid, 0.5 * (1.0 + _pair_sum(2.0 * grid - 1.0))])
         assert np.array_equal(dispersion_scan(step), expected)
+
+    @pytest.mark.parametrize("step", [0.5, 0.3, 0.26, 0.15, 0.1, 1.0 / 3.0, 0.07, 0.01])
+    def test_scan_points_lie_on_the_simplex(self, step):
+        # a step that does not divide 1 stops at the last whole step, short of the far edge
+        grid = dispersion_scan(step)[:, :3]
+        assert np.all(grid >= -1e-12) and np.all(grid <= 1.0 + 1e-12)
+        assert np.allclose(grid.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
     def test_scan_matches_pointwise_dispersion(self):
         table = dispersion_scan(0.1)
