@@ -13,10 +13,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
 import sys
+import types
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -84,10 +86,6 @@ class ReportRow:
         return bool(ok)
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def _json_number(value: float | None) -> str:
     # what json.dumps writes for a cell; a finite float is its repr
     if value is None:
@@ -95,31 +93,62 @@ def _json_number(value: float | None) -> str:
     return float.__repr__(value) if isinstance(value, float) and math.isfinite(value) else json.dumps(value)
 
 
+#: what json.dumps writes for a string cell
+_json_string = json.encoder.encode_basestring_ascii
+
 # one element of json.dumps(rows, indent=2): each row's seven values go in its %s slots
 _JSON_ROW = "{\n    " + ",\n    ".join(f'"{name}": %s' for name in _CSV_COLUMNS) + "\n  }"
 
 
 def emit_rows(rows: Iterable[ReportRow], args: argparse.Namespace, stream=None) -> bool:
-    """Write the rows as they are read, judging each once; True when every row passed."""
+    """Write the rows as they are read, judging each once; True when every row passed.
+
+    The text goes to the stream in writes of at least io.DEFAULT_BUFFER_SIZE
+    characters, the last write excepted: an io.StringIO keeps each write as
+    its own string, so one write per row would hold an object per row.
+    """
     stream = stream if stream is not None else sys.stdout
-    tol = args.tolerance_sigma
-    all_passed = True
+    tol, limit = args.tolerance_sigma, io.DEFAULT_BUFFER_SIZE
+    batch, size, all_passed = [], 0, True
+
+    def spill() -> int:
+        stream.write("".join(batch))
+        batch.clear()
+        return 0
+
     if args.format == "json":
         separator = "[\n  "
         for row in rows:
             all_passed &= (ok := row.passed(tol))
-            strings = map(json.encoder.encode_basestring_ascii, (row.experiment, row.params))
+            strings = _json_string(row.experiment), _json_string(row.params)
             numbers = map(_json_number, (row.analytic, row.mc, row.stderr, row.oracle))
-            stream.write(separator + _JSON_ROW % (*strings, *numbers, "true" if ok else "false"))
+            batch.append(text := separator + _JSON_ROW % (*strings, *numbers, "true" if ok else "false"))
             separator = ",\n  "
-        stream.write("[]\n" if separator == "[\n  " else "\n]\n")
+            size += len(text)
+            if size >= limit:
+                size = spill()
+        batch.append("[]\n" if separator == "[\n  " else "\n]\n")
     elif args.format == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
+        # each record goes to batch.append, a C-level call
+        writer = csv.writer(types.SimpleNamespace(write=batch.append), lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         for row in rows:
             all_passed &= (ok := row.passed(tol))
-            numbers = [_fmt(value) for value in (row.analytic, row.mc, row.stderr, row.oracle)]
-            writer.writerow([row.experiment, row.params, *numbers, "true" if ok else "false"])
+            # each number as its float's repr, which round-trips; None as an empty cell
+            writer.writerow(
+                (
+                    row.experiment,
+                    row.params,
+                    "" if row.analytic is None else repr(float(row.analytic)),
+                    "" if row.mc is None else repr(float(row.mc)),
+                    "" if row.stderr is None else repr(float(row.stderr)),
+                    "" if row.oracle is None else repr(float(row.oracle)),
+                    "true" if ok else "false",
+                )
+            )
+            size += len(batch[-1])
+            if size >= limit:
+                size = spill()
     else:
         lines = [_CSV_COLUMNS] + [
             (
@@ -136,7 +165,11 @@ def emit_rows(rows: Iterable[ReportRow], args: argparse.Namespace, stream=None) 
         all_passed = not any(line[-1] == "FAIL" for line in lines)
         widths = [max(len(line[k]) for line in lines) for k in range(len(_CSV_COLUMNS))]
         for line in lines:
-            stream.write("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n")
+            batch.append(text := "  ".join(map(str.ljust, line, widths)).rstrip() + "\n")
+            size += len(text)
+            if size >= limit:
+                size = spill()
+    spill()
     return all_passed
 
 

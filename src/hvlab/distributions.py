@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -78,11 +78,12 @@ class PowerLawDistribution:
     norm: float = 1.0
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 0:
-            raise ValueError("n must be a nonnegative integer")
-        # below about 1/max_float, 2 scale overflows and every draw is +-inf
-        if not (self.norm > 0.0 and 2.0 * self.scale < math.inf):
-            raise ValueError(f"norm must be positive with a finite reciprocal, got {self.norm}")
+        if not (math.isfinite(self.n) and int(self.n) == self.n and self.n >= 0):
+            raise ValueError(f"n must be a nonnegative integer, got {self.n}")
+        # below about 1/max_float, 2 scale overflows and every draw is +-inf; above
+        # max_float/2 (inf included), scale is 0 and every draw is 0
+        if not (self.norm > 0.0 and 0.0 < 2.0 * self.scale < math.inf):
+            raise ValueError(f"norm must be positive with a finite, nonzero reciprocal, got {self.norm}")
 
     @property
     def scale(self) -> float:
@@ -140,16 +141,15 @@ class SignFunctionSpec:
     n: int = 0
     norm: float = 1.0
     include_sign_prefactor: bool = False
+    #: the matching power-law density; building it checks n and norm
+    distribution: PowerLawDistribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.bias):
             raise ValueError(f"bias must be finite, got {self.bias}")
         if abs(self.bias) > 1.0 + _BIAS_SLACK:
             raise ValueError(f"|bias| must not exceed 1, got {self.bias}")
-
-    @property
-    def distribution(self) -> PowerLawDistribution:
-        return PowerLawDistribution(self.n, self.norm)
+        object.__setattr__(self, "distribution", PowerLawDistribution(self.n, self.norm))
 
     @property
     def threshold(self) -> float:

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import math
@@ -863,24 +864,72 @@ def judgements(monkeypatch) -> list[str]:
     return calls
 
 
+class Recording(Discard):
+    """A stdout that keeps each write."""
+
+    def __init__(self) -> None:
+        self.writes = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+def scan_peak(monkeypatch, stream) -> int:
+    """The tracemalloc peak of the default-step CSV scan written to ``stream``."""
+    argv = ["ks-dispersion", "--scan", "--format", "csv"]
+    monkeypatch.setattr(sys, "stdout", Discard())
+    main(argv)
+    monkeypatch.setattr(sys, "stdout", stream)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: what the default-step scan holds while its rows are written: the table, and
+#: CPython's csv record buffer, 32,768 UCS-4 characters (_csv.c's MEM_INCR on 3.10 and 3.11)
+SCAN_FLOOR = hvlab.ks.dispersion_scan(0.01).nbytes + 4 * 32_768
+#: a batch (at least io.DEFAULT_BUFFER_SIZE characters, its pieces and their join), the
+#: scan's build temporaries beyond that floor and the interpreter's own small objects
+SCAN_ALLOWANCE = 64_000
+
+
 class TestStreamedRows:
     SCAN = ["ks-dispersion", "--scan", "--grid-step", "0.1"]
 
     def test_scan_peak_memory_is_the_table(self, monkeypatch):
-        # the rows are written as they are built, so the peak is the table
-        # and its temporaries (at most three more of its size) plus a
-        # fixed allowance; every row held at once is about 0.95 MB
-        argv = ["ks-dispersion", "--scan", "--format", "csv"]
-        monkeypatch.setattr(sys, "stdout", Discard())
-        main(argv)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * hvlab.ks.dispersion_scan(0.01).nbytes + 128_000
+        # rows are written as they are built and the table is built in place, so the
+        # peak is the floor and the allowance: 0.33 MB, where every row held at once
+        # is about 0.95 MB and a table built with a copy per step about 0.58 MB
+        assert scan_peak(monkeypatch, Discard()) < SCAN_FLOOR + SCAN_ALLOWANCE
+
+    def test_captured_scan_peak_is_the_table_and_the_text(self, monkeypatch):
+        # the captured CSV is about 283,000 one-byte characters in some 35 strings;
+        # kept one string per row it took about twice that (0.88 MB in all)
+        stream = io.StringIO()
+        peak = scan_peak(monkeypatch, stream)
+        assert peak < SCAN_FLOOR + len(stream.getvalue()) + SCAN_ALLOWANCE
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("table", "d79ffd76d8864afafbcaa22ce566b3b8b26a6528f22003e1b52cee9444179010"),
+            ("csv", "e3bb11741b4cb348fa82a09df77459afcd6a21af447c7c642984073b659362c6"),
+            ("json", "fc1d02f18e2598e13c2279caa22865f134d4211c513a76540ef78838b6799a60"),
+        ],
+    )
+    def test_rows_are_written_in_batches(self, monkeypatch, fmt, digest):
+        # every write but the last carries a whole buffer's worth; the text is the scan's
+        stream = Recording()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["ks-dispersion", "--scan", "--format", fmt]) == 0
+        assert len(stream.writes) > 10
+        assert min(map(len, stream.writes[:-1])) >= io.DEFAULT_BUFFER_SIZE
+        assert hashlib.sha256("".join(stream.writes).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     @pytest.mark.parametrize(
@@ -896,13 +945,16 @@ class TestStreamedRows:
 
     @pytest.mark.parametrize("failing, code", [(None, 0), ("ks-scan-max", 1)])
     def test_a_broken_pipe_still_judges_every_row(self, monkeypatch, failing, code):
-        # the pipe breaks at the second write, before the last row is built
+        # the pipe breaks at the second write, before the last row is built: the
+        # default-step scan is some 35 batches, where a step-0.1 scan fits in one
         passed = ReportRow.passed
         monkeypatch.setattr(ReportRow, "passed", lambda row, tol: row.experiment != failing and passed(row, tol))
         fd = os.open(os.devnull, os.O_WRONLY)
         try:
-            monkeypatch.setattr(sys, "stdout", BreakingPipe(fd))
-            assert main([*self.SCAN, "--format", "csv"]) == code
+            stream = BreakingPipe(fd)
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(["ks-dispersion", "--scan", "--format", "csv"]) == code
+            assert stream.writes == 2
         finally:
             os.close(fd)
 

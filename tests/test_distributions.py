@@ -91,6 +91,13 @@ class TestPowerLawDistribution:
         # 1/norm overflows: every draw would be +-inf
         with pytest.raises(ValueError):
             PowerLawDistribution(1, 4e-309)
+        # 1/(2 norm) is 0: every draw would be 0
+        for norm in (1e308, math.inf):
+            with pytest.raises(ValueError):
+                PowerLawDistribution(0, norm)
+        for n in (0.5, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                PowerLawDistribution(n)
 
 
 class TestSampler:
@@ -158,6 +165,14 @@ class TestSignFunction:
     def test_non_finite_bias_rejected(self, bias):
         with pytest.raises(ValueError):
             SignFunctionSpec(bias)
+
+    @pytest.mark.parametrize(
+        "n, norm", [(1, -1.0), (0, 0.0), (0, math.nan), (0, 4e-309), (0, math.inf), (0.5, 1.0), (-1, 1.0), (math.inf, 1.0)]
+    )
+    def test_invalid_n_or_norm_rejected(self, n, norm):
+        # a negative norm gave a complex threshold and a mean of |bias|
+        with pytest.raises(ValueError):
+            SignFunctionSpec(0.5, n=n, norm=norm)
 
     def test_prefactor_flips_negative_bias(self):
         plain = SignFunctionSpec(-0.4)

@@ -226,12 +226,15 @@ class TestDispersion:
         assert values.min() == pytest.approx(0.0, abs=1e-4)
         assert values.max() == pytest.approx(2.0, abs=1e-4)
 
-    @pytest.mark.parametrize("step", [0.5, 0.3, 0.1, 0.07, 0.01, 0.002])
+    @pytest.mark.parametrize("step", [0.5, 0.3, 0.26, 0.15, 0.1, 1.0 / 3.0, 0.07, 0.01, 0.002])
     def test_scan_matches_the_double_loop(self, step):
-        # the grid point by point in loop order, then the same closed form
+        # the grid point by point in loop order, then the same closed form, bit for bit:
+        # array_equal alone takes -0.0 for 0.0
         grid = np.array([*simplex_grid(step), (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)])
         expected = np.column_stack([grid, 0.5 * (1.0 + _pair_sum(2.0 * grid - 1.0))])
-        assert np.array_equal(dispersion_scan(step), expected)
+        table = dispersion_scan(step)
+        assert np.array_equal(table, expected)
+        assert table.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("step", [0.5, 0.3, 0.26, 0.15, 0.1, 1.0 / 3.0, 0.07, 0.01])
     def test_scan_points_lie_on_the_simplex(self, step):
