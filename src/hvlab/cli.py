@@ -230,14 +230,14 @@ def _select(rows: list[ReportRow], *names: str) -> list[ReportRow]:
 
 def _sgn_mean_row(n: int, xi: float, samples: int, seed: int) -> ReportRow:
     spec = SignFunctionSpec(xi, n=n)
-    counts = mc_mean(spec.evaluate, spec.distribution, samples, seed, (-1.0, 1.0), (spec.cut,))
+    counts = mc_mean(spec.evaluate, spec.distribution, samples, seed, (spec.cut,))
     return ReportRow("sgn-mean", f"n={n};xi={xi}", sign_mean_analytic(spec), *_count_cells(counts), sign_mean_quadrature(spec))
 
 
 def _sgn_product_row(n: int, b1: float, b2: float, samples: int, seed: int) -> ReportRow:
     s1 = SignFunctionSpec(b1, n=n, include_sign_prefactor=True)
     s2 = SignFunctionSpec(b2, n=n, include_sign_prefactor=True)
-    counts = mc_mean(lambda xs: s1.evaluate(xs) * s2.evaluate(xs), s1.distribution, samples, seed, (-1.0, 1.0), (s1.cut, s2.cut))
+    counts = mc_mean(lambda xs: s1.evaluate(xs) * s2.evaluate(xs), s1.distribution, samples, seed, (s1.cut, s2.cut))
     analytic, quadrature = sign_product_mean_analytic(s1, s2), sign_product_mean_quadrature(s1, s2)
     return ReportRow("sgn-product-mean", f"n={n};xi1={b1};xi2={b2}", analytic, *_count_cells(counts), quadrature)
 
@@ -270,7 +270,7 @@ def _spin_half_rows(
     stats = spin_half.hv_statistics(direction, bloch)
     outcome = functools.partial(spin_half.bell_outcome_modified, direction, bloch)
     spec = spin_half.modified_sign_function(direction, bloch)
-    counts = mc_mean(outcome, spec.distribution, samples, seed, spin_half.outcome_table(direction), (spec.cut,))
+    counts = mc_mean(outcome, spec.distribution, samples, seed, (spec.cut,))
     oracle = _operator_moments(linear_observable(direction, pauli), state)
     return _moment_rows("spin-half", params, stats, oracle, counts)
 
@@ -285,8 +285,7 @@ def _spin_half_original_rows(
     spread = float(direction[0] ** 2 + direction[1] ** 2)
     spec = spin_half.original_sign_function(direction)
     counts = [] if seed is None else mc_mean(
-        functools.partial(spin_half.bell_outcome_original, direction), spec.distribution, samples, seed,
-        spin_half.outcome_table(direction), (spec.cut,),
+        functools.partial(spin_half.bell_outcome_original, direction), spec.distribution, samples, seed, (spec.cut,)
     )
     return [
         ReportRow("spin-half-original-mean", params, mean, *_count_cells(counts), oracle.mean),
@@ -299,11 +298,11 @@ def _split_counts(
 ) -> tuple[list[tuple[float, int]], list[tuple[float, int]]]:
     """How many of ``samples`` seeded draws of offset + b.S take each
     outcome value below the split and at or above it: the (value, count)
-    pairs [(offset - |b|, n), (offset + |b|, n)] of each side, counted by
-    ``mc_mean`` as the four (rule value, side) pairs of one table, so the
-    hidden values are those ``mc_mean`` of the rule itself draws.  The pair
-    changes at the rule's cut and at the split.  The offset is added to the
-    counted values only; values it rounds together stay two pairs."""
+    pairs of offset -+ |b| on each side, counted by ``mc_mean`` as the
+    codes 2 * (outcome is +|b|) + (at or above the split) of one rule, so
+    the hidden values are those ``mc_mean`` of the rule itself draws.  The
+    code changes at the rule's cut and at the split.  The offset is added
+    to the counted values only; values it rounds together stay two pairs."""
     minus, plus = spin_half.outcome_table(direction)
 
     def cell(hidden):
@@ -314,9 +313,10 @@ def _split_counts(
         return 2 * is_high + (hidden >= split_point)
 
     spec = spin_half.modified_sign_function(direction, bloch)
-    counts = [count for _, count in mc_mean(cell, spec.distribution, samples, seed, range(4), (spec.cut, split_point))]
-    values = (offset + minus, offset + plus)
-    return list(zip(values, counts[0::2])), list(zip(values, counts[1::2]))
+    sides = ([], [])
+    for code, count in mc_mean(cell, spec.distribution, samples, seed, (spec.cut, split_point)):
+        sides[int(code) % 2].append((offset + (minus, plus)[int(code) // 2], count))
+    return sides
 
 
 def _homogeneity_rows(
@@ -343,7 +343,7 @@ def _formula_rows(
 ) -> list[ReportRow]:
     """Moment rows of a two-sign-function rule; with a seed, mc cells from one two-variable pass."""
     counts = [] if seed is None else mc_mean_pair(
-        formula.evaluate, *formula.hidden_distributions, samples, seed, formula._table, *formula.hidden_cuts
+        formula.evaluate, *formula.hidden_distributions, samples, seed, *formula.hidden_cuts
     )
     return _moment_rows(kind, params, stats, oracle, counts)
 
@@ -375,7 +375,7 @@ def _ks_rows(probs: tuple[float, float, float], params: str, samples: int = 0, s
     2 from the squared outcomes plus twice the three pairwise cross terms."""
     model = ks.KsModel(probs)
     counts = [] if seed is None else mc_mean(
-        lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, samples, seed, (0.0, 1.0, 2.0, 3.0),
+        lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, samples, seed,
         [spec.cut for spec in ks.ks_sign_specs(model)],
     )
     squares = [(value * value, count) for value, count in counts]
@@ -691,6 +691,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise CliError("--seed must be nonnegative")
         if args.samples < 1:
             raise CliError("--samples must be at least 1")
         if not 0.0 < args.tolerance_sigma < math.inf:  # an infinite band times stderr 0 is nan

@@ -6,18 +6,19 @@ functions whose threshold is tied to a bias parameter, closed-form
 averages of those step functions, the moments of a discrete outcome
 distribution, an exact Gauss-Legendre quadrature, an inverse-CDF sampler
 and a seeded, block-deterministic Monte Carlo estimator that counts how
-often each value of an outcome table is drawn.
+often the rule takes each of its values.
 
-The estimator takes, with the rule and its outcome table, the rule's cut
-points for each hidden variable: the rule may change value only where a
-draw x crosses a cut c, that is where x >= c flips, the one comparison
+The estimator takes the rule and its cut points for each hidden
+variable: the rule may change value only where a draw x crosses a cut c,
+that is where x >= c flips, the one comparison
 `SignFunctionSpec.evaluate` makes at its `cut`.  So the cuts split the
 draws into cells on which the rule is constant.  The rule is evaluated
 once per cell end (per corner of a two-variable cell) before any draw,
-never per draw, and two checks guard the cuts: a value off the outcome
-table (NaN included) raises ValueError, and so do two ends of one cell
-that disagree, a rule changing value inside a declared cell.  The draws
-themselves are only compared with the cuts and counted.
+never per draw, and its values there, in ascending order, are the ones
+counted.  Two checks guard the cuts: a non-finite value (NaN, +-inf)
+raises ValueError, and so do two ends of one cell that disagree, a rule
+changing value inside a declared cell.  The draws are only compared with
+the cuts and counted.
 
 The sign convention is sign(0) = +1, applied uniformly by `sign_pm`.
 """
@@ -299,32 +300,31 @@ def _lane_cells(cuts: Iterable[float]) -> tuple[list[float], np.ndarray]:
     return points, np.array([end for pair in zip(lower, upper) for end in pair])
 
 
-def _cell_outcomes(f: Callable[..., np.ndarray], ends: list[np.ndarray], values: list[float]) -> np.ndarray:
-    """Index into ``values`` of the rule's value on every cell, in C order,
-    from one call of f at every corner of every cell.  A value off the
-    table (NaN included) or a cell whose corners disagree raises
-    ValueError."""
+def _cell_outcomes(f: Callable[..., np.ndarray], ends: list[np.ndarray]) -> tuple[list[float], list[int]]:
+    """The rule's distinct cell values in ascending order and each cell's
+    index into them, in C order, from one call of f at every corner of
+    every cell; -0.0 is 0.0.  A non-finite value or a cell whose corners
+    disagree raises ValueError."""
     grids = [grid.ravel() for grid in np.meshgrid(*ends, indexing="ij")]
-    ys = np.broadcast_to(np.asarray(f(*grids), dtype=float), grids[0].shape)
-    hits = ys[:, None] == np.array(values)
-    on_table = hits.any(axis=1)
-    if not on_table.all():
-        raise ValueError(f"the rule takes {sorted(set(ys[~on_table].tolist()))} outside the outcome table {values}")
+    ys = np.broadcast_to(np.asarray(f(*grids), dtype=float) + 0.0, grids[0].shape)
+    if not np.isfinite(ys).all():
+        raise ValueError(f"the rule takes the non-finite values {sorted(set(ys[~np.isfinite(ys)].tolist()))}")
     # axes (cell, end) per variable; end 0 is the lower end
     shape = [size for lane in ends for size in (lane.size // 2, 2)]
     lower = (slice(None), slice(0, 1)) * len(ends)
     if not np.all(ys.reshape(shape) == ys.reshape(shape)[lower]):
         raise ValueError("the rule changes value inside a cell of its cuts")
-    return hits.argmax(axis=1).reshape(shape)[lower].ravel()
+    cells = ys.reshape(shape)[lower].ravel().tolist()
+    values = sorted(set(cells))
+    return values, [values.index(value) for value in cells]
 
 
 def _outcome_counts(
-    f: Callable[..., np.ndarray], dists: tuple, lanes: tuple[int, ...], samples: int, seed: int,
-    outcomes: Iterable[float], cuts: tuple[Iterable[float], ...],
+    f: Callable[..., np.ndarray], dists: tuple, lanes: tuple[int, ...], samples: int, seed: int, cuts: tuple[Iterable[float], ...]
 ) -> list[tuple[float, int]]:
-    """How many of ``samples`` draws of f take each value of its finite
-    outcome table ``outcomes``: (value, count) pairs, one per distinct
-    value, in table order.
+    """How many of ``samples`` draws of f take each value f takes on a
+    cell: (value, count) pairs in ascending order of value, a cell no
+    draw reaches giving its value with count 0.
 
     ``cuts`` holds the cut points of each variable (see the module
     docstring).  f is called once, before any draw, at every corner of
@@ -340,9 +340,8 @@ def _outcome_counts(
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    values = list(dict.fromkeys(np.ravel(outcomes).astype(float).tolist()))
     points, ends = zip(*map(_lane_cells, cuts))
-    outcome_of_cell = _cell_outcomes(f, list(ends), values)
+    values, value_of_cell = _cell_outcomes(f, list(ends))
     # above[i1, i2, ...]: draws at or above the i-th cut of every variable
     # whose index i is nonzero; the index one past the last cut stays 0
     above = np.zeros([len(lane) + 2 for lane in points], dtype=np.int64)
@@ -363,8 +362,8 @@ def _outcome_counts(
     for axis in range(len(points)):
         cells = -np.diff(cells, axis=axis)
     counts = [0] * len(values)
-    for table_index, count in zip(outcome_of_cell.tolist(), cells.ravel().tolist()):
-        counts[table_index] += count
+    for value_index, count in zip(value_of_cell, cells.ravel().tolist()):
+        counts[value_index] += count
     return list(zip(values, counts))
 
 
@@ -373,20 +372,19 @@ def mc_mean(
     dist: PowerLawDistribution,
     samples: int,
     seed: int,
-    outcomes: Iterable[float],
     cuts: Iterable[float],
 ) -> list[tuple[float, int]]:
     """How many of ``samples`` seeded draws of f(x) under ``dist`` take
-    each value of its finite outcome table ``outcomes``: (value, count)
-    pairs, one per distinct value, in table order.  ``_count_cells`` of
-    the pairs gives the estimate of E[f(x)] and its standard error, and
-    of the squared pairs that of E[f(x)**2].
+    each value f takes on a cell of its cuts, read from f at the cell
+    ends: (value, count) pairs in ascending order of value.
+    ``_count_cells`` of the pairs gives the estimate of E[f(x)] and its
+    standard error, and of the squared pairs that of E[f(x)**2].
 
     f must be a step function whose value changes only where x >= c
     flips for one of its ``cuts`` c; it is evaluated once per cell end,
     never per draw.
     """
-    return _outcome_counts(f, (dist,), (0,), samples, seed, outcomes, (cuts,))
+    return _outcome_counts(f, (dist,), (0,), samples, seed, (cuts,))
 
 
 def mc_mean_pair(
@@ -395,16 +393,15 @@ def mc_mean_pair(
     dist2: PowerLawDistribution,
     samples: int,
     seed: int,
-    outcomes: Iterable[float],
     cuts1: Iterable[float],
     cuts2: Iterable[float],
 ) -> list[tuple[float, int]]:
     """How many of ``samples`` seeded draws of f(x1, x2), for two
-    independent variables, take each value of the finite table
-    ``outcomes``: (value, count) pairs, as ``mc_mean`` gives them.
+    independent variables, take each value f takes on a cell: (value,
+    count) pairs in ascending order of value, as ``mc_mean`` gives them.
 
     f may change value only where x1 >= c flips for one of ``cuts1`` or
     x2 >= c for one of ``cuts2``; it is evaluated once per cell corner,
     never per draw.
     """
-    return _outcome_counts(f, (dist1, dist2), (1, 2), samples, seed, outcomes, (cuts1, cuts2))
+    return _outcome_counts(f, (dist1, dist2), (1, 2), samples, seed, (cuts1, cuts2))

@@ -85,7 +85,8 @@ def criterion(number, label):
 
 def midpoint_sign_mean(n, xi, points=1_000_000):
     """Independent quadrature of the sign-function average: midpoint
-    rule against the density, split at the sign change."""
+    rule against the density norm (2n+1) x^(2n), written out here with
+    x^(2n) by repeated squaring, split at the sign change."""
     dist = PowerLawDistribution(n)
     edge = dist.support_edge
     cut = min((abs(xi) / 2.0) ** (1.0 / (2 * n + 1)), edge)
@@ -94,8 +95,23 @@ def midpoint_sign_mean(n, xi, points=1_000_000):
         if hi <= lo:
             continue
         count = max(int(points * (hi - lo) / (2 * edge)), 8)
-        xs = lo + (np.arange(count) + 0.5) * (hi - lo) / count
-        total += sign * float(dist.density(xs).sum() * (hi - lo) / count)
+        weight = 0.0
+        # the points lo + (k + 1/2) (hi - lo) / count, squared, in place and
+        # in chunks that stay in cache
+        for start in range(0, count, 1 << 14):
+            square = np.arange(start, min(start + (1 << 14), count), dtype=float)
+            square += 0.5
+            square *= hi - lo
+            square /= count
+            square += lo
+            np.square(square, out=square)
+            power = np.ones(square.size)
+            for bit in range(n.bit_length()):
+                if n >> bit & 1:
+                    power *= square
+                np.square(square, out=square)
+            weight += power.sum()
+        total += sign * float(dist.norm * (2 * n + 1) * weight * (hi - lo) / count)
     return total
 
 
@@ -133,9 +149,8 @@ def test_criterion_2_bell_spin_half():
 
     flat = PowerLawDistribution(0)
     for seed, beta in enumerate(([0.6, -0.8, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])):
-        table = (-np.linalg.norm(beta), np.linalg.norm(beta))
         cuts = (original_sign_function(beta).cut,)
-        counts = mc_mean(lambda xs: bell_outcome_original(beta, xs), flat, 1_000_000, 2000 + seed, table, cuts)
+        counts = mc_mean(lambda xs: bell_outcome_original(beta, xs), flat, 1_000_000, 2000 + seed, cuts)
         mean, stderr = _count_cells(counts)
         assert abs(mean - beta[2]) <= max(4.0 * stderr, 1e-12)
 
@@ -268,7 +283,6 @@ def test_criterion_7_ks_dispersion():
             SHARED_HIDDEN,
             1_000_000,
             7000 + seed,
-            (0.0, 1.0, 4.0, 9.0),
             [spec.cut for spec in ks_sign_specs(model)],
         )
         mean, stderr = _count_cells(counts)

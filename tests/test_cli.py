@@ -245,6 +245,27 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys, ["oracle-check", "--samples", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle-check"],
+            ["sgn-averages"],
+            ["spin-half", "--beta", "0,0,1"],
+            ["homogeneity", "--beta", "0,0,1"],
+            ["spin-one", "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25"],
+            ["ks-dispersion", "--probs", "0.2,0.5,0.3"],
+            ["ks-epsilon", "--eps", "0.05", "--probs", "0.25,0.5,0.25"],
+            ["verify-all"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_exit_2(self, capsys, argv):
+        # one rule for every subcommand, whether its seed reaches the engine or numpy
+        code, out, err = run_cli(capsys, [*argv, "--samples", "20000", "--seed", "-5"])
+        assert code == 2
+        assert err == "error: --seed must be nonnegative\n"
+        assert out == ""
+
     def test_bloch_vector_too_long_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, ["spin-half", *FAST, "--beta", "0,0,1", "--epsilon", "1,1,1"])
         assert code == 2
@@ -412,14 +433,14 @@ class TestStreamedHomogeneity:
         raw = spin_half.bell_outcome_modified(self.DIRECTION, bloch, hidden)
         outcomes = offset + raw
         upper = hidden >= split.split_point
-        # (below, at or above the split), each [(offset - |b|, n), (offset + |b|, n)]
+        # (below, at or above the split), each [(offset - |b|, n), (offset + |b|, n)] less its empty pairs
         table = spin_half.outcome_table(self.DIRECTION)
-        expected = tuple(
-            [(offset + value, int(np.count_nonzero((raw == value) & (upper == side)))) for value in table]
+        expected = [
+            [(offset + value, n) for value in table if (n := int(np.count_nonzero((raw == value) & (upper == side))))]
             for side in (False, True)
-        )
+        ]
         counts = hvlab.cli._split_counts(offset, self.DIRECTION, bloch, split.split_point, samples, self.SEED)
-        assert counts == expected
+        assert [[pair for pair in side if pair[1]] for side in counts] == expected
 
         rows = self.rows(offset, samples)
         whole = rows["homogeneity-whole"]
@@ -438,7 +459,7 @@ class TestStreamedHomogeneity:
         bloch = bloch_vector(self.STATE, build_basis(PAULI))
         counts = mc_mean(
             lambda xs: offset + spin_half.bell_outcome_modified(self.DIRECTION, bloch, xs),
-            PowerLawDistribution(0), samples, self.SEED, offset + np.array([-1.0, 1.0]) * np.linalg.norm(self.DIRECTION),
+            PowerLawDistribution(0), samples, self.SEED,
             (spin_half.modified_sign_function(self.DIRECTION, bloch).cut,),
         )
         mean, stderr = _count_cells(counts)
@@ -721,7 +742,8 @@ homogeneity-recombined  alpha=1e+20;beta=0,0,1  1e+20                    1e+20  
 """, "")
         # split at 0, above the rule's cut -1/4, both outcomes fall below the split
         below, above = hvlab.cli._split_counts(1e20, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.5]), 0.0, 20000, 42)
-        assert [value for value, _ in below + above] == [1e20] * 4
+        assert [value for value, _ in below] == [1e20] * 2
+        assert [value for value, _ in above] == [1e20]
         assert all(sum(count for _, count in side) for side in (below, above))
         assert sum(count for _, count in below + above) == 20000
 

@@ -1,6 +1,5 @@
 """Tests for the power-law densities, sign functions and MC estimator."""
 
-import itertools
 import math
 import sys
 import tracemalloc
@@ -30,9 +29,6 @@ from hvlab.distributions import (
 )
 
 XI_GRID = [round(-1.0 + 0.1 * k, 10) for k in range(21)]
-
-# the outcome table of every sign rule
-SIGNS = (-1.0, 1.0)
 
 
 def _simpson(ys, xs):
@@ -296,26 +292,26 @@ class TestProductMean:
 
 class TestMcMean:
     def test_constant_function_is_exact(self):
-        mean, stderr = _count_cells(mc_mean(lambda xs: np.ones_like(xs), PowerLawDistribution(0), 10_000, 42, (1.0,), ()))
+        mean, stderr = _count_cells(mc_mean(lambda xs: np.ones_like(xs), PowerLawDistribution(0), 10_000, 42, ()))
         assert mean == 1.0
         assert stderr == 0.0
 
     def test_sign_mean_within_band(self):
         spec = SignFunctionSpec(0.5)
-        mean, stderr = _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(0), 1_000_000, 42, SIGNS, (spec.cut,)))
+        mean, stderr = _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(0), 1_000_000, 42, (spec.cut,)))
         assert abs(mean - 0.5) < 4 * stderr
 
     def test_product_within_band(self):
         a = SignFunctionSpec(0.8, include_sign_prefactor=True)
         b = SignFunctionSpec(0.3, include_sign_prefactor=True)
-        counts = mc_mean(lambda xs: a.evaluate(xs) * b.evaluate(xs), PowerLawDistribution(0), 1_000_000, 7, SIGNS, (a.cut, b.cut))
+        counts = mc_mean(lambda xs: a.evaluate(xs) * b.evaluate(xs), PowerLawDistribution(0), 1_000_000, 7, (a.cut, b.cut))
         mean, stderr = _count_cells(counts)
         assert abs(mean - 0.5) < 4 * stderr
 
     def test_seed_determinism(self):
         spec = SignFunctionSpec(0.3)
-        a = mc_mean(spec.evaluate, PowerLawDistribution(0), 300_000, 5, SIGNS, (spec.cut,))
-        b = mc_mean(spec.evaluate, PowerLawDistribution(0), 300_000, 5, SIGNS, (spec.cut,))
+        a = mc_mean(spec.evaluate, PowerLawDistribution(0), 300_000, 5, (spec.cut,))
+        b = mc_mean(spec.evaluate, PowerLawDistribution(0), 300_000, 5, (spec.cut,))
         assert a == b
 
     def test_second_moment_is_the_squared_pass(self):
@@ -326,15 +322,14 @@ class TestMcMean:
             return 2.0 * spec.evaluate(xs) + sign_pm(xs)
 
         cuts = (spec.cut, 0.0)
-        counts = mc_mean(f, dist, 300_000, 9, (-3.0, -1.0, 1.0, 3.0), cuts)
-        squared = mc_mean(lambda xs: f(xs) ** 2, dist, 300_000, 9, (1.0, 9.0), cuts)
+        counts = mc_mean(f, dist, 300_000, 9, cuts)
+        squared = mc_mean(lambda xs: f(xs) ** 2, dist, 300_000, 9, cuts)
         assert _count_cells([(value * value, count) for value, count in counts]) == _count_cells(squared)
 
     @pytest.mark.parametrize("offset", [1e5, 1e7])
     def test_spread_survives_large_offset(self, offset):
         # the sum-of-squares form cancels here: stderr 0 at 1e5, 256x too large at 1e7
-        table = (offset - 1e-3, offset + 1e-3)
-        counts = mc_mean(lambda xs: offset + 1e-3 * sign_pm(xs), PowerLawDistribution(0), 10**6, 1, table, (0.0,))
+        counts = mc_mean(lambda xs: offset + 1e-3 * sign_pm(xs), PowerLawDistribution(0), 10**6, 1, (0.0,))
         mean, stderr = _count_cells(counts)
         assert stderr == pytest.approx(1e-6, rel=0.01)
         assert mean == pytest.approx(offset, abs=1e-5)
@@ -343,7 +338,7 @@ class TestMcMean:
         dist = PowerLawDistribution(0)
         # np.sign is 0 at 0 alone: cuts at 0 and at the least float above it
         cuts = (0.0, math.nextafter(0.0, 1.0))
-        counts = mc_mean_pair(lambda x, y: np.sign(x) * np.sign(y), dist, dist, 400_000, 3, (-1.0, 0.0, 1.0), cuts, cuts)
+        counts = mc_mean_pair(lambda x, y: np.sign(x) * np.sign(y), dist, dist, 400_000, 3, cuts, cuts)
         mean, stderr = _count_cells(counts)
         assert abs(mean) < 5 * stderr
 
@@ -351,38 +346,61 @@ class TestMcMean:
         # the engine is serial: blocks are drawn and merged in block order
         dist = PowerLawDistribution(0)
         with pytest.raises(TypeError):
-            mc_mean(sign_pm, dist, 1000, 1, SIGNS, (0.0,), workers=2)
+            mc_mean(sign_pm, dist, 1000, 1, (0.0,), workers=2)
         with pytest.raises(TypeError):
-            mc_mean_pair(lambda x, y: sign_pm(x), dist, dist, 1000, 1, SIGNS, (0.0,), (), workers=2)
+            mc_mean_pair(lambda x, y: sign_pm(x), dist, dist, 1000, 1, (0.0,), (), workers=2)
 
     def test_cuts_are_required(self):
         # no fallback to evaluating the rule on every draw
         dist = PowerLawDistribution(0)
         with pytest.raises(TypeError):
-            mc_mean(sign_pm, dist, 1000, 1, SIGNS)
+            mc_mean(sign_pm, dist, 1000, 1)
         with pytest.raises(TypeError):
-            mc_mean_pair(lambda x, y: sign_pm(x), dist, dist, 1000, 1, SIGNS, (0.0,))
+            mc_mean_pair(lambda x, y: sign_pm(x), dist, dist, 1000, 1, (0.0,))
 
     @pytest.mark.parametrize("cut", [np.nan, np.inf])
     def test_rejects_non_finite_cuts(self, cut):
         with pytest.raises(ValueError, match="cuts must be finite"):
-            mc_mean(sign_pm, PowerLawDistribution(0), 1000, 1, SIGNS, (0.0, cut))
+            mc_mean(sign_pm, PowerLawDistribution(0), 1000, 1, (0.0, cut))
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
-            mc_mean(sign_pm, PowerLawDistribution(0), 0, 1, SIGNS, (0.0,))
+            mc_mean(sign_pm, PowerLawDistribution(0), 0, 1, (0.0,))
 
-    @pytest.mark.parametrize("bad", [0.5, np.nan])
-    def test_outcome_off_the_table_raises(self, bad):
-        # the cell [0.25, inf) takes the bad value: found before any draw
+    @pytest.mark.parametrize("corner", ["lower", "upper"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_value_at_a_cell_corner_raises(self, bad, corner):
+        # the lower corner 0.25 of the cell [0.25, inf), or the upper corner
+        # inf of the last cell alone, takes the bad value: found before any draw
         dist = PowerLawDistribution(0)
-        with pytest.raises(ValueError, match="outcome table"):
-            mc_mean(lambda xs: np.where(xs >= 0.25, bad, sign_pm(xs)), dist, 1000, 1, SIGNS, (0.0, 0.25))
-        with pytest.raises(ValueError, match="outcome table"):
-            mc_mean(lambda xs: np.full(xs.shape, np.nan), dist, 10, 1, (np.nan, 1.0), ())
-        # a bad value at the upper end of a cell alone is off the table too
-        with pytest.raises(ValueError, match="outcome table"):
-            mc_mean(lambda xs: np.where(xs == np.inf, bad, 1.0), dist, 10, 1, SIGNS, ())
+        at = 0.25 if corner == "lower" else np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            mc_mean(lambda xs: np.where(xs == at, bad, sign_pm(xs)), dist, 1000, 1, (0.0, 0.25))
+        with pytest.raises(ValueError, match="non-finite"):
+            mc_mean_pair(lambda x1, x2: np.where(x2 == at, bad, sign_pm(x1)), dist, dist, 1000, 1, (0.0,), (0.25,))
+
+    def test_pairs_come_in_ascending_value_order_one_per_value(self):
+        # cell values 1, 5, -2, 1 in cut order: one pair per distinct value, ascending
+        dist, samples, seed = PowerLawDistribution(0), 50_000, 3
+
+        def rule(xs):
+            return np.select([xs >= 0.3, xs >= 0.1, xs >= -0.2], [1.0, -2.0, 5.0], 1.0)
+
+        counts = mc_mean(rule, dist, samples, seed, (-0.2, 0.1, 0.3))
+        assert [value for value, _ in counts] == [-2.0, 1.0, 5.0]
+        _assert_engine_matches_reference(counts, rule, (dist,), (0,), samples, seed)
+
+    @pytest.mark.parametrize("prefactor, expected", [(False, [(-1.0, 0), (1.0, 1000)]), (True, [(-1.0, 1000), (1.0, 0)])])
+    def test_a_cell_no_draw_reaches_keeps_its_value_with_count_0(self, prefactor, expected):
+        # at |xi| = 1 the cut is the support edge: no draw falls below it
+        spec = SignFunctionSpec(-1.0, include_sign_prefactor=prefactor)
+        assert mc_mean(spec.evaluate, spec.distribution, 1000, 1, (spec.cut,)) == expected
+        assert _count_cells(expected) == (sign_mean_analytic(spec), 0.0)
+
+    def test_minus_zero_and_zero_are_one_pair(self):
+        counts = mc_mean(lambda xs: np.where(xs >= 0.0, 0.0, -0.0), PowerLawDistribution(0), 1000, 1, (0.0,))
+        assert counts == [(0.0, 1000)]
+        assert math.copysign(1.0, counts[0][0]) == 1.0
 
     @pytest.mark.parametrize(
         "cuts1, cuts2", [((), ()), ((0.1,), ()), ((0.0,), ()), ((0.0,), (0.1,)), ((-0.3, 0.2), (0.19,))]
@@ -391,9 +409,9 @@ class TestMcMean:
         # the rule steps at x1 = 0 and at x2 = 0.2: some declared cell holds a step
         dist = PowerLawDistribution(0)
         with pytest.raises(ValueError, match="changes value inside a cell"):
-            mc_mean_pair(lambda x1, x2: sign_pm(x1) * sign_pm(x2 - 0.2), dist, dist, 1000, 1, SIGNS, cuts1, cuts2)
+            mc_mean_pair(lambda x1, x2: sign_pm(x1) * sign_pm(x2 - 0.2), dist, dist, 1000, 1, cuts1, cuts2)
         with pytest.raises(ValueError, match="changes value inside a cell"):
-            mc_mean(sign_pm, dist, 1000, 1, SIGNS, cuts1[1:] + cuts2)
+            mc_mean(sign_pm, dist, 1000, 1, cuts1[1:] + cuts2)
 
     def test_the_rule_is_called_once_at_the_cell_ends(self):
         calls = []
@@ -403,20 +421,15 @@ class TestMcMean:
             calls.append(np.array(xs))
             return spec.evaluate(xs)
 
-        counts = mc_mean(rule, PowerLawDistribution(0), 3 * MC_BLOCK_SIZE + 5, 1, SIGNS, (spec.cut,))
+        counts = mc_mean(rule, PowerLawDistribution(0), 3 * MC_BLOCK_SIZE + 5, 1, (spec.cut,))
         assert sum(count for _, count in counts) == 3 * MC_BLOCK_SIZE + 5
         (ends,) = calls
         np.testing.assert_array_equal(ends, [-np.inf, np.nextafter(spec.cut, -np.inf), spec.cut, np.inf])
 
-    def test_table_order_and_repeats_do_not_change_the_estimate(self):
-        spec = SignFunctionSpec(0.3)
-        cells = _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(0), 50_000, 5, SIGNS, (spec.cut,)))
-        assert _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(0), 50_000, 5, (1.0, -1.0, 1.0, 7.0), (spec.cut,))) == cells
-
     @pytest.mark.parametrize("n", range(4))
     def test_mc_matches_analytic_mean(self, n):
         spec = SignFunctionSpec(-0.6, n=n, include_sign_prefactor=True)
-        mean, stderr = _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(n), 400_000, 21 + n, SIGNS, (spec.cut,)))
+        mean, stderr = _count_cells(mc_mean(spec.evaluate, PowerLawDistribution(n), 400_000, 21 + n, (spec.cut,)))
         assert abs(mean - (-0.6)) < 5 * stderr
 
 
@@ -494,37 +507,35 @@ class TestBlockArithmeticIsUnchanged:
         a = SignFunctionSpec(0.4, include_sign_prefactor=True)
         b = SignFunctionSpec(-0.7, n=1, include_sign_prefactor=True)
         dist1, dist2 = PowerLawDistribution(0), PowerLawDistribution(1)
-        table = (997.0, 999.0, 1001.0, 1003.0)
 
         def outcome(sign):
             return lambda x, y: 1e3 + sign(a, x) - 2.0 * sign(b, y) * sign(a, x)
 
-        counts = mc_mean_pair(outcome(SignFunctionSpec.evaluate), dist1, dist2, samples, seed, table, (a.cut,), (b.cut,))
+        counts = mc_mean_pair(outcome(SignFunctionSpec.evaluate), dist1, dist2, samples, seed, (a.cut,), (b.cut,))
         _assert_engine_matches_reference(counts, outcome(_reference_sign), (dist1, dist2), (1, 2), samples, seed)
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_mc_mean_matches_reference(self, seed):
         spec = SignFunctionSpec(-0.45, n=3, norm=0.8, include_sign_prefactor=True)
         dist = spec.distribution
-        table = (-4.0, -2.0, 2.0, 4.0)
 
         def outcome(sign):
             return lambda x: 3.0 * sign(spec, x) - sign_pm(x)
 
         for samples in [*ENGINE_SAMPLES, 3 * MC_BLOCK_SIZE + MC_CHUNK + 5]:
-            counts = mc_mean(outcome(SignFunctionSpec.evaluate), dist, samples, seed, table, (spec.cut, 0.0))
+            counts = mc_mean(outcome(SignFunctionSpec.evaluate), dist, samples, seed, (spec.cut, 0.0))
             _assert_engine_matches_reference(counts, outcome(_reference_sign), (dist,), (0,), samples, seed)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_scalar_outcome_is_broadcast_and_exact(self, seed):
         samples = MC_BLOCK_SIZE + MC_CHUNK + 3
-        assert mc_mean(lambda xs: 2.5, PowerLawDistribution(1), samples, seed, (2.5,), ()) == [(2.5, samples)]
+        assert mc_mean(lambda xs: 2.5, PowerLawDistribution(1), samples, seed, ()) == [(2.5, samples)]
         dist = PowerLawDistribution(0)
-        pair = mc_mean_pair(lambda x, y: -0.75, dist, dist, samples, seed, (-0.75, 1.0), (), ())
-        assert pair == [(-0.75, samples), (1.0, 0)]
+        pair = mc_mean_pair(lambda x, y: -0.75, dist, dist, samples, seed, (), ())
+        assert pair == [(-0.75, samples)]
         assert _count_cells(pair) == (-0.75, 0.0)
         assert _count_cells([(value * value, count) for value, count in pair]) == (0.5625, 0.0)
-        assert _outcome_counts(lambda x: 2.5, (dist,), (0,), samples, seed, (1.0, 2.5), ((),)) == [(1.0, 0), (2.5, samples)]
+        assert _outcome_counts(lambda x: 2.5, (dist,), (0,), samples, seed, ((),)) == [(2.5, samples)]
 
 
 # biases whose cuts sit at the support edge (+-1), at -0.0 and 0.0, far
@@ -553,7 +564,6 @@ class TestCellCountsMatchTheDraws:
         # the rule sums its sign functions with weights 1, 2, 4, ...: one value per sign pattern
         specs = [(var, spec) for var, (_, lane_specs) in enumerate(lanes) for spec in lane_specs]
         weighted = [(var, spec, 2.0**k) for k, (var, spec) in enumerate(specs)]
-        table = sorted({sum(signs) for signs in itertools.product(*[(-w, w) for _, _, w in weighted])})
 
         def rule(sign):
             return lambda *xs: sum(w * sign(spec, xs[var]) for var, spec, w in weighted)
@@ -561,9 +571,9 @@ class TestCellCountsMatchTheDraws:
         dists = tuple(dist for dist, _ in lanes)
         cuts = [[spec.cut for spec in specs] for _, specs in lanes]
         if len(lanes) == 1:
-            counts, lane_ids = mc_mean(rule(SignFunctionSpec.evaluate), *dists, samples, seed, table, *cuts), (0,)
+            counts, lane_ids = mc_mean(rule(SignFunctionSpec.evaluate), *dists, samples, seed, *cuts), (0,)
         else:
-            counts, lane_ids = mc_mean_pair(rule(SignFunctionSpec.evaluate), *dists, samples, seed, table, *cuts), (1, 2)
+            counts, lane_ids = mc_mean_pair(rule(SignFunctionSpec.evaluate), *dists, samples, seed, *cuts), (1, 2)
         _assert_engine_matches_reference(counts, rule(_reference_sign), dists, lane_ids, samples, seed)
 
     @pytest.mark.parametrize("n", [0, 2])
@@ -576,7 +586,7 @@ class TestCellCountsMatchTheDraws:
         def rule(xs):
             return (np.asarray(xs) >= cuts[0]) + 2.0 * (np.asarray(xs) >= cuts[1])
 
-        counts = mc_mean(rule, dist, samples, seed, (0.0, 1.0, 2.0, 3.0), cuts)
+        counts = mc_mean(rule, dist, samples, seed, cuts)
         _assert_engine_matches_reference(counts, rule, (dist,), (0,), samples, seed)
 
 
@@ -636,13 +646,13 @@ class TestCountCells:
 
 def _case_iii_pair():
     formula = spin_one.build_formula("III", spin_one.SpectralTriple((0.0, 1.0, -1.0), (0.3, 0.5, 0.2)))
-    return mc_mean_pair(formula.evaluate, *formula.hidden_distributions, 1_000_000, 5, formula._table, *formula.hidden_cuts)
+    return mc_mean_pair(formula.evaluate, *formula.hidden_distributions, 1_000_000, 5, *formula.hidden_cuts)
 
 
 def _ks_sum():
     model = ks.KsModel((0.2, 0.5, 0.3))
     cuts = [spec.cut for spec in ks.ks_sign_specs(model)]
-    return mc_mean(lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, 1_000_000, 5, (0.0, 1.0, 2.0, 3.0), cuts)
+    return mc_mean(lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, 1_000_000, 5, cuts)
 
 
 @pytest.mark.parametrize("estimate", [_case_iii_pair, _ks_sum])

@@ -90,14 +90,14 @@ class TestSquareOutcomes:
     def test_sum_averages_to_two_by_mc(self):
         model = KsModel((0.2, 0.5, 0.3))
         cuts = [spec.cut for spec in ks_sign_specs(model)]
-        counts = mc_mean(lambda xs: sum(ks_square_outcomes(model, xs)), SHARED_HIDDEN, 1_000_000, 1, (0.0, 1.0, 2.0, 3.0), cuts)
+        counts = mc_mean(lambda xs: sum(ks_square_outcomes(model, xs)), SHARED_HIDDEN, 1_000_000, 1, cuts)
         mean, stderr = _count_cells(counts)
         assert abs(mean - 2.0) < 4 * stderr
 
     def test_zero_probability_matches_component_means(self):
         model = KsModel((0.1, 0.6, 0.3))
         cuts = (ks_sign_specs(model)[1].cut,)
-        counts = mc_mean(lambda xs: ks_square_outcomes(model, xs)[1], SHARED_HIDDEN, 500_000, 2, (0.0, 1.0), cuts)
+        counts = mc_mean(lambda xs: ks_square_outcomes(model, xs)[1], SHARED_HIDDEN, 500_000, 2, cuts)
         mean, stderr = _count_cells(counts)
         assert abs(mean - (1.0 - 0.6)) < 4 * stderr
 
@@ -178,7 +178,7 @@ class TestSecondMoment:
             probs = tuple(rng.dirichlet(np.ones(3)))
             model = KsModel(probs)
             counts = mc_mean(
-                lambda xs: sum(ks_square_outcomes(model, xs)) ** 2, SHARED_HIDDEN, 400_000, seed, (0.0, 1.0, 4.0, 9.0),
+                lambda xs: sum(ks_square_outcomes(model, xs)) ** 2, SHARED_HIDDEN, 400_000, seed,
                 [spec.cut for spec in ks_sign_specs(model)],
             )
             mean, stderr = _count_cells(counts)
@@ -351,7 +351,7 @@ class TestDeformedModel:
         # three-outcome distribution whose moments are checked
         model = DeformedKsModel(0.2, (0.25, 0.5, 0.25))
         formula = deformed_formula(model)
-        counts = mc_mean_pair(formula.evaluate, *formula.hidden_distributions, 1_000_000, 12, formula._table, *formula.hidden_cuts)
+        counts = mc_mean_pair(formula.evaluate, *formula.hidden_distributions, 1_000_000, 12, *formula.hidden_cuts)
         mean, stderr = _count_cells(counts)
         stats = deformed_statistics(model)
         assert abs(mean - stats.mean) < 4 * stderr

@@ -1,21 +1,29 @@
-"""Metamorphic properties of the exact quantum reference away from unit scale.
+"""Metamorphic properties of the exact quantum reference and of the model
+moments away from unit scale.
 
-Each property compares the reference on a transformed observable with the
-same reference on the original one, over scales s from 1e-12 to 1e8 and
-offsets c up to 1e8.  Each error is bounded by conditioning: a backward-stable
-eigensolve of A perturbs A by a few tens of roundoffs of ||A||, which moves
-eigenvalues by as much (Weyl) and eigenvectors by that over the spectral gap
-(Davis-Kahan); see Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13 (1992).
+Each property compares the reference, or a model's moments, on a
+transformed observable with the same on the original one, over scales s
+from 1e-12 to 1e8 and offsets c up to 1e8.  Each error is bounded by
+conditioning: a backward-stable eigensolve of A perturbs A by a few tens of
+roundoffs of ||A||, which moves eigenvalues by as much (Weyl) and
+eigenvectors by that over the spectral gap (Davis-Kahan); see Demmel &
+Veselic, SIAM J. Matrix Anal. Appl. 13 (1992).  A mean is bounded by that
+roundoff of s||H|| + |c|, a second moment or variance by it times
+s||H|| + |c| once more.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hvlab import spin_half, spin_one
 from hvlab.oracle import (
     _ROUNDOFF_TOL,
     BASIS_KINDS,
     DEGENERACY_TOL,
+    GELL_MANN,
+    PAULI,
     born_distribution,
     build_basis,
     linear_observable,
@@ -110,3 +118,78 @@ def test_unitary_conjugation_keeps_the_eigenvalues_in_a_stack(kind, seed, s, c):
     a = s * h + c * np.eye(dim)
     values, rotated = spectral_decompose(np.stack([a, u @ a @ u.conj().T]))[0]
     assert np.max(np.abs(rotated - values)) <= _bound(h, s, c)
+
+
+# the model moments: the spin-1/2 rule and the spin-1 rules of each case
+
+
+def _assert_moments_map(moments, base, s: float, c: float, size: float) -> None:
+    """moments are base under x -> s x + c, size being s||H|| + |c|: the
+    mean within SOLVE_EPS * size, the variance (and, with no offset, the
+    second moment) within SOLVE_EPS * size**2."""
+    assert abs(moments.mean - (s * base.mean + c)) <= SOLVE_EPS * size
+    assert abs(moments.variance - s * s * base.variance) <= SOLVE_EPS * size * size
+    if c == 0.0:
+        assert abs(moments.second_moment - s * s * base.second_moment) <= SOLVE_EPS * size * size
+
+
+def _direction_and_bloch(seed: int) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
+    rng = np.random.default_rng(seed)
+    bloch = rng.normal(size=3)
+    return rng.normal(size=3), bloch * (rng.uniform() / np.linalg.norm(bloch)), rng
+
+
+def _pauli_norm(direction: np.ndarray, s: float) -> float:
+    return s * float(np.linalg.norm(linear_observable(direction, BASES[PAULI])))
+
+
+@EXAMPLES
+@given(seeds, scales)
+def test_scaling_b_scales_the_spin_half_moments(seed, s):
+    b, e, _ = _direction_and_bloch(seed)
+    size = _pauli_norm(b, s)
+    moments = spin_half.hv_statistics(s * b, e)
+    _assert_moments_map(moments, spin_half.hv_statistics(b, e), s, 0.0, size)
+
+
+@EXAMPLES
+@given(seeds, scales)
+def test_one_rotation_of_b_and_the_bloch_vector_keeps_the_spin_half_moments(seed, s):
+    b, e, rng = _direction_and_bloch(seed)
+    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    rotation[:, 0] *= np.linalg.det(rotation)  # a reflection becomes a rotation
+    size = _pauli_norm(b, s)
+    base = spin_half.hv_statistics(s * b, e)
+    moments = spin_half.hv_statistics(rotation @ (s * b), rotation @ e)
+    _assert_moments_map(moments, base, 1.0, 0.0, size)
+
+
+@EXAMPLES
+@given(seeds, scales, offsets)
+def test_an_affine_spectrum_maps_the_spin_one_moments(seed, s, c):
+    rng = np.random.default_rng(seed)
+    values, probs = rng.normal(size=3), rng.dirichlet(np.ones(3))
+    size = s * float(np.linalg.norm(values)) + abs(c)
+    for case_id in spin_one.CASE_IDS:
+        try:
+            base = spin_one.hv_statistics(spin_one.build_formula(case_id, spin_one.SpectralTriple(values, probs)))
+        except spin_one.InfeasibleCaseError:
+            # feasibility is a property of the probabilities alone
+            with pytest.raises(spin_one.InfeasibleCaseError):
+                spin_one.build_formula(case_id, spin_one.SpectralTriple(s * values + c, probs))
+            continue
+        moments = spin_one.hv_statistics(spin_one.build_formula(case_id, spin_one.SpectralTriple(s * values + c, probs)))
+        _assert_moments_map(moments, base, s, c, size)
+
+
+@EXAMPLES
+@given(seeds, scales)
+def test_scaling_the_coefficients_scales_the_operator_beable_moments(seed, s):
+    basis = BASES[GELL_MANN]
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=basis.size)
+    state = random_pure_state(3, rng)
+    size = s * float(np.linalg.norm(linear_observable(coeffs, basis)))
+    base = spin_one.hv_statistics(spin_one.beable_from_operator(coeffs, basis, state))
+    moments = spin_one.hv_statistics(spin_one.beable_from_operator(s * coeffs, basis, state))
+    _assert_moments_map(moments, base, s, 0.0, size)

@@ -32,11 +32,6 @@ def _random_direction(rng, scale=2.0):
             return beta
 
 
-def _outcomes(beta):
-    # both rules take the values -|b| and +|b|
-    return -np.linalg.norm(beta), np.linalg.norm(beta)
-
-
 #: Directions whose largest component is not tiny: below about 1.5e-154 for
 #: every component, b.b is subnormal and np.linalg.norm loses relative accuracy.
 UNIT_SCALE_DIRECTIONS = st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3).filter(lambda b: max(map(abs, b)) >= 1e-100)
@@ -109,7 +104,7 @@ class TestOriginalRule:
     def test_mc_average_matches_z_component(self):
         beta = np.array([0.6, -0.8, 0.5])
         cuts = (original_sign_function(beta).cut,)
-        counts = mc_mean(lambda xs: bell_outcome_original(beta, xs), FLAT, 1_000_000, 42, _outcomes(beta), cuts)
+        counts = mc_mean(lambda xs: bell_outcome_original(beta, xs), FLAT, 1_000_000, 42, cuts)
         mean, stderr = _count_cells(counts)
         assert abs(mean - beta[2]) < 4 * stderr
 
@@ -155,7 +150,7 @@ class TestModifiedRule:
         beta = np.array([0.8, -0.2, 0.5])
         bloch = np.array([0.3, 0.4, -0.6])
         cuts = (modified_sign_function(beta, bloch).cut,)
-        counts = mc_mean(lambda xs: bell_outcome_modified(beta, bloch, xs), FLAT, 1_000_000, 5, _outcomes(beta), cuts)
+        counts = mc_mean(lambda xs: bell_outcome_modified(beta, bloch, xs), FLAT, 1_000_000, 5, cuts)
         mean, stderr = _count_cells(counts)
         assert abs(mean - float(np.dot(beta, bloch))) < 4 * stderr
 
@@ -222,7 +217,7 @@ class TestHvStatistics:
         state = random_pure_state(2, rng)
         bloch = bloch_vector(state, PAULI_BASIS)
         cuts = (modified_sign_function(beta, bloch).cut,)
-        counts = mc_mean(lambda xs: bell_outcome_modified(beta, bloch, xs), FLAT, 1_000_000, 10, _outcomes(beta), cuts)
+        counts = mc_mean(lambda xs: bell_outcome_modified(beta, bloch, xs), FLAT, 1_000_000, 10, cuts)
         mean, stderr = _count_cells(counts)
         matrix = linear_observable(beta, PAULI_BASIS)
         assert abs(mean - expectation(matrix, state)) < 4 * stderr

@@ -272,7 +272,7 @@ class TestBuildFormulaAndEvaluate:
         triple = SpectralTriple((0.0, 1.0, -1.0), (0.25, 0.5, 0.25))
         formula = build_formula("III", triple)
         d1, d2 = formula.hidden_distributions
-        mean, stderr = _count_cells(mc_mean_pair(formula.evaluate, d1, d2, 1_000_000, 15, formula._table, *formula.hidden_cuts))
+        mean, stderr = _count_cells(mc_mean_pair(formula.evaluate, d1, d2, 1_000_000, 15, *formula.hidden_cuts))
         assert abs(mean - 0.25) < 4 * stderr
 
     def test_nonflat_distribution_keeps_the_mean(self):
@@ -280,7 +280,7 @@ class TestBuildFormulaAndEvaluate:
         formula = build_formula("III", triple, n=2)
         d1, d2 = formula.hidden_distributions
         assert d1.n == 2
-        mean, stderr = _count_cells(mc_mean_pair(formula.evaluate, d1, d2, 1_000_000, 16, formula._table, *formula.hidden_cuts))
+        mean, stderr = _count_cells(mc_mean_pair(formula.evaluate, d1, d2, 1_000_000, 16, *formula.hidden_cuts))
         assert abs(mean - 0.25) < 4 * stderr
 
     def test_mean_law_over_random_feasible_instances(self):
@@ -291,7 +291,7 @@ class TestBuildFormulaAndEvaluate:
             probs = random_simplex(rng)
             formula = build_formula(cases[trial % 4], SpectralTriple(lam, probs))
             d1, d2 = formula.hidden_distributions
-            mean, stderr = _count_cells(mc_mean_pair(formula.evaluate, d1, d2, 200_000, 500 + trial, formula._table, *formula.hidden_cuts))
+            mean, stderr = _count_cells(mc_mean_pair(formula.evaluate, d1, d2, 200_000, 500 + trial, *formula.hidden_cuts))
             assert abs(mean - float(np.dot(probs, lam))) <= max(4 * stderr, 1e-12)
 
 
@@ -422,7 +422,7 @@ class TestBeableFromOperator:
         state = random_pure_state(3, rng)
         formula = beable_from_operator(coeffs, GM, state, case_id="IV")
         d1, d2 = formula.hidden_distributions
-        mean, stderr = _count_cells(mc_mean_pair(formula.evaluate, d1, d2, 1_000_000, 21, formula._table, *formula.hidden_cuts))
+        mean, stderr = _count_cells(mc_mean_pair(formula.evaluate, d1, d2, 1_000_000, 21, *formula.hidden_cuts))
         matrix = linear_observable(coeffs, GM)
         assert abs(mean - expectation(matrix, state)) < 4 * stderr
 
