@@ -60,10 +60,6 @@ ORACLE_TOL = 1e-9
 _CSV_COLUMNS = ("experiment", "params", "analytic", "mc", "stderr", "oracle", "pass")
 
 
-class CliError(Exception):
-    """A usage-level problem with the provided arguments."""
-
-
 @dataclass(slots=True)
 class ReportRow:
     experiment: str
@@ -177,11 +173,11 @@ def _parse_floats(text: str, count: int | None, flag: str) -> list[float]:
     try:
         vals = [float(tok) for tok in text.split(",") if tok != ""]
     except ValueError as exc:
-        raise CliError(f"could not parse {flag}: {exc}") from None
+        raise ValueError(f"could not parse {flag}: {exc}") from None
     if count is not None and len(vals) != count:
-        raise CliError(f"{flag} needs {count} comma-separated values")
+        raise ValueError(f"{flag} needs {count} comma-separated values")
     if not np.all(np.isfinite(vals)):
-        raise CliError(f"{flag} values must be finite")
+        raise ValueError(f"{flag} values must be finite")
     return vals
 
 
@@ -189,7 +185,7 @@ def _parse_probs(text: str) -> tuple[float, float, float]:
     vals = _parse_floats(text, 3, "--probs")
     total = sum(vals)
     if abs(total - 1.0) > 1e-6:
-        raise CliError(f"--probs must sum to 1 (got {total})")
+        raise ValueError(f"--probs must sum to 1 (got {total})")
     return tuple(v / total for v in vals)
 
 
@@ -197,18 +193,18 @@ def _parse_state(text: str) -> QuantumState:
     try:
         amps = np.array([complex(tok) for tok in text.split(",")], dtype=complex)
     except ValueError as exc:
-        raise CliError(f"could not parse --state: {exc}") from None
+        raise ValueError(f"could not parse --state: {exc}") from None
     if amps.shape[0] not in (2, 3):
-        raise CliError("--state needs 2 or 3 comma-separated amplitudes")
+        raise ValueError("--state needs 2 or 3 comma-separated amplitudes")
     if not np.all(np.isfinite(amps)):
-        raise CliError("--state amplitudes must be finite")
+        raise ValueError("--state amplitudes must be finite")
     # normalise amps / 2**k, the power of two k putting the largest modulus
     # in [1/2, 1), so no square underflows or overflows
     k = math.frexp(float(np.max(np.abs(amps))))[1]
     unit = np.ldexp(amps.view(float), -k).view(complex)
     norm = np.linalg.norm(unit)
     if norm == 0.0:
-        raise CliError("--state must be a nonzero vector")
+        raise ValueError("--state must be a nonzero vector")
     return QuantumState.from_pure(unit / norm)
 
 
@@ -242,15 +238,18 @@ def _sgn_product_row(n: int, b1: float, b2: float, samples: int, seed: int) -> R
     return ReportRow("sgn-product-mean", f"n={n};xi1={b1};xi2={b2}", analytic, *_count_cells(counts), quadrature)
 
 
-def _moment_rows(kind: str, params: str, stats: Moments, oracle: Moments, counts: list[tuple[float, int]]) -> list[ReportRow]:
-    """The mean, second-moment and variance rows of a model's moments
-    against their reference, the first two with the cells of the outcome
-    counts and of their squares."""
+def _moment_rows(
+    kind: str, params: str, stats: Moments, oracle: Moments, counts: list[tuple[float, int]],
+    first: str = "mean", last: str = "variance",
+) -> list[ReportRow]:
+    """The mean (named ``first``), second-moment and variance (named
+    ``last``) rows of a model's moments against their reference, the first
+    two with the cells of the outcome counts and of their squares."""
     squares = [(value * value, count) for value, count in counts]
     return [
-        ReportRow(f"{kind}-mean", params, stats.mean, *_count_cells(counts), oracle.mean),
+        ReportRow(f"{kind}-{first}", params, stats.mean, *_count_cells(counts), oracle.mean),
         ReportRow(f"{kind}-second-moment", params, stats.second_moment, *_count_cells(squares), oracle.second_moment),
-        ReportRow(f"{kind}-variance", params, stats.variance, oracle=oracle.variance),
+        ReportRow(f"{kind}-{last}", params, stats.variance, oracle=oracle.variance),
     ]
 
 
@@ -280,16 +279,14 @@ def _spin_half_original_rows(
 ) -> list[ReportRow]:
     """Bell's original model, whose quantum reference is the spin-up state."""
     oracle = _operator_moments(linear_observable(direction, pauli), QuantumState.from_pure([1.0, 0.0]))
-    mean = spin_half.bell_original_mean_analytic(direction)
-    # |b|^2 - b_z^2 without the cancellation: the outcomes are +-|b|, the mean is +-|b_z|
-    spread = float(direction[0] ** 2 + direction[1] ** 2)
+    stats = spin_half.original_statistics(direction)
     spec = spin_half.original_sign_function(direction)
     counts = [] if seed is None else mc_mean(
         functools.partial(spin_half.bell_outcome_original, direction), spec.distribution, samples, seed, (spec.cut,)
     )
     return [
-        ReportRow("spin-half-original-mean", params, mean, *_count_cells(counts), oracle.mean),
-        ReportRow("spin-half-original-variance", params, spread, oracle=oracle.variance),
+        ReportRow("spin-half-original-mean", params, stats.mean, *_count_cells(counts), oracle.mean),
+        ReportRow("spin-half-original-variance", params, stats.variance, oracle=oracle.variance),
     ]
 
 
@@ -378,14 +375,10 @@ def _ks_rows(probs: tuple[float, float, float], params: str, samples: int = 0, s
         lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, samples, seed,
         [spec.cut for spec in ks.ks_sign_specs(model)],
     )
-    squares = [(value * value, count) for value, count in counts]
     p1, p2, p3 = model.probabilities
     route = 2.0 + 2.0 * (ks.ks_cross_term(p1, p2) + ks.ks_cross_term(p1, p3) + ks.ks_cross_term(p2, p3))
-    return [
-        ReportRow("ks-average", params, ks.ks_average(model), *_count_cells(counts), 2.0),
-        ReportRow("ks-second-moment", params, ks.ks_second_moment(model), *_count_cells(squares), route),
-        ReportRow("ks-dispersion", params, ks.ks_dispersion(model), oracle=route - 4.0),
-    ]
+    oracle = Moments(2.0, route, route - 4.0)
+    return _moment_rows("ks", params, ks.ks_statistics(model), oracle, counts, first="average", last="dispersion")
 
 
 @dataclass(frozen=True)
@@ -510,7 +503,7 @@ def run_oracle_check(args: argparse.Namespace) -> list[ReportRow]:
 
 def run_sgn_averages(args: argparse.Namespace) -> list[ReportRow]:
     if args.n < 0:
-        raise CliError("--n must be nonnegative")
+        raise ValueError("--n must be nonnegative")
     rows = [_sgn_mean_row(args.n, round(-1.0 + 0.1 * k, 10), args.samples, _row_seed(args, k)) for k in range(21)]
     pairs = ((0.8, 0.3), (0.8, -0.3), (0.5, 0.5), (-0.6, -0.9))
     rows += [_sgn_product_row(args.n, b1, b2, args.samples, _row_seed(args, 100 + idx)) for idx, (b1, b2) in enumerate(pairs)]
@@ -521,15 +514,15 @@ def _spin_half_inputs(args) -> tuple[np.ndarray, QuantumState, OperatorBasis]:
     direction = np.array(_parse_floats(args.beta, 3, "--beta"))
     pauli = build_basis(PAULI)
     if args.state is not None and args.epsilon is not None:
-        raise CliError("--state and --epsilon each give the state; pass one of them")
+        raise ValueError("--state and --epsilon each give the state; pass one of them")
     if args.state is not None:
         state = _parse_state(args.state)
         if state.dim != 2:
-            raise CliError("--state must be 2-dimensional here")
+            raise ValueError("--state must be 2-dimensional here")
     elif args.epsilon is not None:
         bloch = np.array(_parse_floats(args.epsilon, 3, "--epsilon"))
         if np.linalg.norm(bloch) > 1.0 + 1e-10:
-            raise CliError("--epsilon must have length at most 1")
+            raise ValueError("--epsilon must have length at most 1")
         rho = 0.5 * (np.eye(2, dtype=complex) + np.einsum("k,kij->ij", bloch, pauli.operators))
         state = QuantumState.from_density(rho)
     else:
@@ -539,7 +532,7 @@ def _spin_half_inputs(args) -> tuple[np.ndarray, QuantumState, OperatorBasis]:
 
 def run_spin_half(args: argparse.Namespace) -> list[ReportRow]:
     if args.original and (args.state is not None or args.epsilon is not None):
-        raise CliError("--original models the state (1, 0) only; it takes no --state or --epsilon")
+        raise ValueError("--original models the state (1, 0) only; it takes no --state or --epsilon")
     direction, state, pauli = _spin_half_inputs(args)
     params = f"beta={args.beta}"
     if args.original:
@@ -555,22 +548,25 @@ def run_homogeneity(args: argparse.Namespace) -> list[ReportRow]:
 
 def run_spin_one(args: argparse.Namespace) -> list[ReportRow]:
     if args.n < 0:  # before the case can be found infeasible
-        raise CliError("--n must be nonnegative")
+        raise ValueError("--n must be nonnegative")
     rule = dict(case_id=args.case, n=args.n, swap=args.swap)
     if args.lambdas is not None or args.probs is not None:
         if args.lambdas is None or args.probs is None:
-            raise CliError("explicit mode needs both --lambdas and --probs")
+            raise ValueError("explicit mode needs both --lambdas and --probs")
+        if args.beta is not None or args.state is not None or args.basis is not None:
+            raise ValueError("--beta, --state and --basis belong to operator mode; explicit mode takes none of them")
         values, probs = tuple(_parse_floats(args.lambdas, 3, "--lambdas")), _parse_probs(args.probs)
         params = f"case={args.case};lambdas={args.lambdas};probs={args.probs}"
         return _spin_one_rows(values, probs, params, args.samples, _row_seed(args, 3), **rule)
     if args.beta is None or args.state is None:
-        raise CliError("operator mode needs --beta and --state")
-    basis = build_basis(args.basis)
+        raise ValueError("operator mode needs --beta and --state")
+    kind = ANGULAR_MOMENTUM if args.basis is None else args.basis
+    basis = build_basis(kind)
     coeffs = np.array(_parse_floats(args.beta, None, "--beta"))
     state = _parse_state(args.state)
     if state.dim != 3:
-        raise CliError("--state must be 3-dimensional here")
-    params = f"case={args.case};basis={args.basis};beta={args.beta}"
+        raise ValueError("--state must be 3-dimensional here")
+    params = f"case={args.case};basis={kind};beta={args.beta}"
     return _operator_rows("spin-one", coeffs, basis, state, params, args.samples, _row_seed(args, 3), **rule)
 
 
@@ -579,9 +575,9 @@ def run_ks_dispersion(args: argparse.Namespace) -> list[ReportRow] | _ScanRows:
         step = 0.01 if args.grid_step is None else args.grid_step
         return _ScanRows(ks.dispersion_scan(step), step)
     if args.probs is None:
-        raise CliError("ks-dispersion needs --probs or --scan")
+        raise ValueError("ks-dispersion needs --probs or --scan")
     if args.grid_step is not None:
-        raise CliError("--grid-step applies to --scan only")
+        raise ValueError("--grid-step applies to --scan only")
     return _ks_rows(_parse_probs(args.probs), f"probs={args.probs}", args.samples, _row_seed(args, 5))
 
 
@@ -664,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probs", help="three probabilities")
     p.add_argument("--beta", help="basis coefficients for operator mode")
     p.add_argument("--state", help="pure-state amplitudes for operator mode")
-    p.add_argument("--basis", default=ANGULAR_MOMENTUM, choices=BASIS_KINDS)
+    p.add_argument("--basis", choices=(ANGULAR_MOMENTUM, GELL_MANN), help="operator mode only (default angular-momentum)")
 
     p = sub.add_parser("ks-dispersion", parents=[common])
     mode = p.add_mutually_exclusive_group()
@@ -692,18 +688,18 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.seed < 0:
-            raise CliError("--seed must be nonnegative")
+            raise ValueError("--seed must be nonnegative")
         if args.samples < 1:
-            raise CliError("--samples must be at least 1")
+            raise ValueError("--samples must be at least 1")
         if not 0.0 < args.tolerance_sigma < math.inf:  # an infinite band times stderr 0 is nan
-            raise CliError("--tolerance-sigma must be positive and finite")
+            raise ValueError("--tolerance-sigma must be positive and finite")
         rows = _DISPATCH[args.command](args)
     except spin_one.InfeasibleCaseError as exc:  # a finding, not a usage error; also a ValueError
         print(f"infeasible: {exc.reason}")
         return 0
-    except (CliError, ValueError) as exc:
-        # the library rejects out-of-range input with ValueError; the CLI
-        # does not repeat its checks
+    except ValueError as exc:
+        # a usage error, raised here or by the library, which rejects
+        # out-of-range input itself: the CLI does not repeat its checks
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -332,8 +332,9 @@ def _outcome_counts(
     cell's value.  f may return a scalar, which is broadcast.
 
     Each variable of a block is drawn from its own RNG derived from
-    (seed, lane, block index), in chunks of at most ``MC_CHUNK`` samples
-    that continue the block's generators.  Per chunk the engine counts
+    (seed, lane, block index), the seed any nonnegative integer as given
+    (a negative one raises ValueError), in chunks of at most ``MC_CHUNK``
+    samples that continue the block's generators.  Per chunk the engine counts
     the draws at or above each cut, jointly over the variables, and the
     differences of these counts are the cell counts, so the counts are
     those of the rule evaluated on every whole-block draw.
@@ -350,7 +351,7 @@ def _outcome_counts(
     for start in range(0, samples, MC_CHUNK):
         block, offset = divmod(start, MC_BLOCK_SIZE)
         if not offset:
-            rngs = [np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, lane, block]) for lane in lanes]
+            rngs = [np.random.default_rng([int(seed), lane, block]) for lane in lanes]
         # row i: draws x with cut_i <= x, that is x >= cut_i; each draw
         # is freed once compared, before the next variable is drawn
         chunk = min(MC_CHUNK, samples - start)

@@ -7,9 +7,11 @@ three sign functions share a single flat hidden variable and carry the
 slot probabilities of the common eigenbasis.  The ensemble average of
 the sum is always exactly 2, but the second moment has a closed form
 ranging from 4 to 6, so the model is generically dispersive.
+`ks_statistics` gives the three closed-form moments as one `Moments`.
 
 A deformed constraint with outcomes {2, 2 - eps, 2 + eps}, realised by
-two sign functions, makes the dispersion arbitrarily small but never zero.
+two sign functions, makes the dispersion arbitrarily small but never zero;
+`deformed_statistics` gives its moments.
 """
 
 from __future__ import annotations
@@ -27,10 +29,8 @@ __all__ = [
     "DeformedKsModel",
     "ks_sign_specs",
     "ks_square_outcomes",
-    "ks_average",
     "ks_cross_term",
-    "ks_second_moment",
-    "ks_dispersion",
+    "ks_statistics",
     "ks_model_from_state",
     "dispersion_scan",
     "deformed_outcomes",
@@ -68,13 +68,6 @@ def ks_square_outcomes(model: KsModel, hidden):
     return tuple(0.5 * (1.0 - spec.evaluate(hidden)) for spec in ks_sign_specs(model))
 
 
-def ks_average(model: KsModel) -> float:
-    """Ensemble mean of the constraint sum: the per-component means
-    1 - p_i telescope to exactly 2 on the simplex."""
-    p1, p2, p3 = model.probabilities
-    return (1.0 - p1) + (1.0 - p2) + (1.0 - p3)
-
-
 def _pair_sum(b):
     # sum of the three pairwise sign-product means, over the last axis of b
     first, second, third = b[..., 0], b[..., 1], b[..., 2]
@@ -88,21 +81,20 @@ def ks_cross_term(p_i: float, p_j: float) -> float:
     return float(0.25 * (1.0 - bi - bj + _sign_product_mean(bi, bj)))
 
 
-def ks_second_moment(model: KsModel) -> float:
-    """Closed form: 4 + (1 + sum of pairwise sign-product means) / 2.
+def ks_statistics(model: KsModel) -> Moments:
+    """Closed-form moments of the constraint sum.
 
-    Equals the moment-by-moment route: the fourth moments reduce to the
-    second ones (outcomes are 0/1), contributing sum(1 - p_i) = 2, plus
-    twice the three cross terms.
+    The per-component means 1 - p_i telescope to exactly 2 on the simplex.
+    The second moment is 4 + (1 + sum of pairwise sign-product means) / 2,
+    which equals the moment-by-moment route: the fourth moments reduce to
+    the second ones (outcomes are 0/1), contributing sum(1 - p_i) = 2, plus
+    twice the three cross terms.  The variance is the second moment minus
+    4, ranging over [0, 2].
     """
+    p1, p2, p3 = model.probabilities
     b = 2.0 * np.array(model.probabilities) - 1.0
-    return float(4.0 + 0.5 * (1.0 + _pair_sum(b)))
-
-
-def ks_dispersion(model: KsModel) -> float:
-    """Variance of the constraint sum; the mean is exactly 2, so this is
-    the second moment minus 4, ranging over [0, 2]."""
-    return ks_second_moment(model) - 4.0
+    second = float(4.0 + 0.5 * (1.0 + _pair_sum(b)))
+    return Moments(mean=(1.0 - p1) + (1.0 - p2) + (1.0 - p3), second_moment=second, variance=second - 4.0)
 
 
 def ks_model_from_state(state: QuantumState) -> KsModel:

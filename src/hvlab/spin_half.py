@@ -3,8 +3,10 @@
 Two outcome rules for the beable matching a direction observable
 b . sigma: the original one tied to the special state (1, 0), and the
 reformulated one driven by the state's Bloch vector, which reproduces
-quantum means and variances for every state.  The subensemble split
-demonstrating the loss of ensemble homogeneity lives here as well.
+quantum means and variances for every state.  Each rule's exact moments
+come as one `Moments`: `original_statistics` and `hv_statistics`.  The
+subensemble split demonstrating the loss of ensemble homogeneity lives
+here as well.
 
 The single hidden variable is uniform on (-1/2, 1/2) throughout.
 """
@@ -24,7 +26,7 @@ __all__ = [
     "original_sign_function",
     "modified_sign_function",
     "bell_outcome_original",
-    "bell_original_mean_analytic",
+    "original_statistics",
     "bell_outcome_modified",
     "hv_statistics",
     "homogeneity_split",
@@ -94,14 +96,17 @@ def bell_outcome_original(direction, hidden):
     return mag * spec.evaluate(hidden) * side
 
 
-def bell_original_mean_analytic(direction) -> float:
-    """Closed-form flat-ensemble average of the original rule.
+def original_statistics(direction) -> Moments:
+    """Exact flat-ensemble moments of the original rule.
 
     The thresholded sign factor averages to |b_z| / |b|, so the mean is
-    |b_z| times the sign of the tie-breaking component.
+    |b_z| times the sign of the tie-breaking component.  The outcomes are
+    +-|b|, so the second moment is |b|^2 and the variance is summed as
+    b_x^2 + b_y^2, without the cancellation of |b|^2 - b_z^2.
     """
     mag, spec, side = _original_rule(direction)
-    return mag * sign_mean_analytic(spec) * side
+    bx, by, _ = np.asarray(direction, dtype=float).reshape(-1)
+    return Moments(mean=mag * sign_mean_analytic(spec) * side, second_moment=mag * mag, variance=float(bx**2 + by**2))
 
 
 def bell_outcome_modified(direction, bloch, hidden):

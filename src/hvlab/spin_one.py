@@ -140,14 +140,11 @@ def sign_targets(case_id: str, probabilities, swap: bool = False) -> tuple[float
     if swap:
         p2, p3 = p3, p2
 
-    if case_id == "III":
-        return _clip_unit(_ratio(p2 - p3, 1.0 - p1)), _clip_unit(2.0 * p1 - 1.0)
-    if case_id == "IV":
-        return _clip_unit(2.0 * p1 - 1.0), _clip_unit(_ratio(p2 - p3, 1.0 - p1))
-    if case_id == "V":
-        return _clip_unit(_ratio(p2 - p3, 1.0 - p1)), _clip_unit(1.0 - 2.0 * p1)
-    if case_id == "VI":
-        return _clip_unit(1.0 - 2.0 * p1), _clip_unit(_ratio(p2 - p3, 1.0 - p1))
+    if case_id in ("III", "IV", "V", "VI"):
+        # V and VI negate the repeated outcome's bias: -0.0 at p1 = 1/2, the same cut and sign function
+        split, bias = _clip_unit(_ratio(p2 - p3, 1.0 - p1)), _clip_unit(2.0 * p1 - 1.0)
+        bias = bias if case_id in ("III", "IV") else -bias
+        return (split, bias) if case_id in ("III", "V") else (bias, split)
 
     gap = p2 - p3
     disc = gap * gap + 2.0 * p1 - 1.0

@@ -20,12 +20,10 @@ from hvlab.ks import (
     deformed_outcomes,
     deformed_statistics,
     dispersion_scan,
-    ks_average,
-    ks_dispersion,
     ks_model_from_state,
-    ks_second_moment,
     ks_sign_specs,
     ks_square_outcomes,
+    ks_statistics,
 )
 from hvlab.oracle import (
     ANGULAR_MOMENTUM,
@@ -40,12 +38,12 @@ from hvlab.oracle import (
     variance,
 )
 from hvlab.spin_half import (
-    bell_original_mean_analytic,
     bell_outcome_modified,
     bell_outcome_original,
     homogeneity_split,
     hv_statistics as spin_half_statistics,
     original_sign_function,
+    original_statistics,
 )
 from hvlab.spin_one import (
     CASE_IDS,
@@ -145,7 +143,7 @@ def test_criterion_2_bell_spin_half():
     for _ in range(200):
         beta = 2.0 * rng.normal(size=3)
         matrix = linear_observable(beta, PAULI_BASIS)
-        assert bell_original_mean_analytic(beta) == pytest.approx(expectation(matrix, up), abs=1e-10)
+        assert original_statistics(beta).mean == pytest.approx(expectation(matrix, up), abs=1e-10)
 
     flat = PowerLawDistribution(0)
     for seed, beta in enumerate(([0.6, -0.8, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])):
@@ -259,13 +257,13 @@ def test_criterion_6_spin_one_oracle():
 
     for _ in range(100):
         model = ks_model_from_state(random_pure_state(3, rng))
-        assert ks_average(model) == pytest.approx(2.0, abs=1e-10)
+        assert ks_statistics(model).mean == pytest.approx(2.0, abs=1e-10)
 
 
 @criterion(7, "constraint dispersion extremes")
 def test_criterion_7_ks_dispersion():
-    assert ks_second_moment(KsModel((0.0, 0.0, 1.0))) == 4.0
-    assert ks_second_moment(KsModel((1 / 3, 1 / 3, 1 / 3))) == 6.0
+    assert ks_statistics(KsModel((0.0, 0.0, 1.0))).second_moment == 4.0
+    assert ks_statistics(KsModel((1 / 3, 1 / 3, 1 / 3))).second_moment == 6.0
 
     table = dispersion_scan(0.01)
     values = table[:, 3]
@@ -286,7 +284,7 @@ def test_criterion_7_ks_dispersion():
             [spec.cut for spec in ks_sign_specs(model)],
         )
         mean, stderr = _count_cells(counts)
-        assert abs(mean - ks_second_moment(model)) <= max(4.0 * stderr, 1e-12)
+        assert abs(mean - ks_statistics(model).second_moment) <= max(4.0 * stderr, 1e-12)
 
 
 @criterion(8, "deformed-model statistics")
@@ -334,4 +332,4 @@ def test_criterion_9_contradiction():
     for _ in range(20):
         state = random_pure_state(3, rng)
         assert abs(variance(constraint, state)) < 1e-12
-    assert ks_dispersion(KsModel((1 / 3, 1 / 3, 1 / 3))) == pytest.approx(2.0, abs=1e-12)
+    assert ks_statistics(KsModel((1 / 3, 1 / 3, 1 / 3))).variance == pytest.approx(2.0, abs=1e-12)

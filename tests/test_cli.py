@@ -211,8 +211,8 @@ class TestUsageErrors:
             (["ks-epsilon", "--eps", "-1", "--probs", "0.25,0.5,0.25"], "eps must be positive"),
             (["spin-half", "--beta", "0,0,0"], "direction must be nonzero"),
             (["homogeneity", "--beta", "0,0,0"], "direction must be nonzero"),
-            (["spin-one", "--basis", "pauli", "--beta", "0,0,1", "--state", "1,0"], "3-dimensional"),
-            (["spin-one", "--basis", "pauli", "--beta", "0,0,1", "--state", "1,0,0"], "3x3 observable"),
+            (["spin-one", "--basis", "gell-mann", "--beta", "0,0,1", "--state", "1,0"], "3-dimensional"),
+            (["spin-one", "--basis", "gell-mann", "--beta", "0,0,1", "--state", "1,0,0"], "expected 8 coefficients"),
             (["spin-one", "--basis", "angular-momentum", "--beta", "0,0", "--state", "1,0,0"], "expected 8 or 3 coefficients"),
             (["spin-one", "--basis", "angular-momentum", "--beta", "0,0,1", "--state", "1,0"], "3-dimensional"),
             (["spin-one", "--basis", "angular-momentum", "--beta", "1e160,0,0", "--state", "1,0,0"], "operator norm exceeds the float range"),
@@ -297,10 +297,24 @@ class TestUsageErrors:
             ["spin-one", "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25", "--grid-step", "0.1"],
             ["ks-dispersion", "--scan", "--probs", "0.2,0.5,0.3"],
             ["ks-dispersion", "--probs", "0.2,0.5,0.3", "--grid-step", "0.05"],
+            # explicit mode takes none of operator mode's flags, the default basis included
+            ["spin-one", "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25", "--beta", "0,0,1", "--state", "1,0,0"],
+            ["spin-one", "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25", "--basis", "gell-mann"],
+            ["spin-one", "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25", "--basis", "angular-momentum"],
+            ["spin-one", "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25", "--state", "1,0,0"],
         ],
     )
     def test_a_flag_the_run_would_ignore_exit_2(self, capsys, argv):
         assert exit_status(capsys, [*argv, *FAST]) == (2, "")
+
+    def test_spin_one_takes_no_two_by_two_basis(self, capsys):
+        # the three-outcome rule needs a 3x3 observable, which no Pauli combination is
+        assert exit_status(capsys, ["spin-one", "--basis", "pauli", "--beta", "0,0,1", "--state", "1,0,0", *FAST]) == (2, "")
+
+    def test_operator_mode_defaults_to_the_angular_momentum_basis(self, capsys):
+        code, out, _ = run_cli(capsys, ["spin-one", *FAST, "--beta", "0,0,1", "--state", "0.6,0,0.8"])
+        assert code == 0
+        assert "case=III;basis=angular-momentum;beta=0,0,1" in out
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -314,6 +314,14 @@ class TestMcMean:
         b = mc_mean(spec.evaluate, PowerLawDistribution(0), 300_000, 5, (spec.cut,))
         assert a == b
 
+    def test_a_seed_past_64_bits_is_used_as_given(self):
+        # 2**64 drew the stream of seed 0 while the seed was masked to 64 bits
+        spec = SignFunctionSpec(0.3)
+        zero, wide = (mc_mean(spec.evaluate, PowerLawDistribution(0), 20_000, seed, (spec.cut,)) for seed in (0, 2**64))
+        assert zero != wide
+        with pytest.raises(ValueError):
+            mc_mean(spec.evaluate, PowerLawDistribution(0), 20_000, -5, (spec.cut,))
+
     def test_second_moment_is_the_squared_pass(self):
         spec = SignFunctionSpec(0.3, n=1)
         dist = PowerLawDistribution(1)

@@ -15,13 +15,11 @@ from hvlab.ks import (
     deformed_outcomes,
     deformed_statistics,
     dispersion_scan,
-    ks_average,
     ks_cross_term,
-    ks_dispersion,
     ks_model_from_state,
-    ks_second_moment,
     ks_sign_specs,
     ks_square_outcomes,
+    ks_statistics,
 )
 from hvlab.oracle import ANGULAR_MOMENTUM, QuantumState, build_basis, random_pure_state, variance
 from hvlab.spin_one import SIGN_PATTERNS, CaseAssignment, hv_statistics, solve_coefficients
@@ -105,17 +103,17 @@ class TestSquareOutcomes:
 class TestAverage:
     @pytest.mark.parametrize("probs", [(0.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3), (0.2, 0.5, 0.3)])
     def test_named_points(self, probs):
-        assert ks_average(KsModel(probs)) == pytest.approx(2.0, abs=1e-12)
+        assert ks_statistics(KsModel(probs)).mean == pytest.approx(2.0, abs=1e-12)
 
     def test_identically_two_on_grid(self):
         for probs in simplex_grid(0.01):
-            assert ks_average(KsModel(probs)) == pytest.approx(2.0, abs=1e-10)
+            assert ks_statistics(KsModel(probs)).mean == pytest.approx(2.0, abs=1e-10)
 
     def test_from_state_slots(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             model = ks_model_from_state(random_pure_state(3, rng))
-            assert ks_average(model) == pytest.approx(2.0, abs=1e-10)
+            assert ks_statistics(model).mean == pytest.approx(2.0, abs=1e-10)
 
 
 class TestCrossTerm:
@@ -154,10 +152,10 @@ class TestCrossTerm:
 
 class TestSecondMoment:
     def test_minimum_point(self):
-        assert ks_second_moment(KsModel((0.0, 0.0, 1.0))) == pytest.approx(4.0, abs=1e-15)
+        assert ks_statistics(KsModel((0.0, 0.0, 1.0))).second_moment == pytest.approx(4.0, abs=1e-15)
 
     def test_maximum_point(self):
-        assert ks_second_moment(KsModel((1 / 3, 1 / 3, 1 / 3))) == pytest.approx(6.0, abs=1e-12)
+        assert ks_statistics(KsModel((1 / 3, 1 / 3, 1 / 3))).second_moment == pytest.approx(6.0, abs=1e-12)
 
     def test_closed_form_equals_moment_route(self):
         rng = np.random.default_rng(4)
@@ -170,7 +168,7 @@ class TestSecondMoment:
                 + (1 - p3)
                 + 2.0 * (ks_cross_term(p1, p2) + ks_cross_term(p1, p3) + ks_cross_term(p2, p3))
             )
-            assert ks_second_moment(KsModel(probs)) == pytest.approx(route, abs=1e-12)
+            assert ks_statistics(KsModel(probs)).second_moment == pytest.approx(route, abs=1e-12)
 
     def test_shared_hidden_mc(self):
         rng = np.random.default_rng(5)
@@ -182,7 +180,7 @@ class TestSecondMoment:
                 [spec.cut for spec in ks_sign_specs(model)],
             )
             mean, stderr = _count_cells(counts)
-            assert abs(mean - ks_second_moment(model)) < 4 * stderr
+            assert abs(mean - ks_statistics(model).second_moment) < 4 * stderr
 
     def test_independent_hiddens_change_second_moment_not_mean(self):
         probs = (0.2, 0.5, 0.3)
@@ -207,16 +205,23 @@ class TestSecondMoment:
             + (1 - p3)
             + 2.0 * ((1 - p1) * (1 - p2) + (1 - p1) * (1 - p3) + (1 - p2) * (1 - p3))
         )
-        assert abs(independent_second - ks_second_moment(model)) > 0.05
+        assert abs(independent_second - ks_statistics(model).second_moment) > 0.05
         sq = total_ind**2
         err = sq.std(ddof=1) / np.sqrt(sq.size)
         assert abs(sq.mean() - independent_second) < 4 * err
 
 
 class TestDispersion:
+    def test_variance_is_the_second_moment_less_four(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            stats = ks_statistics(KsModel(tuple(rng.dirichlet(np.ones(3)))))
+            assert stats.variance == stats.second_moment - 4.0
+            assert stats.variance == pytest.approx(stats.second_moment - stats.mean**2, abs=1e-12)
+
     def test_extremes(self):
-        assert ks_dispersion(KsModel((0.0, 0.0, 1.0))) == pytest.approx(0.0, abs=1e-15)
-        assert ks_dispersion(KsModel((1 / 3, 1 / 3, 1 / 3))) == pytest.approx(2.0, abs=1e-12)
+        assert ks_statistics(KsModel((0.0, 0.0, 1.0))).variance == pytest.approx(0.0, abs=1e-15)
+        assert ks_statistics(KsModel((1 / 3, 1 / 3, 1 / 3))).variance == pytest.approx(2.0, abs=1e-12)
 
     def test_grid_scan_range_and_extremes(self):
         table = dispersion_scan(0.01)
@@ -246,7 +251,7 @@ class TestDispersion:
     def test_scan_matches_pointwise_dispersion(self):
         table = dispersion_scan(0.1)
         for p1, p2, p3, value in table:
-            assert value == pytest.approx(ks_dispersion(KsModel((p1, p2, max(p3, 0.0)))), abs=1e-12)
+            assert value == pytest.approx(ks_statistics(KsModel((p1, p2, max(p3, 0.0)))).variance, abs=1e-12)
 
     def test_interior_points_have_violating_configurations(self):
         # positive dispersion forces some hidden value where the sum is not 2
@@ -255,7 +260,7 @@ class TestDispersion:
         for _ in range(20):
             probs = tuple(rng.dirichlet(np.ones(3)))
             model = KsModel(probs)
-            if ks_dispersion(model) < 1e-6:
+            if ks_statistics(model).variance < 1e-6:
                 continue
             totals = sum(ks_square_outcomes(model, hiddens))
             assert np.any(totals != 2.0)

@@ -24,6 +24,7 @@ from hvlab.oracle import (
     DEGENERACY_TOL,
     GELL_MANN,
     PAULI,
+    QuantumState,
     born_distribution,
     build_basis,
     linear_observable,
@@ -193,3 +194,29 @@ def test_scaling_the_coefficients_scales_the_operator_beable_moments(seed, s):
     base = spin_one.hv_statistics(spin_one.beable_from_operator(coeffs, basis, state))
     moments = spin_one.hv_statistics(spin_one.beable_from_operator(s * coeffs, basis, state))
     _assert_moments_map(moments, base, s, 0.0, size)
+
+
+@EXAMPLES
+@given(seeds, scales)
+def test_a_unitary_on_the_observable_and_the_state_keeps_the_operator_beable_moments(seed, s):
+    # H + cI has no traceless coefficients: the offset is the affine-spectrum test's
+    basis = BASES[GELL_MANN]
+    rng = np.random.default_rng(seed)
+    coeffs = s * rng.normal(size=basis.size)
+    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+    psi /= np.linalg.norm(psi)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    h = linear_observable(coeffs, basis)
+    # U H U^dagger projected back onto the basis: coefficients Tr(T_k U H U^dagger) / 2
+    rotated = np.einsum("kij,ji->k", basis.operators, u @ h @ u.conj().T).real / 2.0
+    base = spin_one.hv_statistics(spin_one.beable_from_operator(coeffs, basis, QuantumState.from_pure(psi)))
+    moments = spin_one.hv_statistics(spin_one.beable_from_operator(rotated, basis, QuantumState.from_pure(u @ psi)))
+    size = float(np.linalg.norm(h))
+    # each of the three Born weights moves by at most 4 bound / gap, as in the
+    # Born-probability test, and carries an outcome of size at most ||H||
+    gap = float(np.min(-np.diff(spectral_decompose(h)[0])))
+    tol = SOLVE_EPS * size * (1.0 + 12.0 * size / gap)
+    assert abs(moments.mean - base.mean) <= tol
+    # a second moment or variance: outcome deviations at most 2 ||H|| times that
+    assert abs(moments.second_moment - base.second_moment) <= 12.0 * size * tol
+    assert abs(moments.variance - base.variance) <= 12.0 * size * tol

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from hvlab.distributions import PowerLawDistribution, _count_cells, mc_mean, sign_mean_analytic
 from hvlab.oracle import PAULI, QuantumState, bloch_vector, build_basis, expectation, linear_observable, random_pure_state, variance
 from hvlab.spin_half import (
-    bell_original_mean_analytic,
     bell_outcome_modified,
     bell_outcome_original,
     homogeneity_split,
     hv_statistics,
     modified_sign_function,
     original_sign_function,
+    original_statistics,
     outcome_table,
 )
 
@@ -79,13 +79,13 @@ class TestOriginalRule:
         assert bell_outcome_original([0, 0, 1], 0.3) == 1.0
 
     def test_z_direction_average_is_one(self):
-        assert bell_original_mean_analytic([0, 0, 1]) == pytest.approx(1.0, abs=1e-15)
+        assert original_statistics([0, 0, 1]).mean == pytest.approx(1.0, abs=1e-15)
 
     def test_x_direction_average_is_zero(self):
-        assert bell_original_mean_analytic([1, 0, 0]) == pytest.approx(0.0, abs=1e-15)
+        assert original_statistics([1, 0, 0]).mean == pytest.approx(0.0, abs=1e-15)
 
     def test_y_fallback_branch(self):
-        assert bell_original_mean_analytic([0, -3, 0]) == pytest.approx(0.0, abs=1e-15)
+        assert original_statistics([0, -3, 0]).mean == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -97,7 +97,7 @@ class TestOriginalRule:
         for _ in range(100):
             beta = _random_direction(rng)
             matrix = linear_observable(beta, PAULI_BASIS)
-            assert bell_original_mean_analytic(beta) == pytest.approx(
+            assert original_statistics(beta).mean == pytest.approx(
                 expectation(matrix, up), abs=1e-10
             )
 
@@ -114,9 +114,25 @@ class TestOriginalRule:
         for _ in range(50):
             beta = _random_direction(rng)
             mag = np.linalg.norm(beta)
-            mean = bell_original_mean_analytic(beta)
+            mean = original_statistics(beta).mean
             matrix = linear_observable(beta, PAULI_BASIS)
             assert mag * mag - mean * mean == pytest.approx(variance(matrix, up), abs=1e-10)
+
+    def test_moments_match_up_state(self):
+        rng = np.random.default_rng(2)
+        up = QuantumState.from_pure([1, 0])
+        for _ in range(50):
+            beta = _random_direction(rng)
+            stats = original_statistics(beta)
+            matrix = linear_observable(beta, PAULI_BASIS)
+            assert stats.second_moment == pytest.approx(expectation(matrix @ matrix, up), abs=1e-10)
+            assert stats.variance == pytest.approx(variance(matrix, up), abs=1e-10)
+
+    def test_variance_does_not_cancel_near_the_z_axis(self):
+        # |b|^2 - b_z^2 would round to 0 here; b_x^2 + b_y^2 keeps the spread
+        stats = original_statistics([1e-9, 0.0, 1.0])
+        assert stats.variance == pytest.approx(1e-18, rel=1e-15)
+        assert stats.second_moment - stats.mean**2 == 0.0
 
 
 class TestModifiedRule:
@@ -208,7 +224,7 @@ class TestHvStatistics:
         for _ in range(100):
             beta = _random_direction(rng)
             assert hv_statistics(beta, bloch).mean == pytest.approx(
-                bell_original_mean_analytic(beta), abs=1e-12
+                original_statistics(beta).mean, abs=1e-12
             )
 
     def test_mc_against_oracle(self):
