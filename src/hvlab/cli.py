@@ -296,9 +296,8 @@ def _split_counts(
     """How many of ``samples`` seeded draws of offset + b.S take each
     outcome value below the split and at or above it: the (value, count)
     pairs of offset -+ |b| on each side, counted by ``mc_mean`` as the
-    codes 2 * (outcome is +|b|) + (at or above the split) of one rule, so
-    the hidden values are those ``mc_mean`` of the rule itself draws.  The
-    code changes at the rule's cut and at the split.  The offset is added
+    codes 2 * (outcome is +|b|) + (at or above the split) of one rule,
+    which change at the rule's cut and at the split.  The offset is added
     to the counted values only; values it rounds together stay two pairs."""
     minus, plus = spin_half.outcome_table(direction)
 
@@ -549,14 +548,14 @@ def run_homogeneity(args: argparse.Namespace) -> list[ReportRow]:
 def run_spin_one(args: argparse.Namespace) -> list[ReportRow]:
     if args.n < 0:  # before the case can be found infeasible
         raise ValueError("--n must be nonnegative")
-    rule = dict(case_id=args.case, n=args.n, swap=args.swap)
+    rule, rule_params = dict(case_id=args.case, n=args.n, swap=args.swap), f"n={args.n};swap={int(args.swap)}"
     if args.lambdas is not None or args.probs is not None:
         if args.lambdas is None or args.probs is None:
             raise ValueError("explicit mode needs both --lambdas and --probs")
         if args.beta is not None or args.state is not None or args.basis is not None:
             raise ValueError("--beta, --state and --basis belong to operator mode; explicit mode takes none of them")
         values, probs = tuple(_parse_floats(args.lambdas, 3, "--lambdas")), _parse_probs(args.probs)
-        params = f"case={args.case};lambdas={args.lambdas};probs={args.probs}"
+        params = f"case={args.case};lambdas={args.lambdas};probs={args.probs};{rule_params}"
         return _spin_one_rows(values, probs, params, args.samples, _row_seed(args, 3), **rule)
     if args.beta is None or args.state is None:
         raise ValueError("operator mode needs --beta and --state")
@@ -566,7 +565,7 @@ def run_spin_one(args: argparse.Namespace) -> list[ReportRow]:
     state = _parse_state(args.state)
     if state.dim != 3:
         raise ValueError("--state must be 3-dimensional here")
-    params = f"case={args.case};basis={kind};beta={args.beta}"
+    params = f"case={args.case};basis={kind};beta={args.beta};{rule_params}"
     return _operator_rows("spin-one", coeffs, basis, state, params, args.samples, _row_seed(args, 3), **rule)
 
 

@@ -5,30 +5,31 @@ symmetric power-law densities on a bounded support, the +/-1 step
 functions whose threshold is tied to a bias parameter, closed-form
 averages of those step functions, the moments of a discrete outcome
 distribution, an exact Gauss-Legendre quadrature, an inverse-CDF sampler
-and a seeded, block-deterministic Monte Carlo estimator that counts how
-often the rule takes each of its values.
+and a seeded Monte Carlo estimator that counts how often the rule takes
+each of its values.
 
 The estimator takes the rule and its cut points for each hidden
 variable: the rule may change value only where a draw x crosses a cut c,
 that is where x >= c flips, the one comparison
 `SignFunctionSpec.evaluate` makes at its `cut`.  So the cuts split the
-draws into cells on which the rule is constant.  The rule is evaluated
-once per cell end (per corner of a two-variable cell) before any draw,
-never per draw, and its values there, in ascending order, are the ones
-counted.  Two checks guard the cuts: a non-finite value (NaN, +-inf)
-raises ValueError, and so do two ends of one cell that disagree, a rule
-changing value inside a declared cell.  The draws are only compared with
-the cuts and counted.
+draws into cells on which the rule is constant, and the rule is
+evaluated once per cell end (per corner of a two-variable cell), never
+per draw: a non-finite value (NaN, +-inf) raises ValueError, and so do
+two ends of one cell that disagree.  The sampler maps the uniform
+k * 2**-53 (k an integer below 2**53) monotonically to x, so x >= c
+exactly when k >= K_c, one lattice threshold per cut: each cell's
+probability is an exact share of the lattice, and its counts over n
+draws are drawn as one multinomial, never the draws themselves.
 
 The sign convention is sign(0) = +1, applied uniformly by `sign_pm`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -46,16 +47,9 @@ __all__ = [
     "mc_mean_pair",
 ]
 
-# Block size for the Monte Carlo sub-streams.  Each block of samples is
-# generated from its own deterministically derived RNG, so the block
-# size fixes which numbers are drawn.
-MC_BLOCK_SIZE = 1 << 17
-
-# Samples per draw of each variable within a block: small enough that a
-# chunk's draws and comparisons stay in cache and in memory the allocator
-# reuses, large enough to amortise each call.  It must divide MC_BLOCK_SIZE,
-# so that every block starts a chunk and no chunk spans two blocks.
-MC_CHUNK = 1 << 14
+# `Generator.random` draws k * 2**-53 for an integer k below 2**53; the
+# lattice points on each side of a threshold checked to fall on its side
+_LATTICE_BITS, _NEIGHBOURS = 53, 1024
 
 _BIAS_SLACK = 1e-9
 
@@ -319,6 +313,27 @@ def _cell_outcomes(f: Callable[..., np.ndarray], ends: list[np.ndarray]) -> tupl
     return values, [values.index(value) for value in cells]
 
 
+def _lattice_thresholds(dist: PowerLawDistribution, cuts: list[float]) -> np.ndarray:
+    """K_c for each cut c: the least k in [0, 2**53] that ``dist.sample``
+    maps to x >= c, by one 54-step bisection (2**53 + 1 candidates) over
+    all the cuts.  The lattice points around each K_c must fall on its
+    side of c: a sampler not monotone there raises ValueError."""
+    def draws(ks):  # the sampler's own arithmetic on the uniforms k * 2**-53
+        return dist.sample(ks.size, SimpleNamespace(random=lambda _: np.ldexp(ks, -_LATTICE_BITS)))
+
+    lo, hi = np.zeros(len(cuts), dtype=np.int64), np.full(len(cuts), 1 << _LATTICE_BITS)
+    for _ in range(_LATTICE_BITS + 1):
+        mid = (lo + hi) >> 1
+        above = draws(mid) >= np.asarray(cuts)
+        hi, lo = np.where(above, mid, hi), np.where(above, lo, np.minimum(mid + 1, hi))
+    offsets = np.arange(-_NEIGHBOURS, _NEIGHBOURS)
+    for cut, k in zip(cuts, hi.tolist()):
+        near = np.clip(k + offsets, 0, (1 << _LATTICE_BITS) - 1)
+        if np.any((draws(near) >= cut) != (near >= k)):
+            raise ValueError("the sampler is not monotone in its uniform near a cut")
+    return hi
+
+
 def _outcome_counts(
     f: Callable[..., np.ndarray], dists: tuple, lanes: tuple[int, ...], samples: int, seed: int, cuts: tuple[Iterable[float], ...]
 ) -> list[tuple[float, int]]:
@@ -327,41 +342,25 @@ def _outcome_counts(
     draw reaches giving its value with count 0.
 
     ``cuts`` holds the cut points of each variable (see the module
-    docstring).  f is called once, before any draw, at every corner of
-    every cell, both ends for one variable; the lower corner gives the
-    cell's value.  f may return a scalar, which is broadcast.
+    docstring).  f is called once, at every corner of every cell, both
+    ends for one variable; the lower corner gives the cell's value.  f
+    may return a scalar, which is broadcast.
 
-    Each variable of a block is drawn from its own RNG derived from
-    (seed, lane, block index), the seed any nonnegative integer as given
-    (a negative one raises ValueError), in chunks of at most ``MC_CHUNK``
-    samples that continue the block's generators.  Per chunk the engine counts
-    the draws at or above each cut, jointly over the variables, and the
-    differences of these counts are the cell counts, so the counts are
-    those of the rule evaluated on every whole-block draw.
+    Cell j of a variable has the exact probability (K_{j+1} - K_j) *
+    2**-53.  One RNG seeded (seed, *lanes), the seed any nonnegative
+    integer as given, draws the first variable's cells as one
+    multinomial, then the next variable's within each of them, so no
+    probability is rounded by a product.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     points, ends = zip(*map(_lane_cells, cuts))
     values, value_of_cell = _cell_outcomes(f, list(ends))
-    # above[i1, i2, ...]: draws at or above the i-th cut of every variable
-    # whose index i is nonzero; the index one past the last cut stays 0
-    above = np.zeros([len(lane) + 2 for lane in points], dtype=np.int64)
-    above[(0,) * len(points)] = samples
-    joints = [index for index in np.ndindex(*[len(lane) + 1 for lane in points]) if any(index)]
-    for start in range(0, samples, MC_CHUNK):
-        block, offset = divmod(start, MC_BLOCK_SIZE)
-        if not offset:
-            rngs = [np.random.default_rng([int(seed), lane, block]) for lane in lanes]
-        # row i: draws x with cut_i <= x, that is x >= cut_i; each draw
-        # is freed once compared, before the next variable is drawn
-        chunk = min(MC_CHUNK, samples - start)
-        flags = [np.less_equal.outer(lane, dist.sample(chunk, rng)) for dist, rng, lane in zip(dists, rngs, points)]
-        for joint in joints:
-            parts = [flags[var][i - 1] for var, i in enumerate(joint) if i]
-            above[joint] += np.count_nonzero(functools.reduce(np.logical_and, parts))
-    cells = above
-    for axis in range(len(points)):
-        cells = -np.diff(cells, axis=axis)
+    rng = np.random.default_rng([int(seed), *lanes])
+    cells = samples
+    for dist, lane in zip(dists, points):
+        widths = np.diff(_lattice_thresholds(dist, lane), prepend=0, append=1 << _LATTICE_BITS)
+        cells = rng.multinomial(cells, np.ldexp(widths, -_LATTICE_BITS))
     counts = [0] * len(values)
     for value_index, count in zip(value_of_cell, cells.ravel().tolist()):
         counts[value_index] += count

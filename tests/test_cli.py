@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import gc
 import hashlib
 import io
@@ -22,7 +23,7 @@ import hvlab.cli
 import hvlab.oracle
 from hvlab import spin_half, spin_one
 from hvlab.cli import ReportRow, build_parser, main
-from hvlab.distributions import MC_BLOCK_SIZE, MC_CHUNK, PowerLawDistribution, _count_cells, mc_mean
+from hvlab.distributions import PowerLawDistribution, _count_cells, _lattice_thresholds, mc_mean
 from hvlab.oracle import PAULI, QuantumState, bloch_vector, build_basis
 
 FAST = ["--samples", "20000", "--seed", "42"]
@@ -374,6 +375,9 @@ def test_what_swap_changes(capsys, case, probs, effect):
     argv = ["spin-one", *FAST, "--case", case, "--lambdas", "0,1,-1", "--probs", probs]
     (code, plain), (swap_code, swapped) = run_json(capsys, argv), run_json(capsys, [*argv, "--swap"])
     assert code == swap_code == 0
+    # the params cell says which rule was judged; every other cell is compared below
+    assert {row.pop("params")[-7:] for row in plain} == {";swap=0"}
+    assert {row.pop("params")[-7:] for row in swapped} == {";swap=1"}
     if effect == "none":
         assert plain == swapped
     elif effect == "mean-negated":
@@ -383,6 +387,18 @@ def test_what_swap_changes(capsys, case, probs, effect):
     else:
         assert [row["mc"] for row in swapped] != [row["mc"] for row in plain]
         assert [row["analytic"] for row in swapped] == pytest.approx([row["analytic"] for row in plain], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "flags, suffix", [([], ";n=0;swap=0"), (["--n", "2"], ";n=2;swap=0"), (["--n", "3", "--swap"], ";n=3;swap=1")]
+)
+@pytest.mark.parametrize(
+    "mode", [["--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25"], ["--beta", "0,0,1", "--state", "0.6,0,0.8"]]
+)
+def test_spin_one_params_name_the_index_and_the_swap(capsys, mode, flags, suffix):
+    code, rows = run_json(capsys, ["spin-one", *FAST, *mode, *flags])
+    assert code == 0
+    assert [row["params"][-len(suffix):] for row in rows] == [suffix] * 3
 
 
 class TestOracleCheckRows:
@@ -428,53 +444,50 @@ class TestStreamedHomogeneity:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # the block engine's bound: it keeps counts, so one chunk's draws and temporaries
-        assert peaks[0] < MC_BLOCK_SIZE * 8
+        # the engine makes no draw: lattice checks and counts, not a million draws
+        assert peaks[0] < 1 << 17
         assert peaks[1] <= peaks[0]
 
-    @pytest.mark.parametrize(
-        "samples", [1, 2, MC_CHUNK - 1, MC_CHUNK + 1, MC_BLOCK_SIZE - 1, MC_BLOCK_SIZE + 1, 1_000_000]
-    )
+    @pytest.mark.parametrize("samples", [1, 2, 16_383, 16_385, 131_071, 131_073, 1_000_000])
     def test_counts_match_one_whole_draw(self, samples):
         offset = 1.5
         bloch = bloch_vector(self.STATE, build_basis(PAULI))
         split = spin_half.homogeneity_split(offset, self.DIRECTION, bloch)
-        # the block engine's stream: each block drawn whole from its own generator
-        hidden = np.concatenate([
-            PowerLawDistribution(0).sample(min(MC_BLOCK_SIZE, samples - start), np.random.default_rng([self.SEED, 0, index]))
-            for index, start in enumerate(range(0, samples, MC_BLOCK_SIZE))
-        ])
-        raw = spin_half.bell_outcome_modified(self.DIRECTION, bloch, hidden)
-        outcomes = offset + raw
-        upper = hidden >= split.split_point
-        # (below, at or above the split), each [(offset - |b|, n), (offset + |b|, n)] less its empty pairs
-        table = spin_half.outcome_table(self.DIRECTION)
-        expected = [
-            [(offset + value, n) for value in table if (n := int(np.count_nonzero((raw == value) & (upper == side))))]
-            for side in (False, True)
-        ]
-        counts = hvlab.cli._split_counts(offset, self.DIRECTION, bloch, split.split_point, samples, self.SEED)
-        assert [[pair for pair in side if pair[1]] for side in counts] == expected
+        cut = spin_half.modified_sign_function(self.DIRECTION, bloch).cut
+        outcome = functools.partial(spin_half.bell_outcome_modified, self.DIRECTION, bloch)
+        # one whole draw of the sampler, and the integers k of its uniforms k * 2**-53:
+        # the lattice thresholds of the rule's cut and of the split give each draw's
+        # outcome and side from its integer alone
+        hidden = PowerLawDistribution(0).sample(samples, np.random.default_rng(self.SEED))
+        ks = np.random.default_rng(self.SEED).bit_generator.random_raw(samples) >> np.uint64(11)
+        rule_k, split_k = _lattice_thresholds(PowerLawDistribution(0), [cut, split.split_point]).tolist()
+        np.testing.assert_array_equal(outcome(hidden), np.where(ks >= rule_k, outcome(np.inf), outcome(-np.inf)))
+        np.testing.assert_array_equal(hidden >= split.split_point, ks >= split_k)
 
+        # the counts drawn over those cells: one outcome on each side, all samples in all
+        lower, upper = hvlab.cli._split_counts(offset, self.DIRECTION, bloch, split.split_point, samples, self.SEED)
+        assert sum(count for _, count in lower + upper) == samples
         rows = self.rows(offset, samples)
-        whole = rows["homogeneity-whole"]
-        assert whole.mc == pytest.approx(outcomes.mean(), rel=1e-12)
-        stderr = outcomes.std(ddof=1) / np.sqrt(samples) if samples > 1 else 0.0
-        assert whole.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
-        for name, part in (("homogeneity-mean-plus", upper), ("homogeneity-mean-minus", ~upper)):
-            if part.any():
-                assert rows[name].mc == outcomes[part][0]
-                assert rows[name].stderr == 0.0
+        assert (rows["homogeneity-whole"].mc, rows["homogeneity-whole"].stderr) == _count_cells(lower + upper)
+        sides = (("homogeneity-mean-plus", upper, split.mean_plus), ("homogeneity-mean-minus", lower, split.mean_minus))
+        for name, side, mean in sides:
+            drawn = [value for value, count in side if count]
+            if drawn:
+                (value,) = drawn
+                assert value == pytest.approx(mean, abs=1e-12)
+                assert (rows[name].mc, rows[name].stderr) == (value, 0.0)
             else:
                 assert (rows[name].mc, rows[name].stderr) == (None, None)
 
     def test_whole_matches_the_block_engine(self):
-        offset, samples = 1.5, 2 * MC_BLOCK_SIZE + 5
+        # the outcome rule itself, counted over the cells of the split pass
+        offset, samples = 1.5, 262_149
         bloch = bloch_vector(self.STATE, build_basis(PAULI))
+        split = spin_half.homogeneity_split(offset, self.DIRECTION, bloch)
         counts = mc_mean(
             lambda xs: offset + spin_half.bell_outcome_modified(self.DIRECTION, bloch, xs),
             PowerLawDistribution(0), samples, self.SEED,
-            (spin_half.modified_sign_function(self.DIRECTION, bloch).cut,),
+            (spin_half.modified_sign_function(self.DIRECTION, bloch).cut, split.split_point),
         )
         mean, stderr = _count_cells(counts)
         whole = self.rows(offset, samples)["homogeneity-whole"]

@@ -1,5 +1,7 @@
 """Tests for the power-law densities, sign functions and MC estimator."""
 
+import functools
+import itertools
 import math
 import sys
 import tracemalloc
@@ -10,14 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvlab import ks, spin_one
+from hvlab import ks, spin_half, spin_one
 from hvlab.distributions import (
-    MC_BLOCK_SIZE,
-    MC_CHUNK,
     Moments,
     PowerLawDistribution,
     SignFunctionSpec,
+    _cell_outcomes,
     _count_cells,
+    _lane_cells,
+    _lattice_thresholds,
     _outcome_counts,
     mc_mean,
     mc_mean_pair,
@@ -351,7 +354,7 @@ class TestMcMean:
         assert abs(mean) < 5 * stderr
 
     def test_worker_count_is_not_settable(self):
-        # the engine is serial: blocks are drawn and merged in block order
+        # the engine is serial: one generator draws every count
         dist = PowerLawDistribution(0)
         with pytest.raises(TypeError):
             mc_mean(sign_pm, dist, 1000, 1, (0.0,), workers=2)
@@ -396,7 +399,7 @@ class TestMcMean:
 
         counts = mc_mean(rule, dist, samples, seed, (-0.2, 0.1, 0.3))
         assert [value for value, _ in counts] == [-2.0, 1.0, 5.0]
-        _assert_engine_matches_reference(counts, rule, (dist,), (0,), samples, seed)
+        assert sum(count for _, count in counts) == samples
 
     @pytest.mark.parametrize("prefactor, expected", [(False, [(-1.0, 0), (1.0, 1000)]), (True, [(-1.0, 1000), (1.0, 0)])])
     def test_a_cell_no_draw_reaches_keeps_its_value_with_count_0(self, prefactor, expected):
@@ -429,8 +432,8 @@ class TestMcMean:
             calls.append(np.array(xs))
             return spec.evaluate(xs)
 
-        counts = mc_mean(rule, PowerLawDistribution(0), 3 * MC_BLOCK_SIZE + 5, 1, (spec.cut,))
-        assert sum(count for _, count in counts) == 3 * MC_BLOCK_SIZE + 5
+        counts = mc_mean(rule, PowerLawDistribution(0), 1_000_000, 1, (spec.cut,))
+        assert sum(count for _, count in counts) == 1_000_000
         (ends,) = calls
         np.testing.assert_array_equal(ends, [-np.inf, np.nextafter(spec.cut, -np.inf), spec.cut, np.inf])
 
@@ -441,9 +444,9 @@ class TestMcMean:
         assert abs(mean - (-0.6)) < 5 * stderr
 
 
-# Reference forms of the Monte Carlo block arithmetic, one temporary per
-# step: the sampler and the sign function must reproduce them bit for
-# bit, and the engine's counts must be those of whole-block draws.
+# Reference forms of the sampler's and the sign function's arithmetic, one
+# temporary per step: both must reproduce them bit for bit, and each
+# reference draw must take the value of the engine's lattice cell it is in.
 
 
 def _reference_sample(dist, size, rng):
@@ -458,31 +461,36 @@ def _reference_sign(spec, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _reference_counts(f, dists, lanes, samples, seed):
-    """{value: count} of f's outcomes, f taking whole blocks."""
-    counts = {}
-    for index, start in enumerate(range(0, samples, MC_BLOCK_SIZE)):
-        count = min(MC_BLOCK_SIZE, samples - start)
-        xs = [_reference_sample(d, count, np.random.default_rng([seed, lane, index])) for d, lane in zip(dists, lanes)]
-        ys = np.broadcast_to(np.asarray(f(*xs), dtype=float), (count,))
-        for value, hits in zip(*np.unique(ys, return_counts=True)):
-            counts[float(value)] = counts.get(float(value), 0) + int(hits)
-    return counts
+def _raw_draws(seed, size):
+    """The integers k of the ``size`` uniforms k * 2**-53 that
+    ``Generator.random`` draws from ``seed``: PCG64 takes the top 53 bits
+    of each 64-bit output."""
+    return (np.random.default_rng(seed).bit_generator.random_raw(size) >> np.uint64(11)).astype(np.int64)
 
 
-def _assert_engine_matches_reference(counts, reference_f, dists, lanes, samples, seed):
-    """The engine's counts equal the reference counts of whole-block draws."""
-    expected = _reference_counts(reference_f, dists, lanes, samples, seed)
-    assert {value: count for value, count in counts if count} == expected
-    assert sum(count for _, count in counts) == samples
+def _assert_cells_match_the_draws(f, reference_f, dists, cuts, draws, seed):
+    """Each of ``draws`` reference draws of every variable, variable i
+    from the generator seeded [seed, i], takes the value reference_f
+    gives it in the engine's cell of its integers k: the cell read from
+    the lattice thresholds of the cuts, its value from f at the cell
+    corners."""
+    points, ends = zip(*map(_lane_cells, cuts))
+    values, value_of_cell = _cell_outcomes(f, list(ends))
+    xs, cell = [], 0
+    for var, (dist, lane) in enumerate(zip(dists, points)):
+        xs.append(_reference_sample(dist, draws, np.random.default_rng([seed, var])))
+        lane_cell = np.searchsorted(_lattice_thresholds(dist, lane), _raw_draws([seed, var], draws), side="right")
+        cell = cell * (len(lane) + 1) + lane_cell
+    expected = np.broadcast_to(np.asarray(reference_f(*xs), dtype=float), (draws,))
+    np.testing.assert_array_equal(np.take(values, np.take(value_of_cell, cell)), expected)
 
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
-# sample counts at the chunk and block edges
-ENGINE_SAMPLES = [1, MC_CHUNK - 1, MC_CHUNK + 1, MC_BLOCK_SIZE - 1, MC_BLOCK_SIZE, MC_BLOCK_SIZE + 1, 1_000_000]
+# draw counts from one to a million, odd and even
+DRAW_COUNTS = [1, 16_383, 16_385, 131_071, 131_072, 131_073, 1_000_000]
 
 
 class TestBlockArithmeticIsUnchanged:
@@ -509,34 +517,36 @@ class TestBlockArithmeticIsUnchanged:
             assert type(value) is float
             assert _bits(value) == _bits(_reference_sign(spec, float(x)))
 
-    @pytest.mark.parametrize("samples", ENGINE_SAMPLES)
+    @pytest.mark.parametrize("samples", DRAW_COUNTS)
     @pytest.mark.parametrize("seed", [1, 2])
     def test_mc_pair_matches_reference(self, samples, seed):
         a = SignFunctionSpec(0.4, include_sign_prefactor=True)
         b = SignFunctionSpec(-0.7, n=1, include_sign_prefactor=True)
-        dist1, dist2 = PowerLawDistribution(0), PowerLawDistribution(1)
+        dists, cuts = (PowerLawDistribution(0), PowerLawDistribution(1)), ((a.cut,), (b.cut,))
 
         def outcome(sign):
             return lambda x, y: 1e3 + sign(a, x) - 2.0 * sign(b, y) * sign(a, x)
 
-        counts = mc_mean_pair(outcome(SignFunctionSpec.evaluate), dist1, dist2, samples, seed, (a.cut,), (b.cut,))
-        _assert_engine_matches_reference(counts, outcome(_reference_sign), (dist1, dist2), (1, 2), samples, seed)
+        counts = mc_mean_pair(outcome(SignFunctionSpec.evaluate), *dists, samples, seed, *cuts)
+        assert sum(count for _, count in counts) == samples
+        _assert_cells_match_the_draws(outcome(SignFunctionSpec.evaluate), outcome(_reference_sign), dists, cuts, samples, seed)
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_mc_mean_matches_reference(self, seed):
         spec = SignFunctionSpec(-0.45, n=3, norm=0.8, include_sign_prefactor=True)
-        dist = spec.distribution
+        dist, cuts = spec.distribution, ((spec.cut, 0.0),)
 
         def outcome(sign):
             return lambda x: 3.0 * sign(spec, x) - sign_pm(x)
 
-        for samples in [*ENGINE_SAMPLES, 3 * MC_BLOCK_SIZE + MC_CHUNK + 5]:
-            counts = mc_mean(outcome(SignFunctionSpec.evaluate), dist, samples, seed, (spec.cut, 0.0))
-            _assert_engine_matches_reference(counts, outcome(_reference_sign), (dist,), (0,), samples, seed)
+        for samples in DRAW_COUNTS:
+            counts = mc_mean(outcome(SignFunctionSpec.evaluate), dist, samples, seed, *cuts)
+            assert sum(count for _, count in counts) == samples
+        _assert_cells_match_the_draws(outcome(SignFunctionSpec.evaluate), outcome(_reference_sign), (dist,), cuts, 200_000, seed)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_scalar_outcome_is_broadcast_and_exact(self, seed):
-        samples = MC_BLOCK_SIZE + MC_CHUNK + 3
+        samples = 150_001
         assert mc_mean(lambda xs: 2.5, PowerLawDistribution(1), samples, seed, ()) == [(2.5, samples)]
         dist = PowerLawDistribution(0)
         pair = mc_mean_pair(lambda x, y: -0.75, dist, dist, samples, seed, (), ())
@@ -563,8 +573,7 @@ def _lane(draw, max_specs):
 class TestCellCountsMatchTheDraws:
     @given(
         lanes=st.one_of(st.tuples(_lane(3)), st.tuples(_lane(3), _lane(1))),
-        samples=st.one_of(st.sampled_from([1, 2, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, MC_BLOCK_SIZE - 1,
-                                           MC_BLOCK_SIZE, MC_BLOCK_SIZE + 1]), st.integers(1, 3 * MC_CHUNK)),
+        samples=st.integers(1, 50_000),
         seed=st.integers(0, 2**32),
     )
     @settings(max_examples=40, deadline=None)
@@ -578,24 +587,235 @@ class TestCellCountsMatchTheDraws:
 
         dists = tuple(dist for dist, _ in lanes)
         cuts = [[spec.cut for spec in specs] for _, specs in lanes]
-        if len(lanes) == 1:
-            counts, lane_ids = mc_mean(rule(SignFunctionSpec.evaluate), *dists, samples, seed, *cuts), (0,)
-        else:
-            counts, lane_ids = mc_mean_pair(rule(SignFunctionSpec.evaluate), *dists, samples, seed, *cuts), (1, 2)
-        _assert_engine_matches_reference(counts, rule(_reference_sign), dists, lane_ids, samples, seed)
+        estimate = mc_mean if len(lanes) == 1 else mc_mean_pair
+        counts = estimate(rule(SignFunctionSpec.evaluate), *dists, samples, seed, *cuts)
+        assert sum(count for _, count in counts) == samples
+        _assert_cells_match_the_draws(rule(SignFunctionSpec.evaluate), rule(_reference_sign), dists, cuts, samples, seed)
 
     @pytest.mark.parametrize("n", [0, 2])
     def test_a_draw_at_a_cut_counts_at_or_above_it(self, n):
-        # cut exactly at drawn values: the engine must compare x >= c, as the rule does
-        dist, samples, seed = PowerLawDistribution(n), MC_CHUNK + 3, 11
-        drawn = dist.sample(samples, np.random.default_rng([seed, 0, 0]))
+        # cuts exactly at drawn values: the lattice must compare x >= c, as the rule does
+        dist, draws, seed = PowerLawDistribution(n), 20_000, 11
+        drawn = dist.sample(draws, np.random.default_rng([seed, 0]))
         cuts = (float(drawn[0]), float(drawn[-1]))
 
         def rule(xs):
             return (np.asarray(xs) >= cuts[0]) + 2.0 * (np.asarray(xs) >= cuts[1])
 
-        counts = mc_mean(rule, dist, samples, seed, cuts)
-        _assert_engine_matches_reference(counts, rule, (dist,), (0,), samples, seed)
+        _assert_cells_match_the_draws(rule, rule, (dist,), (cuts,), draws, seed)
+
+
+class TestLatticeThresholds:
+    """A real draw x of the sampler is at or above a cut c exactly when
+    its integer k is at or above the cut's lattice threshold K_c."""
+
+    @staticmethod
+    def assert_sides(dist, cuts, seed, draws=100_000):
+        xs = dist.sample(draws, np.random.default_rng(seed))
+        # cuts at two drawn values and just above one of them, and the given ones
+        points = sorted({*cuts, float(xs[0]), float(xs[1]), math.nextafter(float(xs[0]), math.inf)})
+        ks = _raw_draws(seed, draws)
+        for cut, threshold in zip(points, _lattice_thresholds(dist, points).tolist()):
+            np.testing.assert_array_equal(xs >= cut, ks >= threshold)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 6])
+    @pytest.mark.parametrize("norm", [1.0, 0.37, 5.0, 1e300])
+    def test_each_draw_is_on_the_side_its_integer_gives(self, n, norm):
+        biases = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 0.3, -0.77]
+        cuts = [SignFunctionSpec(bias, n=n, norm=norm).cut for bias in biases]
+        self.assert_sides(PowerLawDistribution(n, norm), cuts, seed=100 + n)
+
+    @given(
+        bias=BIASES,
+        n=st.sampled_from([0, 1, 3, 6]),
+        norm=st.sampled_from([1.0, 0.37, 5.0, 1e300]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_any_bias(self, bias, n, norm, seed):
+        spec = SignFunctionSpec(bias, n=n, norm=norm)
+        self.assert_sides(spec.distribution, [spec.cut], seed)
+
+    def test_a_sampler_not_monotone_near_a_cut_raises(self):
+        class Folded:
+            """Uniform on (-1/2, 1/2), but the 99 lattice points below 0 mirrored above it."""
+
+            def sample(self, size, rng):
+                x = rng.random(size) - 0.5
+                return np.where((x < 0.0) & (x > -100 * 2.0**-53), -x, x)
+
+        with pytest.raises(ValueError, match="not monotone"):
+            _lattice_thresholds(Folded(), [1e-20])
+
+
+def _chi_square_band(dof, z=4.0):
+    """The chi-square(dof) statistic's band z standard normal deviates
+    wide on each side, by the Wilson-Hilferty approximation."""
+    spread = math.sqrt(2.0 / (9.0 * dof))
+    return tuple(dof * (1.0 - 2.0 / (9.0 * dof) + side * z * spread) ** 3 for side in (-1.0, 1.0))
+
+
+class TestCountsAreMultinomial:
+    SAMPLES = 1_000_000
+
+    def assert_fit(self, estimate, probs, seeds):
+        # the rule's k-th value, in ascending order, is that of the k-th cell
+        statistic = 0.0
+        for seed in seeds:
+            counts = np.array([count for _, count in estimate(seed)])
+            expected = self.SAMPLES * probs
+            statistic += float(np.sum((counts - expected) ** 2 / expected))
+        low, high = _chi_square_band(len(seeds) * (probs.size - 1))
+        assert low < statistic < high
+
+    def test_one_variable_fits_the_cell_probabilities(self):
+        dist, cuts = PowerLawDistribution(2, 0.37), (-0.8, -0.1, 0.05, 0.6)
+        probs = np.diff(_lattice_thresholds(dist, cuts), prepend=0, append=1 << 53) / 2.0**53
+
+        def rule(xs):
+            return sum(np.asarray(xs) >= cut for cut in cuts) + 0.0
+
+        self.assert_fit(lambda seed: mc_mean(rule, dist, self.SAMPLES, seed, cuts), probs, range(40))
+
+    def test_two_variables_fit_the_products_of_the_cell_probabilities(self):
+        (dist1, cuts1), (dist2, cuts2) = (PowerLawDistribution(0), (-0.2, 0.3)), (PowerLawDistribution(3), (0.1,))
+        probs1, probs2 = (
+            np.diff(_lattice_thresholds(dist, cuts), prepend=0, append=1 << 53) / 2.0**53
+            for dist, cuts in ((dist1, cuts1), (dist2, cuts2))
+        )
+
+        def rule(x1, x2):
+            return 1.0 * (x1 >= cuts1[0]) + (x1 >= cuts1[1]) + 3.0 * (x2 >= cuts2[0])
+
+        def estimate(seed):
+            return mc_mean_pair(rule, dist1, dist2, self.SAMPLES, seed, cuts1, cuts2)
+
+        # value i1 + 3 i2 for cell (i1, i2): ascending values run over i1 first
+        self.assert_fit(estimate, np.outer(probs2, probs1).ravel(), range(40))
+
+    def test_counts_are_determined_by_the_seed_and_sum_to_the_samples(self):
+        dist, cuts = PowerLawDistribution(1), (-0.3, 0.2)
+
+        def rule(x, y):
+            return (x >= cuts[0]) + 2.0 * (y >= cuts[1])
+
+        runs = {seed: mc_mean_pair(rule, dist, dist, 12_345, seed, cuts, cuts) for seed in (0, 1, 2**70)}
+        for seed, counts in runs.items():
+            assert mc_mean_pair(rule, dist, dist, 12_345, seed, cuts, cuts) == counts
+            assert sum(count for _, count in counts) == 12_345
+        assert len({tuple(counts) for counts in runs.values()}) == 3
+
+    def test_a_cell_of_probability_0_counts_0(self):
+        # no draw of the flat sampler lies in [1e-300, 2e-300): 0 and 2**-53 are neighbouring draws
+        dist, cuts = PowerLawDistribution(0), (1e-300, 2e-300)
+        first, second = _lattice_thresholds(dist, cuts).tolist()
+        assert first == second
+
+        def rule(xs):
+            return (np.asarray(xs) >= cuts[0]) + 2.0 * (np.asarray(xs) >= cuts[1])
+
+        for seed in range(20):
+            assert dict(mc_mean(rule, dist, self.SAMPLES, seed, cuts))[1.0] == 0
+            pair = mc_mean_pair(lambda x, y: rule(y) + 4.0 * (x >= 0.0), dist, dist, self.SAMPLES, seed, (0.0,), cuts)
+            assert dict(pair)[1.0] == dict(pair)[5.0] == 0
+
+
+def _lattice_moments(f, dists, cuts):
+    """The exact mean and second moment of the rule under the sampler, and
+    the largest magnitude of its values: each lattice cell's probability,
+    a rational, times the cell's value, summed in rationals."""
+    points, ends = zip(*map(_lane_cells, cuts))
+    values, value_of_cell = _cell_outcomes(f, list(ends))
+    lanes = [
+        [Fraction(width, 1 << 53) for width in np.diff(_lattice_thresholds(dist, lane), prepend=0, append=1 << 53).tolist()]
+        for dist, lane in zip(dists, points)
+    ]
+    weights = [math.prod(cell) for cell in itertools.product(*lanes)]
+    exact = [Fraction(value) for value in values]
+    mean = sum(weight * exact[index] for weight, index in zip(weights, value_of_cell))
+    second = sum(weight * exact[index] ** 2 for weight, index in zip(weights, value_of_cell))
+    return mean, second, max(map(abs, values))
+
+
+def _assert_lattice_moments_are_analytic(f, dists, cuts, mean, second_moment=None):
+    """The rule's exact mean (and second moment) under the sampler is the
+    analytic one within 8 ulp of its largest value (squared): 10^12 times
+    finer than a 4-sigma band at 10^6 samples."""
+    exact_mean, exact_second, big = _lattice_moments(f, dists, cuts)
+    assert abs(float(exact_mean - Fraction(mean))) <= 8 * 2.0**-52 * big
+    if second_moment is not None:
+        assert abs(float(exact_second - Fraction(second_moment))) <= 8 * 2.0**-52 * big**2
+
+
+class TestLatticeMeanIsAnalytic:
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("prefactor", [False, True])
+    def test_sgn_mean(self, n, prefactor):
+        for xi in XI_GRID:
+            spec = SignFunctionSpec(xi, n=n, include_sign_prefactor=prefactor)
+            _assert_lattice_moments_are_analytic(spec.evaluate, (spec.distribution,), ((spec.cut,),), sign_mean_analytic(spec))
+
+    @pytest.mark.parametrize("case_id", ["III", "IV", "V", "VI"])
+    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize("offset", [0.0, 12345.678])
+    def test_spin_one(self, case_id, n, offset):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            values, probs = tuple(offset + rng.normal(size=3)), tuple(rng.dirichlet([2.0, 2.0, 2.0]))
+            try:
+                formula = spin_one.build_formula(case_id, spin_one.SpectralTriple(values, probs), n=n)
+            except spin_one.InfeasibleCaseError:
+                continue
+            stats = spin_one.hv_statistics(formula)
+            _assert_lattice_moments_are_analytic(
+                formula.evaluate, formula.hidden_distributions, formula.hidden_cuts, stats.mean, stats.second_moment
+            )
+
+    def test_spin_half(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            direction, bloch = rng.normal(size=3), rng.normal(size=3)
+            bloch *= rng.uniform() / np.linalg.norm(bloch)
+            spec, stats = spin_half.modified_sign_function(direction, bloch), spin_half.hv_statistics(direction, bloch)
+            _assert_lattice_moments_are_analytic(
+                functools.partial(spin_half.bell_outcome_modified, direction, bloch),
+                (spec.distribution,), ((spec.cut,),), stats.mean, stats.second_moment,
+            )
+            spec, stats = spin_half.original_sign_function(direction), spin_half.original_statistics(direction)
+            _assert_lattice_moments_are_analytic(
+                functools.partial(spin_half.bell_outcome_original, direction),
+                (spec.distribution,), ((spec.cut,),), stats.mean, stats.second_moment,
+            )
+
+    def test_ks_sum(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            model = ks.KsModel(tuple(rng.dirichlet([2.0, 2.0, 2.0])))
+            stats = ks.ks_statistics(model)
+            _assert_lattice_moments_are_analytic(
+                lambda xs: sum(ks.ks_square_outcomes(model, xs)), (ks.SHARED_HIDDEN,),
+                ([spec.cut for spec in ks.ks_sign_specs(model)],), stats.mean, stats.second_moment,
+            )
+
+    def test_ks_epsilon(self):
+        rng = np.random.default_rng(7)
+        for eps in (0.05, 0.5, 3.0):
+            model = ks.DeformedKsModel(eps, tuple(rng.dirichlet([2.0, 2.0, 2.0])))
+            formula, stats = ks.deformed_formula(model), ks.deformed_statistics(model)
+            _assert_lattice_moments_are_analytic(
+                formula.evaluate, formula.hidden_distributions, formula.hidden_cuts, stats.mean, stats.second_moment
+            )
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_a_threshold_shifted_by_a_relative_1e_9_fails(self, monkeypatch, n):
+        true_threshold = SignFunctionSpec.threshold.fget
+        monkeypatch.setattr(SignFunctionSpec, "threshold", property(lambda spec: true_threshold(spec) * (1.0 + 1e-9)))
+        spec = SignFunctionSpec(0.5, n=n)
+        with pytest.raises(AssertionError):
+            _assert_lattice_moments_are_analytic(spec.evaluate, (spec.distribution,), ((spec.cut,),), 0.5)
+        # a 4-sigma band at 10^6 samples passes the shifted rule
+        mean, stderr = _count_cells(mc_mean(spec.evaluate, spec.distribution, 1_000_000, 30 + n, (spec.cut,)))
+        assert abs(mean - 0.5) < 4.0 * stderr
 
 
 def test_moments_beyond_the_float_range_raise():
@@ -665,8 +885,8 @@ def _ks_sum():
 
 @pytest.mark.parametrize("estimate", [_case_iii_pair, _ks_sum])
 def test_mc_peak_memory_stays_below_one_block(estimate):
-    # the engine keeps only counts: a chunk's draws, outcomes and
-    # temporaries are all it holds
+    # the engine makes no draw: the lattice points that check one cut's
+    # threshold and the counts are all it holds, not a million draws
     estimate()
     tracemalloc.start()
     try:
@@ -674,4 +894,4 @@ def test_mc_peak_memory_stays_below_one_block(estimate):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < MC_BLOCK_SIZE * 8
+    assert peak < 1 << 17

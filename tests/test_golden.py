@@ -16,7 +16,7 @@ changes only when a file does.
 - ``workloads.txt``: ``benchmarks.workloads.generate(w, s, samples=20000)``
   for ``mc-models``, ``battery`` and ``sign-sweep`` at s = 1, 2, 3;
 - ``ci.txt``: the two 300,000-sample commands of CI's console-script
-  step, which cross Monte Carlo block boundaries.
+  step, a homogeneity split and an offset spin-one outcome table.
 
 After a change meant to move a printed cell or an exit status, rewrite
 every record from the argv in the files and commit the diff:
