@@ -334,33 +334,48 @@ def _lattice_thresholds(dist: PowerLawDistribution, cuts: list[float]) -> np.nda
     return hi
 
 
+def _lattice_cells(
+    f: Callable[..., np.ndarray], dists: tuple, cuts: tuple[Iterable[float], ...]
+) -> tuple[list[float], list[int], list[np.ndarray]]:
+    """The cells of f's cuts under the sampler of each of ``dists``: the
+    rule's distinct cell values in ascending order, each cell's index into
+    them in C order (the last variable's cell varying fastest), and each
+    variable's integer cell widths K_{j+1} - K_j, with K_0 = 0 and the last
+    K 2**53, so the widths sum to 2**53.
+
+    ``cuts`` holds the cut points of each variable (see the module
+    docstring).  Cell j of a variable holds the uniforms k * 2**-53 with
+    K_j <= k < K_{j+1}, whose draws have exactly j of its distinct cuts at
+    or below them, so its exact probability is its width * 2**-53.  f is
+    called once, at every corner of every cell, both ends for one
+    variable; the lower corner gives the cell's value.  f may return a
+    scalar, which is broadcast.
+    """
+    points, ends = zip(*map(_lane_cells, cuts))
+    values, value_of_cell = _cell_outcomes(f, list(ends))
+    widths = [np.diff(_lattice_thresholds(dist, lane), prepend=0, append=1 << _LATTICE_BITS) for dist, lane in zip(dists, points)]
+    return values, value_of_cell, widths
+
+
 def _outcome_counts(
     f: Callable[..., np.ndarray], dists: tuple, lanes: tuple[int, ...], samples: int, seed: int, cuts: tuple[Iterable[float], ...]
 ) -> list[tuple[float, int]]:
     """How many of ``samples`` draws of f take each value f takes on a
-    cell: (value, count) pairs in ascending order of value, a cell no
-    draw reaches giving its value with count 0.
+    cell of ``_lattice_cells``: (value, count) pairs in ascending order of
+    value, a cell no draw reaches giving its value with count 0.
 
-    ``cuts`` holds the cut points of each variable (see the module
-    docstring).  f is called once, at every corner of every cell, both
-    ends for one variable; the lower corner gives the cell's value.  f
-    may return a scalar, which is broadcast.
-
-    Cell j of a variable has the exact probability (K_{j+1} - K_j) *
-    2**-53.  One RNG seeded (seed, *lanes), the seed any nonnegative
-    integer as given, draws the first variable's cells as one
-    multinomial, then the next variable's within each of them, so no
-    probability is rounded by a product.
+    One RNG seeded (seed, *lanes), the seed any nonnegative integer as
+    given, draws the first variable's cells as one multinomial, then the
+    next variable's within each of them, so no probability is rounded by
+    a product.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    points, ends = zip(*map(_lane_cells, cuts))
-    values, value_of_cell = _cell_outcomes(f, list(ends))
+    values, value_of_cell, widths = _lattice_cells(f, dists, cuts)
     rng = np.random.default_rng([int(seed), *lanes])
     cells = samples
-    for dist, lane in zip(dists, points):
-        widths = np.diff(_lattice_thresholds(dist, lane), prepend=0, append=1 << _LATTICE_BITS)
-        cells = rng.multinomial(cells, np.ldexp(widths, -_LATTICE_BITS))
+    for lane in widths:
+        cells = rng.multinomial(cells, np.ldexp(lane, -_LATTICE_BITS))
     counts = [0] * len(values)
     for value_index, count in zip(value_of_cell, cells.ravel().tolist()):
         counts[value_index] += count

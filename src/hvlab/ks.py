@@ -182,17 +182,19 @@ def deformed_statistics(model: DeformedKsModel) -> Moments:
     """Closed-form moments of the deformed constraint.
 
     With d = p_plus - p_minus and s = p_plus + p_minus: mean 2 + eps*d,
-    second moment 4 + 4*eps*d + eps^2*s, variance eps^2*(s - d^2); the
-    variance scales as eps^2, small but never zero while s > 0.
+    second moment 4 + 4*eps*d + eps^2*s, variance eps^2*(s - d^2), summed
+    centred as eps^2*(p_zero*s + 4*p_plus*p_minus) so that it does not
+    cancel as s nears 1; it scales as eps^2 and is zero only when one
+    outcome has probability 1.
     """
-    p_plus, _, p_minus = model.probabilities
+    p_plus, p_zero, p_minus = model.probabilities
     diff = p_plus - p_minus
     both = p_plus + p_minus
     eps = model.eps
     return Moments(
         mean=2.0 + eps * diff,
         second_moment=4.0 + 4.0 * eps * diff + eps * eps * both,
-        variance=eps * eps * (both - diff * diff),
+        variance=eps * eps * (p_zero * both + 4.0 * p_plus * p_minus),
     )
 
 

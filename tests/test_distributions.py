@@ -4,8 +4,8 @@ import functools
 import itertools
 import math
 import sys
-import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,9 +17,8 @@ from hvlab.distributions import (
     Moments,
     PowerLawDistribution,
     SignFunctionSpec,
-    _cell_outcomes,
     _count_cells,
-    _lane_cells,
+    _lattice_cells,
     _lattice_thresholds,
     _outcome_counts,
     mc_mean,
@@ -437,6 +436,17 @@ class TestMcMean:
         (ends,) = calls
         np.testing.assert_array_equal(ends, [-np.inf, np.nextafter(spec.cut, -np.inf), spec.cut, np.inf])
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_scalar_outcome_is_broadcast_and_exact(self, seed):
+        samples = 150_001
+        assert mc_mean(lambda xs: 2.5, PowerLawDistribution(1), samples, seed, ()) == [(2.5, samples)]
+        dist = PowerLawDistribution(0)
+        pair = mc_mean_pair(lambda x, y: -0.75, dist, dist, samples, seed, (), ())
+        assert pair == [(-0.75, samples)]
+        assert _count_cells(pair) == (-0.75, 0.0)
+        assert _count_cells([(value * value, count) for value, count in pair]) == (0.5625, 0.0)
+        assert _outcome_counts(lambda x: 2.5, (dist,), (0,), samples, seed, ((),)) == [(2.5, samples)]
+
     @pytest.mark.parametrize("n", range(4))
     def test_mc_matches_analytic_mean(self, n):
         spec = SignFunctionSpec(-0.6, n=n, include_sign_prefactor=True)
@@ -471,29 +481,45 @@ def _raw_draws(seed, size):
 def _assert_cells_match_the_draws(f, reference_f, dists, cuts, draws, seed):
     """Each of ``draws`` reference draws of every variable, variable i
     from the generator seeded [seed, i], takes the value reference_f
-    gives it in the engine's cell of its integers k: the cell read from
-    the lattice thresholds of the cuts, its value from f at the cell
-    corners."""
-    points, ends = zip(*map(_lane_cells, cuts))
-    values, value_of_cell = _cell_outcomes(f, list(ends))
+    gives it in the engine's lattice cell of its integers k: the cell
+    whose K_j <= k < K_{j+1} for each variable, K the running sums of
+    the widths ``_lattice_cells`` gives."""
+    values, value_of_cell, widths = _lattice_cells(f, dists, cuts)
     xs, cell = [], 0
-    for var, (dist, lane) in enumerate(zip(dists, points)):
+    for var, (dist, lane) in enumerate(zip(dists, widths)):
         xs.append(_reference_sample(dist, draws, np.random.default_rng([seed, var])))
-        lane_cell = np.searchsorted(_lattice_thresholds(dist, lane), _raw_draws([seed, var], draws), side="right")
-        cell = cell * (len(lane) + 1) + lane_cell
+        lane_cell = np.searchsorted(np.cumsum(lane[:-1]), _raw_draws([seed, var], draws), side="right")
+        cell = cell * lane.size + lane_cell
     expected = np.broadcast_to(np.asarray(reference_f(*xs), dtype=float), (draws,))
     np.testing.assert_array_equal(np.take(values, np.take(value_of_cell, cell)), expected)
+
+
+def _value_probabilities(f, dists, cuts):
+    """The rule's distinct values in ascending order and the exact rational
+    probability of each: the summed products of the widths of the lattice
+    cells that take it, over 2**53 per variable."""
+    values, value_of_cell, widths = _lattice_cells(f, dists, cuts)
+    probs = [Fraction(0)] * len(values)
+    for index, cell in zip(value_of_cell, itertools.product(*(lane.tolist() for lane in widths))):
+        probs[index] += Fraction(math.prod(cell), 1 << 53 * len(widths))
+    return values, probs
+
+
+def _mc_counts(f, dists, samples, seed, cuts):
+    """``mc_mean`` or ``mc_mean_pair`` of f, by its number of variables."""
+    return (mc_mean if len(dists) == 1 else mc_mean_pair)(f, *dists, samples, seed, *cuts)
+
+
+def _lattice_draws(dist, ks):
+    """The sampler's draws of the uniforms k * 2**-53."""
+    return dist.sample(ks.size, SimpleNamespace(random=lambda size: np.ldexp(ks, -53)))
 
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
-# draw counts from one to a million, odd and even
-DRAW_COUNTS = [1, 16_383, 16_385, 131_071, 131_072, 131_073, 1_000_000]
-
-
-class TestBlockArithmeticIsUnchanged:
+class TestBitsMatchTheReference:
     @pytest.mark.parametrize("n", [0, 1, 3, 6])
     @pytest.mark.parametrize("norm", [1.0, 0.37, 5.0, 1e300])
     @pytest.mark.parametrize("seed", [0, 17])
@@ -517,44 +543,6 @@ class TestBlockArithmeticIsUnchanged:
             assert type(value) is float
             assert _bits(value) == _bits(_reference_sign(spec, float(x)))
 
-    @pytest.mark.parametrize("samples", DRAW_COUNTS)
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_mc_pair_matches_reference(self, samples, seed):
-        a = SignFunctionSpec(0.4, include_sign_prefactor=True)
-        b = SignFunctionSpec(-0.7, n=1, include_sign_prefactor=True)
-        dists, cuts = (PowerLawDistribution(0), PowerLawDistribution(1)), ((a.cut,), (b.cut,))
-
-        def outcome(sign):
-            return lambda x, y: 1e3 + sign(a, x) - 2.0 * sign(b, y) * sign(a, x)
-
-        counts = mc_mean_pair(outcome(SignFunctionSpec.evaluate), *dists, samples, seed, *cuts)
-        assert sum(count for _, count in counts) == samples
-        _assert_cells_match_the_draws(outcome(SignFunctionSpec.evaluate), outcome(_reference_sign), dists, cuts, samples, seed)
-
-    @pytest.mark.parametrize("seed", [1, 4])
-    def test_mc_mean_matches_reference(self, seed):
-        spec = SignFunctionSpec(-0.45, n=3, norm=0.8, include_sign_prefactor=True)
-        dist, cuts = spec.distribution, ((spec.cut, 0.0),)
-
-        def outcome(sign):
-            return lambda x: 3.0 * sign(spec, x) - sign_pm(x)
-
-        for samples in DRAW_COUNTS:
-            counts = mc_mean(outcome(SignFunctionSpec.evaluate), dist, samples, seed, *cuts)
-            assert sum(count for _, count in counts) == samples
-        _assert_cells_match_the_draws(outcome(SignFunctionSpec.evaluate), outcome(_reference_sign), (dist,), cuts, 200_000, seed)
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_scalar_outcome_is_broadcast_and_exact(self, seed):
-        samples = 150_001
-        assert mc_mean(lambda xs: 2.5, PowerLawDistribution(1), samples, seed, ()) == [(2.5, samples)]
-        dist = PowerLawDistribution(0)
-        pair = mc_mean_pair(lambda x, y: -0.75, dist, dist, samples, seed, (), ())
-        assert pair == [(-0.75, samples)]
-        assert _count_cells(pair) == (-0.75, 0.0)
-        assert _count_cells([(value * value, count) for value, count in pair]) == (0.5625, 0.0)
-        assert _outcome_counts(lambda x: 2.5, (dist,), (0,), samples, seed, ((),)) == [(2.5, samples)]
-
 
 # biases whose cuts sit at the support edge (+-1), at -0.0 and 0.0, far
 # below any draw's spacing (1e-300), or anywhere
@@ -570,7 +558,30 @@ def _lane(draw, max_specs):
     return PowerLawDistribution(n, norm), draw(st.lists(spec, min_size=1, max_size=max_specs))
 
 
+_A, _B = SignFunctionSpec(0.4, include_sign_prefactor=True), SignFunctionSpec(-0.7, n=1, include_sign_prefactor=True)
+_C = SignFunctionSpec(-0.45, n=3, norm=0.8, include_sign_prefactor=True)
+#: a rule of two variables and one of one, each made from a sign rule, with its distributions and cuts
+FIXED_RULES = {
+    "pair": (lambda sign: lambda x, y: 1e3 + sign(_A, x) - 2.0 * sign(_B, y) * sign(_A, x), (_A.distribution, _B.distribution),
+             ((_A.cut,), (_B.cut,))),
+    "mean": (lambda sign: lambda x: 3.0 * sign(_C, x) - sign_pm(x), (_C.distribution,), ((_C.cut, 0.0),)),
+}
+
+
 class TestCellCountsMatchTheDraws:
+    @staticmethod
+    def assert_counts_match(rule, dists, cuts, samples, seed):
+        """The engine's counts of rule(SignFunctionSpec.evaluate) sum to the samples,
+        and its cells give each reference draw the value of rule(_reference_sign)."""
+        counts = _mc_counts(rule(SignFunctionSpec.evaluate), dists, samples, seed, cuts)
+        assert sum(count for _, count in counts) == samples
+        _assert_cells_match_the_draws(rule(SignFunctionSpec.evaluate), rule(_reference_sign), dists, cuts, samples, seed)
+
+    @pytest.mark.parametrize("samples", [1, 1_000_000])
+    @pytest.mark.parametrize("rule, seed", [("pair", 1), ("pair", 2), ("mean", 1), ("mean", 4)])
+    def test_fixed_rules(self, rule, seed, samples):
+        self.assert_counts_match(*FIXED_RULES[rule], samples, seed)
+
     @given(
         lanes=st.one_of(st.tuples(_lane(3)), st.tuples(_lane(3), _lane(1))),
         samples=st.integers(1, 50_000),
@@ -587,10 +598,7 @@ class TestCellCountsMatchTheDraws:
 
         dists = tuple(dist for dist, _ in lanes)
         cuts = [[spec.cut for spec in specs] for _, specs in lanes]
-        estimate = mc_mean if len(lanes) == 1 else mc_mean_pair
-        counts = estimate(rule(SignFunctionSpec.evaluate), *dists, samples, seed, *cuts)
-        assert sum(count for _, count in counts) == samples
-        _assert_cells_match_the_draws(rule(SignFunctionSpec.evaluate), rule(_reference_sign), dists, cuts, samples, seed)
+        self.assert_counts_match(rule, dists, cuts, samples, seed)
 
     @pytest.mark.parametrize("n", [0, 2])
     def test_a_draw_at_a_cut_counts_at_or_above_it(self, n):
@@ -647,6 +655,20 @@ class TestLatticeThresholds:
         with pytest.raises(ValueError, match="not monotone"):
             _lattice_thresholds(Folded(), [1e-20])
 
+    @pytest.mark.parametrize("n", [1000, 10**4, 10**6])
+    def test_thresholds_are_exact_at_large_n(self, n):
+        # the root in the sampler maps a run of about n lattice points to one draw, so
+        # round(cdf(c) * 2**53) strays from K_c by up to about n (997,144 at n = 10^6):
+        # a search in a fixed window around it misses K_c
+        top, biases = 1 << 53, [0.0, -0.0, 1.0, -1.0, 1e-300, 0.3, -0.77, 0.999, -0.999]
+        for norm in (1.0, 1e-3, 1e300):
+            dist = PowerLawDistribution(n, norm)
+            cuts = np.array([side * SignFunctionSpec(bias, n=n, norm=norm).cut for bias in biases for side in (1.0, -1.0)])
+            ks = _lattice_thresholds(dist, cuts.tolist())
+            below, at = (_lattice_draws(dist, np.clip(k, 0, top - 1)) for k in (ks - 1, ks))
+            assert np.all((below < cuts) | (ks == 0))
+            assert np.all((at >= cuts) | (ks == top))
+
 
 def _chi_square_band(dof, z=4.0):
     """The chi-square(dof) statistic's band z standard normal deviates
@@ -658,40 +680,32 @@ def _chi_square_band(dof, z=4.0):
 class TestCountsAreMultinomial:
     SAMPLES = 1_000_000
 
-    def assert_fit(self, estimate, probs, seeds):
-        # the rule's k-th value, in ascending order, is that of the k-th cell
+    def assert_fit(self, rule, dists, cuts, seeds=40):
+        values, probs = _value_probabilities(rule, dists, cuts)
+        expected = self.SAMPLES * np.array([float(prob) for prob in probs])
         statistic = 0.0
-        for seed in seeds:
-            counts = np.array([count for _, count in estimate(seed)])
-            expected = self.SAMPLES * probs
-            statistic += float(np.sum((counts - expected) ** 2 / expected))
-        low, high = _chi_square_band(len(seeds) * (probs.size - 1))
+        for seed in range(seeds):
+            counts = _mc_counts(rule, dists, self.SAMPLES, seed, cuts)
+            assert [value for value, _ in counts] == values
+            statistic += float(np.sum((np.array([count for _, count in counts]) - expected) ** 2 / expected))
+        low, high = _chi_square_band(seeds * (len(values) - 1))
         assert low < statistic < high
 
     def test_one_variable_fits_the_cell_probabilities(self):
         dist, cuts = PowerLawDistribution(2, 0.37), (-0.8, -0.1, 0.05, 0.6)
-        probs = np.diff(_lattice_thresholds(dist, cuts), prepend=0, append=1 << 53) / 2.0**53
 
         def rule(xs):
             return sum(np.asarray(xs) >= cut for cut in cuts) + 0.0
 
-        self.assert_fit(lambda seed: mc_mean(rule, dist, self.SAMPLES, seed, cuts), probs, range(40))
+        self.assert_fit(rule, (dist,), (cuts,))
 
     def test_two_variables_fit_the_products_of_the_cell_probabilities(self):
         (dist1, cuts1), (dist2, cuts2) = (PowerLawDistribution(0), (-0.2, 0.3)), (PowerLawDistribution(3), (0.1,))
-        probs1, probs2 = (
-            np.diff(_lattice_thresholds(dist, cuts), prepend=0, append=1 << 53) / 2.0**53
-            for dist, cuts in ((dist1, cuts1), (dist2, cuts2))
-        )
 
         def rule(x1, x2):
             return 1.0 * (x1 >= cuts1[0]) + (x1 >= cuts1[1]) + 3.0 * (x2 >= cuts2[0])
 
-        def estimate(seed):
-            return mc_mean_pair(rule, dist1, dist2, self.SAMPLES, seed, cuts1, cuts2)
-
-        # value i1 + 3 i2 for cell (i1, i2): ascending values run over i1 first
-        self.assert_fit(estimate, np.outer(probs2, probs1).ravel(), range(40))
+        self.assert_fit(rule, (dist1, dist2), (cuts1, cuts2))
 
     def test_counts_are_determined_by_the_seed_and_sum_to_the_samples(self):
         dist, cuts = PowerLawDistribution(1), (-0.3, 0.2)
@@ -708,43 +722,28 @@ class TestCountsAreMultinomial:
     def test_a_cell_of_probability_0_counts_0(self):
         # no draw of the flat sampler lies in [1e-300, 2e-300): 0 and 2**-53 are neighbouring draws
         dist, cuts = PowerLawDistribution(0), (1e-300, 2e-300)
-        first, second = _lattice_thresholds(dist, cuts).tolist()
-        assert first == second
 
         def rule(xs):
             return (np.asarray(xs) >= cuts[0]) + 2.0 * (np.asarray(xs) >= cuts[1])
 
+        assert dict(zip(*_value_probabilities(rule, (dist,), (cuts,))))[1.0] == 0
         for seed in range(20):
             assert dict(mc_mean(rule, dist, self.SAMPLES, seed, cuts))[1.0] == 0
             pair = mc_mean_pair(lambda x, y: rule(y) + 4.0 * (x >= 0.0), dist, dist, self.SAMPLES, seed, (0.0,), cuts)
             assert dict(pair)[1.0] == dict(pair)[5.0] == 0
 
 
-def _lattice_moments(f, dists, cuts):
-    """The exact mean and second moment of the rule under the sampler, and
-    the largest magnitude of its values: each lattice cell's probability,
-    a rational, times the cell's value, summed in rationals."""
-    points, ends = zip(*map(_lane_cells, cuts))
-    values, value_of_cell = _cell_outcomes(f, list(ends))
-    lanes = [
-        [Fraction(width, 1 << 53) for width in np.diff(_lattice_thresholds(dist, lane), prepend=0, append=1 << 53).tolist()]
-        for dist, lane in zip(dists, points)
-    ]
-    weights = [math.prod(cell) for cell in itertools.product(*lanes)]
-    exact = [Fraction(value) for value in values]
-    mean = sum(weight * exact[index] for weight, index in zip(weights, value_of_cell))
-    second = sum(weight * exact[index] ** 2 for weight, index in zip(weights, value_of_cell))
-    return mean, second, max(map(abs, values))
-
-
 def _assert_lattice_moments_are_analytic(f, dists, cuts, mean, second_moment=None):
-    """The rule's exact mean (and second moment) under the sampler is the
-    analytic one within 8 ulp of its largest value (squared): 10^12 times
-    finer than a 4-sigma band at 10^6 samples."""
-    exact_mean, exact_second, big = _lattice_moments(f, dists, cuts)
-    assert abs(float(exact_mean - Fraction(mean))) <= 8 * 2.0**-52 * big
-    if second_moment is not None:
-        assert abs(float(exact_second - Fraction(second_moment))) <= 8 * 2.0**-52 * big**2
+    """The rule's exact mean (and second moment) under the sampler, each
+    value's rational probability times the value summed in rationals, is
+    the analytic one within 8 ulp of its largest value (squared): 10^12
+    times finer than a 4-sigma band at 10^6 samples."""
+    values, probs = _value_probabilities(f, dists, cuts)
+    big = max(map(abs, values))
+    for power, moment in ((1, mean), (2, second_moment)):
+        if moment is not None:
+            exact = sum(prob * Fraction(value) ** power for prob, value in zip(probs, values))
+            assert abs(float(exact - Fraction(moment))) <= 8 * 2.0**-52 * big**power
 
 
 class TestLatticeMeanIsAnalytic:
@@ -870,28 +869,3 @@ class TestCountCells:
         shifted = [(offset + value, count) for value, count in pairs]
         if all(offset + value - offset == value for value, _ in pairs):
             assert _count_cells(shifted)[1] == pytest.approx(stderr, rel=1e-12, abs=0.0)
-
-
-def _case_iii_pair():
-    formula = spin_one.build_formula("III", spin_one.SpectralTriple((0.0, 1.0, -1.0), (0.3, 0.5, 0.2)))
-    return mc_mean_pair(formula.evaluate, *formula.hidden_distributions, 1_000_000, 5, *formula.hidden_cuts)
-
-
-def _ks_sum():
-    model = ks.KsModel((0.2, 0.5, 0.3))
-    cuts = [spec.cut for spec in ks.ks_sign_specs(model)]
-    return mc_mean(lambda xs: sum(ks.ks_square_outcomes(model, xs)), ks.SHARED_HIDDEN, 1_000_000, 5, cuts)
-
-
-@pytest.mark.parametrize("estimate", [_case_iii_pair, _ks_sum])
-def test_mc_peak_memory_stays_below_one_block(estimate):
-    # the engine makes no draw: the lattice points that check one cut's
-    # threshold and the counts are all it holds, not a million draws
-    estimate()
-    tracemalloc.start()
-    try:
-        estimate()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 17

@@ -1,5 +1,7 @@
 """Tests for the Kochen-Specker constraint dispersion analysis."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -333,6 +335,19 @@ class TestDeformedModel:
             gap = eps * eps * (s - s * s) - stats.variance
             assert gap == pytest.approx(-4.0 * eps * eps * probs[0] * probs[2], abs=1e-14)
             assert stats.variance <= eps * eps * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-4, 0.05, 3.0])
+    @pytest.mark.parametrize("probs", [(0.99999999, 5e-9, 5e-9), (5e-9, 5e-9, 0.99999999), (1 - 1e-15, 5e-16, 5e-16)])
+    def test_variance_is_the_centred_sum_over_the_outcome_table(self, eps, probs):
+        # s - d^2 cancelled as s nears 1: at the first probs, scaled to sum to 1 as --probs
+        # is, and eps 0.05 it gave 6.249999907e-11 against the table's 6.249999944e-11;
+        # the table takes the outcomes 2 +- eps exactly, as the closed form does
+        model = DeformedKsModel(eps, tuple(p / sum(probs) for p in probs))
+        weights, shift = [Fraction(p) for p in model.probabilities], Fraction(eps)
+        table = list(zip(weights, (2 + shift, Fraction(2), 2 - shift)))
+        mean = sum(w * v for w, v in table) / sum(weights)
+        exact = float(sum(w * (v - mean) ** 2 for w, v in table) / sum(weights))
+        assert abs(deformed_statistics(model).variance - exact) <= 4 * np.spacing(exact)
 
     def test_variance_scales_quadratically(self):
         eps_grid = np.logspace(-4, -1, 13)
