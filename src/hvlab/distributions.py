@@ -47,8 +47,8 @@ __all__ = [
     "mc_mean_pair",
 ]
 
-# `Generator.random` draws k * 2**-53 for an integer k below 2**53; the
-# lattice points on each side of a threshold checked to fall on its side
+# `Generator.random` draws k * 2**-53 for an integer k below 2**53; the lattice points
+# on each side of a threshold checked to fall on its side, and half of one search read
 _LATTICE_BITS, _NEIGHBOURS = 53, 1024
 
 _BIAS_SLACK = 1e-9
@@ -314,24 +314,34 @@ def _cell_outcomes(f: Callable[..., np.ndarray], ends: list[np.ndarray]) -> tupl
 
 
 def _lattice_thresholds(dist: PowerLawDistribution, cuts: list[float]) -> np.ndarray:
-    """K_c for each cut c: the least k in [0, 2**53] that ``dist.sample``
-    maps to x >= c, by one 54-step bisection (2**53 + 1 candidates) over
-    all the cuts.  The lattice points around each K_c must fall on its
-    side of c: a sampler not monotone there raises ValueError."""
-    def draws(ks):  # the sampler's own arithmetic on the uniforms k * 2**-53
-        return dist.sample(ks.size, SimpleNamespace(random=lambda _: np.ldexp(ks, -_LATTICE_BITS)))
-
-    lo, hi = np.zeros(len(cuts), dtype=np.int64), np.full(len(cuts), 1 << _LATTICE_BITS)
-    for _ in range(_LATTICE_BITS + 1):
-        mid = (lo + hi) >> 1
-        above = draws(mid) >= np.asarray(cuts)
-        hi, lo = np.where(above, mid, hi), np.where(above, lo, np.minimum(mid + 1, hi))
-    offsets = np.arange(-_NEIGHBOURS, _NEIGHBOURS)
-    for cut, k in zip(cuts, hi.tolist()):
-        near = np.clip(k + offsets, 0, (1 << _LATTICE_BITS) - 1)
-        if np.any((draws(near) >= cut) != (near >= k)):
+    """K_c for each cut c: the least k in [0, 2**53] that ``dist.sample`` maps
+    to x >= c.  The guess round(cdf(c) * 2**53) misses it by up to about n;
+    reach = 1024 (2n + 1) is 17.6 times the largest miss measured at n = 1,
+    more at each other n tried.  The point below the bracket of reach points
+    each way from the guess must draw x < c and its top x >= c, else ValueError.
+    Reads of at most 2048 points at the stride spanning the bracket narrow it
+    until the stride is 1; a read not all below c, then all >= c, raises too."""
+    def below(cut, start, stop, step=1):  # how many of start, start + step, ... below stop draw x < cut
+        ks = np.arange(start, stop, step, dtype=float)  # the sampler's own arithmetic on the uniforms k * 2**-53
+        above = dist.sample(ks.size, SimpleNamespace(random=lambda _: np.ldexp(ks, -_LATTICE_BITS, out=ks))) >= cut
+        count = above.size - int(np.count_nonzero(above))
+        if not above[count:].all():
             raise ValueError("the sampler is not monotone in its uniform near a cut")
-    return hi
+        return count
+
+    def threshold(cut, top=1 << _LATTICE_BITS, reach=_NEIGHBOURS * (2 * dist.n + 1)):
+        guess = round(float(dist.cdf(cut)) * top)
+        lo, hi = max(guess - reach, 0), min(guess + reach, top)
+        if not (lo > 0) <= below(cut, lo - 1, hi + 1, hi - lo + 1) <= 1 + (hi == top):  # reads lo - 1 and hi
+            raise ValueError("a cut's lattice threshold lies outside the bracket around its cdf")
+        while lo < hi:
+            step = -(-(hi - lo) // (2 * _NEIGHBOURS))
+            count = below(cut, lo, hi, step)
+            lo, hi = max(lo, lo + (count - 1) * step + 1), min(lo + count * step, hi)
+        if below(cut, max(lo - _NEIGHBOURS, 0), min(lo + _NEIGHBOURS, top)) != min(lo, _NEIGHBOURS):
+            raise ValueError("the sampler is not monotone in its uniform near a cut")
+        return lo
+    return np.array([threshold(cut) for cut in cuts], dtype=np.int64)
 
 
 def _lattice_cells(

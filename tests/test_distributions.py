@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -630,8 +631,11 @@ class TestLatticeThresholds:
     @pytest.mark.parametrize("norm", [1.0, 0.37, 5.0, 1e300])
     def test_each_draw_is_on_the_side_its_integer_gives(self, n, norm):
         biases = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 0.3, -0.77]
-        cuts = [SignFunctionSpec(bias, n=n, norm=norm).cut for bias in biases]
-        self.assert_sides(PowerLawDistribution(n, norm), cuts, seed=100 + n)
+        dist = PowerLawDistribution(n, norm)
+        # beyond the support, at the lattice ends K_c = 0 and K_c = 2**53
+        beyond = [-1e300, -2.0 * dist.support_edge, 2.0 * dist.support_edge, 1e300]
+        assert _lattice_thresholds(dist, beyond).tolist() == [0, 0, 1 << 53, 1 << 53]
+        self.assert_sides(dist, [SignFunctionSpec(bias, n=n, norm=norm).cut for bias in biases] + beyond, seed=100 + n)
 
     @given(
         bias=BIASES,
@@ -648,12 +652,57 @@ class TestLatticeThresholds:
         class Folded:
             """Uniform on (-1/2, 1/2), but the 99 lattice points below 0 mirrored above it."""
 
+            n = 0
+
+            def cdf(self, x):
+                return x + 0.5
+
             def sample(self, size, rng):
                 x = rng.random(size) - 0.5
                 return np.where((x < 0.0) & (x > -100 * 2.0**-53), -x, x)
 
         with pytest.raises(ValueError, match="not monotone"):
             _lattice_thresholds(Folded(), [1e-20])
+
+    @pytest.mark.parametrize("n", [0, 1, 10**6])
+    def test_the_bracket_reaches_exactly_reach_points_each_way(self, n, monkeypatch):
+        # reach = 1024 (2n + 1) lattice points each way from round(cdf(c) * 2**53); a guess
+        # off by reach still finds K_c at the bracket's edge, one more point off raises
+        reach, biases = 1024 * (2 * n + 1), [0.3, -0.77, 0.999, 1e-300]
+        dist = PowerLawDistribution(n)
+        cuts = [side * SignFunctionSpec(bias, n=n).cut for bias in biases for side in (1.0, -1.0)]
+        for cut, k in zip(cuts, _lattice_thresholds(dist, cuts).tolist()):
+            for miss in (-reach - 1, -reach, reach, reach + 1):
+                monkeypatch.setattr(PowerLawDistribution, "cdf", lambda self, x: (k + miss) * 2.0**-53)
+                if abs(miss) > reach:
+                    with pytest.raises(ValueError, match="outside the bracket"):
+                        _lattice_thresholds(dist, [cut])
+                else:
+                    assert _lattice_thresholds(dist, [cut]).tolist() == [k]
+
+    def test_the_guess_misses_by_a_small_share_of_reach(self):
+        # |round(cdf(c) * 2**53) - K_c| is at most about n: measured on 26,312 cuts over
+        # n = 0..100, 10**3, 10**4 and 10**6, reach = 1024 (2n + 1) is 17.6 times the
+        # largest miss at n = 1 (174 of 3,072), its smallest margin, and 1,024 times at n = 0
+        n, biases = 1, np.random.default_rng(5).uniform(-1.0, 1.0, 200).tolist() + [0.0, 1.0, -1.0, 0.999, -0.999]
+        for norm in (1.0, 0.37, 5.0, 1e-3, 1e300):
+            dist = PowerLawDistribution(n, norm)
+            cuts = [side * SignFunctionSpec(bias, n=n, norm=norm).cut for bias in biases for side in (1.0, -1.0)]
+            misses = np.abs(np.round(dist.cdf(np.array(cuts)) * 2.0**53).astype(np.int64) - _lattice_thresholds(dist, cuts))
+            assert 16 * int(misses.max()) < 1024 * (2 * n + 1)
+
+    @pytest.mark.parametrize("n", [0, 3, 10**6])
+    def test_one_call_peaks_below_64_kib(self, n):
+        dist = PowerLawDistribution(n)
+        cuts = sorted(SignFunctionSpec(bias, n=n).cut for bias in (0.3, -0.77, 0.999))
+        _lattice_thresholds(dist, cuts)
+        tracemalloc.start()
+        try:
+            _lattice_thresholds(dist, cuts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     @pytest.mark.parametrize("n", [1000, 10**4, 10**6])
     def test_thresholds_are_exact_at_large_n(self, n):
