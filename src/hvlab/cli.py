@@ -380,6 +380,11 @@ def _ks_rows(probs: tuple[float, float, float], params: str, samples: int = 0, s
     return _moment_rows("ks", params, ks.ks_statistics(model), oracle, counts, first="average", last="dispersion")
 
 
+#: the params of one scan row, and the rows whose params one % formats
+_SCAN_PARAMS = "p1=%.6g;p2=%.6g;p3=%.6g\n"
+_SCAN_BLOCK = 32
+
+
 @dataclass(frozen=True)
 class _ScanRows:
     """The rows of a dispersion table, built as they are read, then its minimum and maximum."""
@@ -391,10 +396,14 @@ class _ScanRows:
         return len(self.table) + 2
 
     def __iter__(self) -> Iterator[ReportRow]:
-        # one row of Python floats at a time: formats faster than numpy scalars,
-        # and a whole-table tolist() would hold every float at once
-        for p1, p2, p3, value in map(np.ndarray.tolist, self.table):
-            yield ReportRow("ks-scan", f"p1={p1:.6g};p2={p2:.6g};p3={p3:.6g}", value)
+        # the params of _SCAN_BLOCK rows at a time, from one % of the repeated
+        # template over the block's Python floats (%.6g formats as :.6g does);
+        # a whole-table tolist() would hold every float at once
+        for start in range(0, len(self.table), _SCAN_BLOCK):
+            block = self.table[start : start + _SCAN_BLOCK]
+            params = (_SCAN_PARAMS * len(block) % tuple(block[:, :3].ravel().tolist())).splitlines()
+            for text, value in zip(params, block[:, 3].tolist()):
+                yield ReportRow("ks-scan", text, value)
         yield ReportRow("ks-scan-min", f"step={self.step}", float(self.table[:, 3].min()), oracle=0.0)
         yield ReportRow("ks-scan-max", f"step={self.step}", float(self.table[:, 3].max()), oracle=2.0)
 
@@ -479,23 +488,28 @@ def run_oracle_check(args: argparse.Namespace) -> list[ReportRow]:
             worst = max(worst, float(np.max(np.abs(sq @ row.vector - val * row.vector))))
     rows.append(ReportRow("simultaneous-eigenbasis", "rows=3", worst, oracle=0.0))
 
+    # every trial set is drawn first, in one stream order; the Gell-Mann and
+    # direction trials are then solved as one stack, since a matrix of a stack
+    # decomposes bit for bit as it would alone
+    pauli_hs = linear_observable(rng.normal(size=(20, 3)), bases[PAULI])
+    gm_hs = linear_observable(rng.normal(size=(20, 8)), gm)
+    coeffs, states = zip(*[(rng.normal(size=8), random_pure_state(3, rng)) for _ in range(20)])
+    born_hs = linear_observable(coeffs, gm)
+    betas = rng.normal(size=(200, 3))
+    vals3, vecs3 = spectral_decompose(np.concatenate([gm_hs, linear_observable(betas, ang)]))
+
     recon = 0.0
-    for basis in (bases[PAULI], gm):
-        hs = np.stack([linear_observable(rng.normal(size=basis.size), basis) for _ in range(20)])
-        vals, vecs = spectral_decompose(hs)
+    for hs, (vals, vecs) in ((pauli_hs, spectral_decompose(pauli_hs)), (gm_hs, (vals3[:20], vecs3[:20]))):
         rebuilt = (vecs * vals[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
         recon = max(recon, float(np.max(np.abs(rebuilt - hs))))
     rows.append(ReportRow("eigen-reconstruction", "trials=40", recon, oracle=0.0))
 
-    hs, states = zip(*[(linear_observable(rng.normal(size=8), gm), random_pure_state(3, rng)) for _ in range(20)])
-    dists = born_distribution(np.stack(hs), states)
-    born_dev = max(abs(dist.mean - expectation(h, state)) for dist, h, state in zip(dists, hs, states))
+    dists = born_distribution(born_hs, states)
+    born_dev = max(abs(dist.mean - expectation(h, state)) for dist, h, state in zip(dists, born_hs, states))
     rows.append(ReportRow("born-vs-trace", "trials=20", born_dev, oracle=0.0))
 
-    betas = [rng.normal(size=3) for _ in range(200)]
-    vals, _ = spectral_decompose(np.stack([linear_observable(beta, ang) for beta in betas]))
     exact = np.outer(np.linalg.norm(betas, axis=1), [1.0, 0.0, -1.0])
-    spec_dev = float(np.max(np.abs(vals - exact)))
+    spec_dev = float(np.max(np.abs(vals3[20:] - exact)))
     rows.append(ReportRow("direction-spectrum", "trials=200", spec_dev, oracle=0.0))
     return rows
 

@@ -216,11 +216,9 @@ class Moments:
         return moments
 
 
-def _panel_integral(dist: PowerLawDistribution, lo: float, hi: float) -> float:
-    # (n+1)-node Gauss-Legendre is exact for the degree-2n density
+def _panel_integral(dist: PowerLawDistribution, lo: float, hi: float, nodes: np.ndarray, weights: np.ndarray) -> float:
     if hi <= lo:
         return 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(dist.n + 1)
     half = 0.5 * (hi - lo)
     return float(half * (weights @ dist.density(lo + half * (nodes + 1.0))))
 
@@ -235,11 +233,13 @@ def _sign_quadrature(*specs: SignFunctionSpec) -> float:
     dist = specs[0].distribution
     edge = dist.support_edge
     cuts = sorted({-edge, *(-min(spec.threshold, edge) for spec in specs), edge})
+    # (n+1)-node Gauss-Legendre is exact for the degree-2n density
+    rule = np.polynomial.legendre.leggauss(dist.n + 1)
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (lo + hi)
         piece = math.prod(sign_pm(mid + spec.threshold) for spec in specs)
-        total += piece * _panel_integral(dist, lo, hi)
+        total += piece * _panel_integral(dist, lo, hi, *rule)
     return total * math.prod(sign_pm(spec.bias) for spec in specs if spec.include_sign_prefactor)
 
 

@@ -212,19 +212,23 @@ def build_basis(kind: str) -> OperatorBasis:
 def linear_observable(coeffs, basis: OperatorBasis) -> np.ndarray:
     """Real linear combination of basis operators.
 
-    For the angular-momentum basis a length-3 coefficient vector selects
-    the three spin components.
+    One row of coefficients gives one (d, d) matrix; a (k, n) stack of
+    rows gives the (k, d, d) stack of their matrices from one einsum, and
+    each matrix of the stack is bit for bit the one its row gives alone.
+    For the angular-momentum basis rows of length 3 select the three spin
+    components.
     """
     c = np.asarray(coeffs, dtype=float)
-    if c.shape == (basis.size,):
+    width = c.shape[-1] if c.ndim in (1, 2) else None
+    if width == basis.size:
         full = c
-    elif basis.kind == ANGULAR_MOMENTUM and c.shape == (3,):
-        full = np.zeros(basis.size)
-        full[:3] = c
+    elif width == 3 and basis.kind == ANGULAR_MOMENTUM:
+        full = np.zeros((*c.shape[:-1], basis.size))
+        full[..., :3] = c
     else:
         counts = f"{basis.size} or 3" if basis.kind == ANGULAR_MOMENTUM else f"{basis.size}"
         raise ValueError(f"expected {counts} coefficients, got shape {c.shape}")
-    return np.einsum("k,kij->ij", full, basis.operators)
+    return np.einsum("...k,kij->...ij", full, basis.operators)
 
 
 def _sweep_stack(h: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

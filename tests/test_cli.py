@@ -24,7 +24,19 @@ import hvlab.oracle
 from hvlab import spin_half, spin_one
 from hvlab.cli import ReportRow, build_parser, main
 from hvlab.distributions import PowerLawDistribution, _count_cells, _lattice_cells, mc_mean
-from hvlab.oracle import PAULI, QuantumState, bloch_vector, build_basis
+from hvlab.oracle import (
+    ANGULAR_MOMENTUM,
+    GELL_MANN,
+    PAULI,
+    QuantumState,
+    bloch_vector,
+    born_distribution,
+    build_basis,
+    expectation,
+    linear_observable,
+    random_pure_state,
+    spectral_decompose,
+)
 
 FAST = ["--samples", "20000", "--seed", "42"]
 
@@ -418,6 +430,44 @@ class TestOracleCheckRows:
         (row,) = [row for row in rows if row["experiment"] == "basis-combination"]
         assert row["analytic"] == pytest.approx(np.sqrt(2.0), rel=1e-12)
         assert row["pass"] is False
+
+    # none of them is a seed of a golden record
+    @pytest.mark.parametrize(
+        "seed",
+        [*range(14), 101, 999, 31337, 2**31 - 1, 2**32, 2**32 + 1, 2**53, 2**63, 2**64 - 1, 2**64, 2**64 + 1],
+    )
+    def test_stacked_trials_give_the_per_trial_cells(self, seed):
+        args = build_parser().parse_args(["oracle-check", "--seed", str(seed)])
+        trials = [row for row in hvlab.cli.run_oracle_check(args) if row.experiment in PER_TRIAL_ROWS]
+        assert [(row.experiment, row.params, row.analytic.hex()) for row in trials] == per_trial_rows(seed)
+
+
+PER_TRIAL_ROWS = ("eigen-reconstruction", "born-vs-trace", "direction-spectrum")
+
+
+def per_trial_rows(seed: int) -> list[tuple[str, str, str]]:
+    """oracle-check's random-trial cells, each trial's observable built by its
+    own linear_observable call and each trial set decomposed on its own: four
+    decompositions in all, the stream read in the same order."""
+    rng = np.random.default_rng(seed)
+    pauli, gm, ang = (build_basis(kind) for kind in (PAULI, GELL_MANN, ANGULAR_MOMENTUM))
+    recon = 0.0
+    for basis in (pauli, gm):
+        hs = np.stack([linear_observable(rng.normal(size=basis.size), basis) for _ in range(20)])
+        vals, vecs = spectral_decompose(hs)
+        rebuilt = (vecs * vals[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        recon = max(recon, float(np.max(np.abs(rebuilt - hs))))
+    hs, states = zip(*[(linear_observable(rng.normal(size=8), gm), random_pure_state(3, rng)) for _ in range(20)])
+    dists = born_distribution(np.stack(hs), states)
+    born_dev = max(abs(dist.mean - expectation(h, state)) for dist, h, state in zip(dists, hs, states))
+    betas = [rng.normal(size=3) for _ in range(200)]
+    vals, _ = spectral_decompose(np.stack([linear_observable(beta, ang) for beta in betas]))
+    spec_dev = float(np.max(np.abs(vals - np.outer(np.linalg.norm(betas, axis=1), [1.0, 0.0, -1.0]))))
+    return [
+        ("eigen-reconstruction", "trials=40", recon.hex()),
+        ("born-vs-trace", "trials=20", born_dev.hex()),
+        ("direction-spectrum", "trials=200", spec_dev.hex()),
+    ]
 
 
 class TestStreamedHomogeneity:
@@ -1023,6 +1073,19 @@ class TestStreamedRows:
         assert len(rows) == len(first) == 69
         assert list(rows) == first
         assert [row.experiment for row in first[-2:]] == ["ks-scan-min", "ks-scan-max"]
+
+    @pytest.mark.parametrize("count", [1, 31, 32, 33, 65])
+    def test_scan_blocks_give_each_row_its_own_params(self, count):
+        # the params are formatted a block of rows at a time: a block's last row, a
+        # partial block and a block's first row must each come out as one row alone
+        table = hvlab.ks.dispersion_scan(0.01)[:count]
+        rows = list(hvlab.cli._ScanRows(table, 0.01))
+        alone = [("ks-scan", f"p1={p1:.6g};p2={p2:.6g};p3={p3:.6g}", value) for p1, p2, p3, value in table.tolist()]
+        assert [(row.experiment, row.params, row.analytic) for row in rows[:-2]] == alone
+        assert [(row.experiment, row.analytic) for row in rows[-2:]] == [
+            ("ks-scan-min", table[:, 3].min()),
+            ("ks-scan-max", table[:, 3].max()),
+        ]
 
     @pytest.mark.parametrize("argv", [["verify-all", *FAST], SCAN], ids=["verify-all", "scan"])
     def test_json_is_json_dumps(self, capsys, argv):

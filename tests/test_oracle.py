@@ -228,6 +228,29 @@ class TestLinearObservable:
             linear_observable([1.0, 2.0, 3.0], bases[GELL_MANN])
         with pytest.raises(ValueError, match=r"^expected 3 coefficients, got shape \(2,\)$"):
             linear_observable([1.0, 2.0], bases[PAULI])
+        # a stack's rows are checked by their trailing length, and any other rank is rejected
+        with pytest.raises(ValueError, match=r"^expected 8 coefficients, got shape \(4, 3\)$"):
+            linear_observable(np.ones((4, 3)), bases[GELL_MANN])
+        with pytest.raises(ValueError, match=r"^expected 8 or 3 coefficients, got shape \(4, 2\)$"):
+            linear_observable(np.ones((4, 2)), bases[ANGULAR_MOMENTUM])
+        with pytest.raises(ValueError, match=r"^expected 3 coefficients, got shape \(2, 4, 3\)$"):
+            linear_observable(np.ones((2, 4, 3)), bases[PAULI])
+        with pytest.raises(ValueError, match=r"^expected 3 coefficients, got shape \(\)$"):
+            linear_observable(1.0, bases[PAULI])
+
+    @pytest.mark.parametrize(
+        "kind, width", [(PAULI, 3), (GELL_MANN, 8), (ANGULAR_MOMENTUM, 8), (ANGULAR_MOMENTUM, 3)]
+    )
+    @pytest.mark.parametrize("count", [1, 20, 200])
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_a_stack_is_its_rows_byte_for_byte(self, bases, kind, width, count, scale):
+        # oracle-check builds each trial set as one stack; its cells must be the
+        # ones a call per trial gives
+        rows = scale * np.random.default_rng(count).normal(size=(count, width))
+        stack = linear_observable(rows, bases[kind])
+        dim = bases[kind].dim
+        assert stack.shape == (count, dim, dim)
+        assert stack.tobytes() == np.stack([linear_observable(row, bases[kind]) for row in rows]).tobytes()
 
     def test_direction_spectrum_law(self, bases):
         rng = np.random.default_rng(123)
