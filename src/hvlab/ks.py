@@ -41,6 +41,10 @@ __all__ = [
 #: The flat distribution of the single shared hidden variable.
 SHARED_HIDDEN = PowerLawDistribution(0, 1.0)
 
+#: Rows of the dispersion scan per closed-form call, so that the call's temporaries
+#: stay below those of the scan's grid build at the default step.
+_SCAN_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class KsModel:
@@ -115,46 +119,24 @@ def dispersion_scan(step: float = 0.01) -> np.ndarray:
     """
     if not 0.0 < step <= 0.5:
         raise ValueError("step must lie in (0, 0.5]")
+    if 1.0 / step == np.inf:  # a subnormal step
+        raise ValueError(f"step {step!r} is too small: 1 / step overflows")
     # points (i, j) with i + j <= count, i major: the upper triangle's (row, col - row);
     # count is the number of whole steps in 1, the allowance keeping 1 / (1/3) at 3
     i, col = np.triu_indices(int(1.0 / step + 1e-9) + 1)
     table = np.empty((len(i) + 1, 4))
-    p1, p2, p3, value = table.T
+    p1, p2, p3, _ = table.T
     np.multiply(i, step, out=p1[:-1])
     np.multiply(np.subtract(col, i, out=col), step, out=p2[:-1])
-    del i, col  # freed before the scratch columns are made
+    del i, col  # freed before the values are computed
     np.subtract(1.0, p1[:-1], out=p3[:-1])
     p3[:-1] -= p2[:-1]
     table[-1, :3] = 1.0 / 3.0
-    # value = 0.5 (1 + _pair_sum(2 p - 1)), the same operations in the same order, one
-    # column at a time; each term's product of two signs is a negation where they differ
-    first, second = np.empty(len(table)), np.empty(len(table))
-    negative1, negative2 = _abs_bias(p1, first), _abs_bias(p2, second)
-    _signed_gap(first, second, negative1 ^ negative2, out=value)
-    negative3 = _abs_bias(p3, second)
-    value += _signed_gap(first, second, negative1 ^ negative3, out=first)
-    _abs_bias(p2, first)  # |b2| again: second now holds |b3|
-    value += _signed_gap(first, second, negative2 ^ negative3, out=first)
-    value += 1.0
-    value *= 0.5
+    # the variance of ks_statistics, a block of rows at a time
+    for start in range(0, len(table), _SCAN_BLOCK):
+        block = table[start : start + _SCAN_BLOCK]
+        block[:, 3] = 0.5 * (1.0 + _pair_sum(2.0 * block[:, :3] - 1.0))
     return table
-
-
-def _abs_bias(p: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # |2 p - 1| into out; returns where 2 p - 1 < 0, the bias whose sign is -1
-    np.multiply(p, 2.0, out=out)
-    out -= 1.0
-    negative = out < 0.0
-    np.abs(out, out=out)
-    return negative
-
-
-def _signed_gap(first: np.ndarray, second: np.ndarray, flip: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # 1 - |first - second| into out, negated where flip: one _sign_product_mean term
-    np.subtract(first, second, out=out)
-    np.abs(out, out=out)
-    np.subtract(1.0, out, out=out)
-    return np.negative(out, out=out, where=flip)
 
 
 @dataclass(frozen=True)

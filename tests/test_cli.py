@@ -341,6 +341,8 @@ class TestUsageErrors:
             (["ks-dispersion", "--scan", "--grid-step", "0.9"], "step must lie in (0, 0.5]"),
             (["ks-dispersion", "--scan", "--grid-step", "0"], "step must lie in (0, 0.5]"),
             (["ks-dispersion", "--scan", "--grid-step", "nan"], "step must lie in (0, 0.5]"),
+            # subnormal: 1 / step is inf, so the step count would be int(inf)
+            (["ks-dispersion", "--scan", "--grid-step", "5e-324"], "step 5e-324 is too small"),
         ],
     )
     def test_index_or_grid_step_out_of_range_exit_2(self, capsys, argv, message):

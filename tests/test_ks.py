@@ -250,8 +250,10 @@ class TestDispersion:
         assert np.all(grid >= -1e-12) and np.all(grid <= 1.0 + 1e-12)
         assert np.allclose(grid.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
-    def test_scan_matches_pointwise_dispersion(self):
-        table = dispersion_scan(0.1)
+    @pytest.mark.parametrize("step", [0.1, 0.07, 0.01])
+    def test_scan_matches_pointwise_dispersion(self, step):
+        # one ks_statistics call per point: independent of the scan's blocks
+        table = dispersion_scan(step)
         for p1, p2, p3, value in table:
             assert value == pytest.approx(ks_statistics(KsModel((p1, p2, max(p3, 0.0)))).variance, abs=1e-12)
 

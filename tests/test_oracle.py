@@ -529,6 +529,13 @@ class TestBornDistribution:
         np.testing.assert_array_equal(dist.outcomes, [1e8 + 1, 1e8, 1e8 - 1])
         assert Moments.of(dist.outcomes, dist.probabilities).variance == pytest.approx(2 / 3, rel=1e-9)
 
+    def test_merge_gap_is_measured_from_each_group_start(self):
+        # the gap is about 1.7e-13 (roundoff of the norm): consecutive eigenvalues 1e-13
+        # apart would chain into one outcome, but the third is 2e-13 from the group's first
+        dist = born_distribution(np.diag([1.0, 1 - 1e-13, 1 - 2e-13]), QuantumState.maximally_mixed(3))
+        np.testing.assert_array_equal(dist.outcomes, [1 - 5e-14, 1 - 2e-13])
+        np.testing.assert_allclose(dist.probabilities, [2 / 3, 1 / 3], rtol=1e-12)
+
     def test_offset_degenerate_outcomes_merged(self, bases):
         rng = np.random.default_rng(11)
         _, vecs = np.linalg.eigh(linear_observable(rng.normal(size=8), bases[GELL_MANN]))
