@@ -14,12 +14,13 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import types
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,27 +108,34 @@ def emit_rows(rows: Iterable[ReportRow], args: argparse.Namespace, stream=None) 
     tol, limit = args.tolerance_sigma, io.DEFAULT_BUFFER_SIZE
     batch, size, all_passed = [], 0, True
 
-    def spill() -> int:
-        stream.write("".join(batch))
-        batch.clear()
-        return 0
+    def add(text: str) -> None:
+        nonlocal size
+        batch.append(text)
+        size += len(text)
+        if size >= limit:
+            stream.write("".join(batch))
+            batch.clear()
+            size = 0
 
     if args.format == "json":
         separator = "[\n  "
+        if isinstance(rows, _ScanRows):  # a table is never empty; each of its rows ends in the next one's separator
+            add(separator)
+            all_passed, separator = rows.write_blocks(_SCAN_JSON_ROW, tol, add), ""
+            rows = rows.extremes()
         for row in rows:
             all_passed &= (ok := row.passed(tol))
             strings = _json_string(row.experiment), _json_string(row.params)
             numbers = map(_json_number, (row.analytic, row.mc, row.stderr, row.oracle))
-            batch.append(text := separator + _JSON_ROW % (*strings, *numbers, "true" if ok else "false"))
+            add(separator + _JSON_ROW % (*strings, *numbers, "true" if ok else "false"))
             separator = ",\n  "
-            size += len(text)
-            if size >= limit:
-                size = spill()
-        batch.append("[]\n" if separator == "[\n  " else "\n]\n")
+        add("[]\n" if separator == "[\n  " else "\n]\n")
     elif args.format == "csv":
-        # each record goes to batch.append, a C-level call
-        writer = csv.writer(types.SimpleNamespace(write=batch.append), lineterminator="\n")
+        writer = csv.writer(types.SimpleNamespace(write=add), lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
+        if isinstance(rows, _ScanRows):
+            all_passed = rows.write_blocks(_SCAN_CSV_ROW, tol, add)
+            rows = rows.extremes()
         for row in rows:
             all_passed &= (ok := row.passed(tol))
             # each number as its float's repr, which round-trips; None as an empty cell
@@ -142,9 +150,6 @@ def emit_rows(rows: Iterable[ReportRow], args: argparse.Namespace, stream=None) 
                     "true" if ok else "false",
                 )
             )
-            size += len(batch[-1])
-            if size >= limit:
-                size = spill()
     else:
         lines = [_CSV_COLUMNS] + [
             (
@@ -161,11 +166,8 @@ def emit_rows(rows: Iterable[ReportRow], args: argparse.Namespace, stream=None) 
         all_passed = not any(line[-1] == "FAIL" for line in lines)
         widths = [max(len(line[k]) for line in lines) for k in range(len(_CSV_COLUMNS))]
         for line in lines:
-            batch.append(text := "  ".join(map(str.ljust, line, widths)).rstrip() + "\n")
-            size += len(text)
-            if size >= limit:
-                size = spill()
-    spill()
+            add("  ".join(map(str.ljust, line, widths)).rstrip() + "\n")
+    stream.write("".join(batch))
     return all_passed
 
 
@@ -380,9 +382,13 @@ def _ks_rows(probs: tuple[float, float, float], params: str, samples: int = 0, s
     return _moment_rows("ks", params, ks.ks_statistics(model), oracle, counts, first="average", last="dispersion")
 
 
-#: the params of one scan row, and the rows whose params one % formats
-_SCAN_PARAMS = "p1=%.6g;p2=%.6g;p3=%.6g\n"
+#: the params of one scan row (%.6g formats as :.6g does)
+_SCAN_PARAMS = "p1=%.6g;p2=%.6g;p3=%.6g"
+#: the rows one % formats: a whole-table tolist() would hold every float at once
 _SCAN_BLOCK = 32
+#: a scan row and what follows it, its slots the params, value (%r: its repr) and verdict
+_SCAN_CSV_ROW = f"ks-scan,{_SCAN_PARAMS},%r,,,,%s\n"
+_SCAN_JSON_ROW = _JSON_ROW % ('"ks-scan"', f'"{_SCAN_PARAMS}"', "%r", "null", "null", "null", "%s") + ",\n  "
 
 
 @dataclass(frozen=True)
@@ -396,16 +402,29 @@ class _ScanRows:
         return len(self.table) + 2
 
     def __iter__(self) -> Iterator[ReportRow]:
-        # the params of _SCAN_BLOCK rows at a time, from one % of the repeated
-        # template over the block's Python floats (%.6g formats as :.6g does);
-        # a whole-table tolist() would hold every float at once
         for start in range(0, len(self.table), _SCAN_BLOCK):
             block = self.table[start : start + _SCAN_BLOCK]
-            params = (_SCAN_PARAMS * len(block) % tuple(block[:, :3].ravel().tolist())).splitlines()
+            params = ((_SCAN_PARAMS + "\n") * len(block) % tuple(block[:, :3].ravel().tolist())).splitlines()
             for text, value in zip(params, block[:, 3].tolist()):
                 yield ReportRow("ks-scan", text, value)
+        yield from self.extremes()
+
+    def extremes(self) -> Iterator[ReportRow]:
         yield ReportRow("ks-scan-min", f"step={self.step}", float(self.table[:, 3].min()), oracle=0.0)
         yield ReportRow("ks-scan-max", f"step={self.step}", float(self.table[:, 3].max()), oracle=2.0)
+
+    def write_blocks(self, row: str, tol: float, write: Callable[[str], None]) -> bool:
+        """Write the table rows a block at a time, each block one % of ``row`` repeated; True when all passed."""
+        all_passed = True
+        for start in range(0, len(self.table), _SCAN_BLOCK):
+            cells = self.table[start : start + _SCAN_BLOCK].tolist()
+            judged = ReportRow("ks-scan", "", 0.0)  # a row per block, not per row: each verdict is still ReportRow.passed's
+            for values in cells:
+                judged.analytic = values[3]
+                all_passed &= (passed := judged.passed(tol))
+                values.append("true" if passed else "false")
+            write(row * len(cells) % tuple(itertools.chain.from_iterable(cells)))
+        return all_passed
 
 
 def _ks_epsilon_rows(

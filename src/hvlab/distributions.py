@@ -53,6 +53,9 @@ _LATTICE_BITS, _NEIGHBOURS = 53, 1024
 
 _BIAS_SLACK = 1e-9
 
+# leggauss(n + 1) builds an (n+1)^2 companion matrix: 128 MB and some 4 s at n = 4000
+_QUADRATURE_MAX_N = 4096
+
 
 def sign_pm(x):
     """+1.0 for x >= 0, -1.0 for x < 0 (scalar in, scalar out)."""
@@ -231,6 +234,8 @@ def _sign_quadrature(*specs: SignFunctionSpec) -> float:
     each panel, which the rule integrates exactly.
     """
     dist = specs[0].distribution
+    if dist.n > _QUADRATURE_MAX_N:
+        raise ValueError(f"the quadrature rule takes n up to {_QUADRATURE_MAX_N}, not {dist.n}")
     edge = dist.support_edge
     cuts = sorted({-edge, *(-min(spec.threshold, edge) for spec in specs), edge})
     # (n+1)-node Gauss-Legendre is exact for the degree-2n density

@@ -6,6 +6,7 @@ import functools
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -333,6 +334,8 @@ class TestUsageErrors:
         "argv, message",
         [
             (["sgn-averages", "--n", "-1"], "--n must be nonnegative"),
+            # the quadrature rule's companion matrix holds (n+1)^2 floats: 71.1 PiB here
+            (["sgn-averages", "--n", "100000000"], "n up to 4096"),
             # the index is checked before the case I rule can be found infeasible
             (["spin-one", "--case", "I", "--n", "-1", "--lambdas", "0,1,-1", "--probs", "0.25,0.5,0.25"],
              "--n must be nonnegative"),
@@ -1088,6 +1091,31 @@ class TestStreamedRows:
             ("ks-scan-min", table[:, 3].min()),
             ("ks-scan-max", table[:, 3].max()),
         ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "step, count", [(0.5, None), (1 / 3, None), (0.13, None), (0.013, None), *((0.01, n) for n in (1, 31, 32, 33, 65))]
+    )
+    def test_scan_blocks_print_what_the_per_row_writer_prints(self, fmt, step, count):
+        # a scan's table rows are rendered a block at a time from one row template; a
+        # list of the same rows goes row by row through the writer of every other command
+        # (a cut table's min and max rows fail, as its extremes are not 0 and 2)
+        rows = hvlab.cli._ScanRows(hvlab.ks.dispersion_scan(step)[:count], step)
+        args = build_parser().parse_args(["ks-dispersion", "--scan", "--format", fmt])
+        blocks, alone = io.StringIO(), io.StringIO()
+        assert hvlab.cli.emit_rows(rows, args, blocks) is hvlab.cli.emit_rows(list(rows), args, alone) is (count is None)
+        assert blocks.getvalue() == alone.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_scan_rows_printed_verdict_is_its_judgement(self, capsys, monkeypatch, fmt):
+        # the 33rd table row, the first of the second block, is the only one judged to fail
+        scan_calls, passed = itertools.count(1), ReportRow.passed
+        monkeypatch.setattr(
+            ReportRow, "passed", lambda row, tol: (row.experiment != "ks-scan" or next(scan_calls) != 33) and passed(row, tol)
+        )
+        code, out, _ = run_cli(capsys, [*self.SCAN, "--format", fmt])
+        assert code == 1
+        assert [k for k, ok in enumerate(verdicts(fmt, out)) if not ok] == [32]
 
     @pytest.mark.parametrize("argv", [["verify-all", *FAST], SCAN], ids=["verify-all", "scan"])
     def test_json_is_json_dumps(self, capsys, argv):
